@@ -52,13 +52,9 @@ def main():
         print(f"perfbench: build failed: {e}", file=sys.stderr)
         return 2
     exe = os.path.join(build_dir, "kgnet_perfbench")
-    # The shared thread pool runs single-threaded unless the caller picks
-    # a size (see README.md, "Thread pool").
-    env = dict(os.environ)
-    env.setdefault("KGNET_NUM_THREADS", "1")
     sys.stdout.flush()
-    return subprocess.run([exe] + sys.argv[1:] + ["--git-sha", git_sha()],
-                          env=env).returncode
+    return subprocess.run(
+        [exe] + sys.argv[1:] + ["--git-sha", git_sha()]).returncode
 
 
 if __name__ == "__main__":

@@ -38,8 +38,7 @@ struct Served {
   std::unique_ptr<serving::KgServer> server;
   ServedState state;
   double load_s = 0;   // KG generate + load + compact
-  double setup_s = 0;  // load_s + served-model training + server start
-  std::vector<JobRun> setup_jobs;  // ml_write_mix: served-model TrainGML
+  double setup_s = 0;  // load_s + server start
 };
 
 /// Sets up workload `w` from scratch (timed into setup_s); fills the
@@ -54,12 +53,12 @@ int Senders(Workload w);
 inline constexpr double kFixedShare = 0.8;
 inline constexpr double kWarmS = 2.0;
 
-/// Offered rates (req/s) of the fixed-rate and the saturation phase.
-struct LoadSpec {
-  double fixed_qps = 0;
-  double sat_qps = 0;
-};
-LoadSpec Load(Workload w);
+/// Offered rates (req/s) of the fixed-rate and the saturation phase, the
+/// same on both workloads. The fixed rate is about a quarter of read
+/// capacity at the default pool size on 4 vCPUs (README.md); saturation
+/// offers about twice capacity.
+inline constexpr double kFixedQps = 600;
+inline constexpr double kSaturationQps = 5000;
 
 /// The closed-loop TrainGML connection of train_pipeline: sends the job
 /// list until `stop`, dropping each pass's models (untimed) afterwards.
@@ -82,7 +81,8 @@ struct Metric {
 };
 
 /// Prints the open-loop latencies of a fixed-rate phase (from intended
-/// send time, with sample counts) and returns them as loadgen.* metrics.
+/// send time, with sample counts) and returns p50_ms, p90_ms, p99_ms and
+/// the generator's late_p99_ms.
 std::vector<Metric> OpenLoopLatencies(const PhaseResult& r);
 
 /// Completions per second of a saturation phase: the median over its

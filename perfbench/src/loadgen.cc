@@ -12,59 +12,16 @@ namespace kgnet::perfbench {
 
 Outcome Checker::Check(const Request& req, const Result<std::string>& resp) {
   if (!resp.ok()) {
-    Note(std::string(ClsName(req.cls)) + ": " + resp.status().ToString());
+    Note("read: " + resp.status().ToString());
     return Outcome::kFailed;
   }
-  std::string why;
-  switch (req.cls) {
-    case Cls::kRead:
-    case Cls::kRegionRead:
-    case Cls::kSparqlMl:
-    case Cls::kUpdate: {
-      auto r = serving::ParseQueryResponse(*resp);
-      if (!r.ok()) {
-        Note(std::string(ClsName(req.cls)) + ": " + r.status().ToString());
-        return Outcome::kFailed;
-      }
-      if (req.cls == Cls::kUpdate) {
-        const size_t got =
-            req.insert ? r->result.num_inserted : r->result.num_deleted;
-        if (got == req.expect) return Outcome::kOk;
-        why = std::string(req.insert ? "insert" : "delete") + " changed " +
-              std::to_string(got) + " triples, want " +
-              std::to_string(req.expect);
-      } else if (req.cls == Cls::kRegionRead) {
-        if (RegionAtomic(r->result, &why)) return Outcome::kOk;
-      } else {
-        if (RowsDigest(r->result) == oracle_->digest(req.key))
-          return Outcome::kOk;
-        why = "rows differ from the oracle for " + oracle_->key(req.key);
-      }
-      break;
-    }
-    case Cls::kInferClass: {
-      auto r = serving::ParseValueResponse(*resp);
-      if (!r.ok()) {
-        Note(std::string("infer_class: ") + r.status().ToString());
-        return Outcome::kFailed;
-      }
-      if (ValuesDigest({*r}) == oracle_->digest(req.key)) return Outcome::kOk;
-      why = "value differs from InferenceManager for " + oracle_->key(req.key);
-      break;
-    }
-    case Cls::kInferLinks:
-    case Cls::kInferSimilar: {
-      auto r = serving::ParseValuesResponse(*resp);
-      if (!r.ok()) {
-        Note(std::string(ClsName(req.cls)) + ": " + r.status().ToString());
-        return Outcome::kFailed;
-      }
-      if (ValuesDigest(*r) == oracle_->digest(req.key)) return Outcome::kOk;
-      why = "values differ from InferenceManager for " + oracle_->key(req.key);
-      break;
-    }
+  auto r = serving::ParseQueryResponse(*resp);
+  if (!r.ok()) {
+    Note("read: " + r.status().ToString());
+    return Outcome::kFailed;
   }
-  Note("WRONG " + std::string(ClsName(req.cls)) + ": " + why);
+  if (RowsDigest(r->result) == oracle_->digest(req.key)) return Outcome::kOk;
+  Note("WRONG read: rows differ from the oracle for " + oracle_->key(req.key));
   return Outcome::kWrong;
 }
 
@@ -78,13 +35,11 @@ std::vector<std::string> Checker::notes() const {
   return notes_;
 }
 
-Histogram PhaseResult::Latency(int cls) const {
+Histogram PhaseResult::Latency() const {
   Histogram h;
-  for (const Sample& s : samples) {
-    if (cls >= 0 && static_cast<int>(s.cls) != cls) continue;
-    if (s.outcome == Outcome::kUnsent) continue;
-    h.Record(static_cast<uint64_t>(s.recv_ns - s.due_ns));
-  }
+  for (const Sample& s : samples)
+    if (s.outcome != Outcome::kUnsent)
+      h.Record(static_cast<uint64_t>(s.recv_ns - s.due_ns));
   return h;
 }
 
@@ -124,7 +79,6 @@ Status RunPhase(int port, const std::vector<Request>& reqs, int senders,
            i += static_cast<size_t>(senders)) {
         const Request& req = reqs[i];
         Sample& smp = out->samples[i];
-        smp.cls = req.cls;
         smp.rid = static_cast<uint32_t>(i);
         smp.due_ns = start + req.due_ns;
         int64_t now = NowNs();

@@ -26,13 +26,12 @@ struct Sample {
   int64_t due_ns = 0;  // absolute (steady clock)
   int64_t sent_ns = 0;
   int64_t recv_ns = 0;
-  Cls cls = Cls::kRead;
   Outcome outcome = Outcome::kOk;
   uint32_t rid = 0;  // index in the phase's request vector
 };
 
-/// Checks decoded answers against the oracle and the invariants; keeps
-/// the first few failure descriptions for the report.
+/// Checks decoded answers against the oracle; keeps the first few failure
+/// descriptions for the report.
 class Checker {
  public:
   explicit Checker(const Oracle* oracle) : oracle_(oracle) {}
@@ -53,8 +52,8 @@ struct PhaseResult {
   int64_t start_ns = 0;
   uint64_t attempted = 0, failed = 0, wrong = 0, unsent = 0;
 
-  Histogram Latency(int cls = -1) const;  // from due to received
-  Histogram Lateness() const;             // from due to sent
+  Histogram Latency() const;   // from due to received
+  Histogram Lateness() const;  // from due to sent
 };
 
 /// Runs one open-loop phase against 127.0.0.1:port.

@@ -1,6 +1,6 @@
 // kgnet_perfbench: the repository benchmark (see perfbench/README.md).
 //
-//   kgnet_perfbench --workload read_mix|ml_write_mix|train_pipeline
+//   kgnet_perfbench --workload read_mix|train_pipeline
 //                   --seed N --seconds S --trace 0|1 [--git-sha SHA]
 //                   [--spans PATH]
 //
@@ -18,9 +18,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "perfbench/src/bench.h"
 #include "perfbench/src/histogram.h"
-#include "rdf/term.h"
 
 #ifndef KGNET_PERFBENCH_BUILD_TYPE
 #define KGNET_PERFBENCH_BUILD_TYPE "unknown"
@@ -38,19 +38,6 @@ double Median(std::vector<double> v) {
 double Seconds(int64_t ns) { return static_cast<double>(ns) / 1e9; }
 
 int Senders(Workload w) { return w == Workload::kTrainPipeline ? 3 : 4; }
-
-
-LoadSpec Load(Workload w) {
-  // Fixed rates sit at a fifth to a third of each workload's capacity
-  // with the single-threaded pool on 4 vCPUs (ml_write_mix lower, see
-  // README.md); saturation offers about twice capacity.
-  switch (w) {
-    case Workload::kReadMix: return {1500, 16000};
-    case Workload::kMlWriteMix: return {150, 4000};
-    case Workload::kTrainPipeline: return {1500, 16000};
-  }
-  return {};
-}
 
 Status RunJob(serving::KgClient* client, core::KgNet* kg, const TrainJob& job,
               JobRun* out) {
@@ -80,19 +67,6 @@ Status SetUp(Workload w, Served* out) {
   out->server =
       std::make_unique<serving::KgServer>(&out->kg->service(), options);
   KGNET_RETURN_IF_ERROR(out->server->Start());
-  out->setup_jobs.clear();
-  if (w == Workload::kMlWriteMix) {
-    serving::KgClient client;
-    client.set_timeout_ms(120000);
-    KGNET_RETURN_IF_ERROR(client.Connect("127.0.0.1", out->server->port()));
-    for (const TrainJob& job : TrainJobs(w)) {
-      JobRun run;
-      KGNET_RETURN_IF_ERROR(RunJob(&client, out->kg.get(), job, &run));
-      out->setup_jobs.push_back(run);
-    }
-    out->state.nc_model = out->setup_jobs[0].model_uri;
-    out->state.lp_model = out->setup_jobs[1].model_uri;
-  }
   out->setup_s = Seconds(NowNs() - t0);
 
   // Popularity order is fixed like the KG, so every seed sees the same
@@ -162,7 +136,6 @@ bool ParseArgs(int argc, char** argv, Args* a) {
     if (k == "--workload") {
       a->workload_name = v;
       if (v == "read_mix") a->workload = Workload::kReadMix;
-      else if (v == "ml_write_mix") a->workload = Workload::kMlWriteMix;
       else if (v == "train_pipeline") a->workload = Workload::kTrainPipeline;
       else return false;
     } else if (k == "--seed") {
@@ -219,25 +192,14 @@ double SaturationQps(const PhaseResult& r) {
 
 std::vector<Metric> OpenLoopLatencies(const PhaseResult& r) {
   const Histogram all = r.Latency();
-  Histogram reads = r.Latency(static_cast<int>(Cls::kRead));
-  reads.Merge(r.Latency(static_cast<int>(Cls::kRegionRead)));
-  Histogram infer = r.Latency(static_cast<int>(Cls::kInferClass));
-  infer.Merge(r.Latency(static_cast<int>(Cls::kInferLinks)));
-  infer.Merge(r.Latency(static_cast<int>(Cls::kInferSimilar)));
-  const Histogram sml = r.Latency(static_cast<int>(Cls::kSparqlMl));
-  const Histogram upd = r.Latency(static_cast<int>(Cls::kUpdate));
-  const double p90 = ReportPercentile("all", all, 90);
-  // Class tails are p90: the rarer classes have a few hundred samples. A
-  // class the workload does not send reports the all-request p90.
-  auto tail = [&](const char* what, const Histogram& h) {
-    return h.count() > 0 ? ReportPercentile(what, h, 90) : p90;
-  };
   ReportPercentile("all", all, 50);
+  ReportPercentile("all", all, 90);
   ReportPercentile("all", all, 99);
-  // The reported p50 and p99 are medians over equal time slices of the
-  // phase: a stall or a slow spell of the machine moves the slices it
-  // covers, not the figure. p99 needs the larger slices for its support.
-  auto sliced = [&r](int slices, double p) {
+  // The reported figures are medians over equal time slices of the phase:
+  // a stall or a slow spell of the machine moves the slices it covers,
+  // not the figure. p99 needs the longer slices for its support.
+  auto sliced = [&r](double slice_s, double p) {
+    const int slices = std::max(1, static_cast<int>(r.seconds / slice_s));
     const int64_t span = static_cast<int64_t>(r.seconds * 1e9);
     std::vector<double> per_slice;
     for (int k = 0; k < slices; ++k) {
@@ -249,17 +211,17 @@ std::vector<Metric> OpenLoopLatencies(const PhaseResult& r) {
           h.Record(static_cast<uint64_t>(s.recv_ns - s.due_ns));
       per_slice.push_back(static_cast<double>(h.Percentile(p)) / 1e6);
     }
+    std::printf("  %-18s p%-4g by slice:", "all", p);
+    for (double v : per_slice) std::printf(" %.4f", v);
+    std::printf(" ms\n");
     return Median(per_slice);
   };
   return {
-      {"loadgen.p50_ms", sliced(8, 50), "ms"},
-      {"loadgen.p99_ms", sliced(4, 99), "ms"},
-      {"loadgen.read_p90_ms", tail("plain reads", reads), "ms"},
-      {"loadgen.infer_p90_ms", tail("inference", infer), "ms"},
-      {"loadgen.sparqlml_p90_ms", tail("sparql-ml", sml), "ms"},
-      {"loadgen.update_p90_ms", tail("updates", upd), "ms"},
-      {"loadgen.late_p99_ms",
-       static_cast<double>(r.Lateness().Percentile(99)) / 1e6, "ms"},
+      {"p50_ms", sliced(2, 50), "ms"},
+      {"p90_ms", sliced(2, 90), "ms"},
+      {"p99_ms", sliced(4, 99), "ms"},
+      {"late_p99_ms", static_cast<double>(r.Lateness().Percentile(99)) / 1e6,
+       "ms"},
   };
 }
 
@@ -267,8 +229,6 @@ namespace {
 
 bool StreamSelfCheck(uint64_t seed) {
   ServedState st;
-  st.nc_model = "m:nc";
-  st.lp_model = "m:lp";
   for (int i = 0; i < 50; ++i) {
     st.papers.push_back("p" + std::to_string(i));
     st.persons.push_back("a" + std::to_string(i));
@@ -276,7 +236,7 @@ bool StreamSelfCheck(uint64_t seed) {
   }
   auto digest = [&st](uint64_t s) {
     Oracle o;
-    StreamGen gen(Workload::kMlWriteMix, s, &st, &o, 4);
+    StreamGen gen(s, &st, &o);
     return StreamDigest(gen.Phase(1000, 0.5));
   };
   const uint64_t a = digest(seed), b = digest(seed), c = digest(seed + 1);
@@ -292,32 +252,33 @@ int Untraced(const Args& args, std::vector<Metric>* metrics, bool* correct,
              uint64_t* attempted, uint64_t* failed) {
   const Workload w = args.workload;
   // Set-up is repeated and its median reported, so that work moved into
-  // set-up shows without one slow set-up deciding the figure.
-  const int reps = 5;
-  std::vector<double> setup_times, setup_train_s;
+  // set-up shows without one slow set-up deciding the figure. Half the
+  // set-ups run after the measured phase, so that a slow spell of the
+  // host at the start of a run does not decide it either.
+  constexpr int kSetupsBefore = 8, kSetupsAfter = 7;
+  std::vector<double> setup_times;
   Served served;
-  for (int r = 0; r < reps; ++r) {
-    served = Served();  // tear the previous system down first
-    Status st = SetUp(w, &served);
-    if (!st.ok()) {
-      std::fprintf(stderr, "setup failed: %s\n", st.ToString().c_str());
-      return 1;
+  auto set_up = [&](int reps) {
+    for (int r = 0; r < reps; ++r) {
+      served = Served();  // tear the previous system down first
+      Status st = SetUp(w, &served);
+      if (!st.ok()) {
+        std::fprintf(stderr, "setup failed: %s\n", st.ToString().c_str());
+        return false;
+      }
+      setup_times.push_back(served.setup_s);
     }
-    setup_times.push_back(served.setup_s);
-    double jobs_s = 0;
-    for (const JobRun& j : served.setup_jobs) jobs_s += j.wall_s;
-    setup_train_s.push_back(jobs_s);
-  }
-  std::printf("# KG: %zu triples, %zu terms; setup %.3f s (median of %d)\n",
-              served.kg->store().size(), served.kg->store().dict().num_terms(),
-              Median(setup_times), reps);
+    return true;
+  };
+  if (!set_up(kSetupsBefore)) return 1;
+  std::printf("# KG: %zu triples, %zu terms\n", served.kg->store().size(),
+              served.kg->store().dict().num_terms());
   const int port = served.server->port();
   const int senders = Senders(w);
-  const LoadSpec load = Load(w);
-  const double rate = load.fixed_qps;
+  const double rate = kFixedQps;
   const double fixed_s = args.seconds * kFixedShare;
   Oracle oracle;
-  StreamGen gen(w, args.seed, &served.state, &oracle, senders);
+  StreamGen gen(args.seed, &served.state, &oracle);
   const std::vector<Request> warm = gen.Phase(rate, kWarmS);
   const std::vector<Request> fixed = gen.Phase(rate, fixed_s);
   std::printf("# stream digest %016llx (%zu fixed-rate requests)\n",
@@ -337,19 +298,10 @@ int Untraced(const Args& args, std::vector<Metric>* metrics, bool* correct,
                           &train);
 
   Checker checker(&oracle);
-  auto run = [&](const std::vector<Request>& reqs, double s, int conns,
-                 PhaseResult* out) {
-    Status st = RunPhase(port, reqs, conns, s, 1.0, &checker, out);
-    if (w == Workload::kMlWriteMix) {
-      // Quiescent between phases: reset the bench-owned region.
-      auto clr = served.kg->service().Execute(RegionClearQuery());
-      if (st.ok() && !clr.ok()) st = clr.status();
-    }
-    return st;
-  };
   PhaseResult warm_r, fixed_r;
-  Status st = run(warm, kWarmS, senders, &warm_r);
-  if (st.ok()) st = run(fixed, fixed_s, senders, &fixed_r);
+  Status st = RunPhase(port, warm, senders, kWarmS, 1.0, &checker, &warm_r);
+  if (st.ok())
+    st = RunPhase(port, fixed, senders, fixed_s, 1.0, &checker, &fixed_r);
   uint64_t wrong = warm_r.wrong + fixed_r.wrong;
   const int64_t fixed_end =
       fixed_r.start_ns + static_cast<int64_t>(fixed_s * 1e9);
@@ -365,44 +317,29 @@ int Untraced(const Args& args, std::vector<Metric>* metrics, bool* correct,
     return 1;
   }
 
-  // ---- end-to-end metrics ----
   std::printf("# fixed-rate phase: %.0f req/s offered for %.1f s, %d "
               "connections, latency from intended send time\n",
               rate, fixed_s, senders);
-  OpenLoopLatencies(fixed_r);
+  std::vector<Metric> latencies = OpenLoopLatencies(fixed_r);
 
-  // Training metrics: the train_pipeline job list, the served-model jobs
-  // of ml_write_mix's set-up; read_mix trains nothing and reports its
-  // process peak and a perfect score.
-  double train_peak_mb = PeakRssMb();
-  double model_metric = 1.0;
-  std::vector<JobRun> jobs =
-      w == Workload::kTrainPipeline ? train.jobs : served.setup_jobs;
+  // train_pipeline's job list: printed, not gated (see README.md).
+  const std::vector<JobRun>& jobs = train.jobs;
   if (!jobs.empty()) {
-    train_peak_mb = 0;
-    double msum = 0;
-    size_t per_pass = TrainJobs(w).size();
-    for (size_t i = 0; i < per_pass; ++i) msum += jobs[i].metric;
-    for (const JobRun& j : jobs)
-      train_peak_mb =
-          std::max(train_peak_mb, static_cast<double>(j.peak_bytes) / 1e6);
-    model_metric = msum / static_cast<double>(per_pass);
-    // Wall time of the job list (printed, not gated: see README.md). For
-    // train_pipeline only the passes that ran beside the open-loop reads.
+    // Wall time of the passes that ran beside the open-loop reads.
     std::vector<double> with_reads;
     for (size_t i = 0; i < train.pass_s.size(); ++i)
-      if (train.pass_end_ns[i] <= fixed_end) with_reads.push_back(train.pass_s[i]);
-    std::printf("# train: job list %.3f s (median of %zu)\n",
-                w == Workload::kTrainPipeline ? Median(with_reads)
-                                              : Median(setup_train_s),
-                w == Workload::kTrainPipeline ? with_reads.size()
-                                              : setup_train_s.size());
+      if (train.pass_end_ns[i] <= fixed_end)
+        with_reads.push_back(train.pass_s[i]);
+    std::printf("# train: job list %.3f s (median of %zu passes)\n",
+                Median(with_reads), with_reads.size());
     for (const JobRun& j : jobs) {
       std::printf("  job %-8s %7.3f s  metric %.4f  peak %.2f MB\n",
                   j.label.c_str(), j.wall_s, j.metric,
                   static_cast<double>(j.peak_bytes) / 1e6);
     }
-    // The quality guard is deterministic: every pass must agree.
+    // Training is deterministic at the fixed KG: every pass must report
+    // the same model quality.
+    const size_t per_pass = TrainJobs(w).size();
     for (size_t i = per_pass; i < jobs.size(); ++i)
       if (jobs[i].metric != jobs[i % per_pass].metric) {
         std::printf("  WRONG: job %s metric changed between passes\n",
@@ -411,6 +348,12 @@ int Untraced(const Args& args, std::vector<Metric>* metrics, bool* correct,
       }
   }
 
+  if (!set_up(kSetupsAfter)) return 1;
+  std::printf("# setup %.3f s (median of %zu, range %.3f-%.3f)\n",
+              Median(setup_times), setup_times.size(),
+              *std::min_element(setup_times.begin(), setup_times.end()),
+              *std::max_element(setup_times.begin(), setup_times.end()));
+
   const uint64_t att = fixed_r.attempted + fixed_r.unsent + jobs.size();
   const uint64_t fail = fixed_r.failed + fixed_r.unsent + fixed_r.wrong;
   *attempted = att;
@@ -418,15 +361,18 @@ int Untraced(const Args& args, std::vector<Metric>* metrics, bool* correct,
   *correct = wrong == 0;
   for (const std::string& n : checker.notes())
     std::printf("  note: %s\n", n.c_str());
-  const double success = att == 0 ? 0 : 1.0 - static_cast<double>(fail) /
-                                                  static_cast<double>(att);
+  const double success = 1.0 - static_cast<double>(fail) /
+                                   static_cast<double>(std::max<uint64_t>(att, 1));
   *metrics = {
       {"setup_s", Median(setup_times), "s"},
       {"success_share", success, "share"},
-      {"train_peak_mb", train_peak_mb, "MB"},
-      {"model_metric", model_metric, "score"},
-      {"rss_mb", PeakRssMb(), "MB"},
   };
+  // Every open-loop request is a plain read. p99 is printed above and
+  // reported by the traced run, but spreads too far between runs to gate.
+  for (const Metric& m : latencies)
+    if (m.name == "p50_ms" || m.name == "p90_ms")
+      metrics->push_back({"read_" + m.name, m.value, m.unit});
+  metrics->push_back({"rss_mb", PeakRssMb(), "MB"});
   return 0;
 }
 
@@ -460,8 +406,8 @@ int main(int argc, char** argv) {
   Args args;
   if (!ParseArgs(argc, argv, &args)) {
     std::fprintf(stderr,
-                 "usage: kgnet_perfbench --workload read_mix|ml_write_mix|"
-                 "train_pipeline --seed N --seconds S --trace 0|1\n");
+                 "usage: kgnet_perfbench --workload read_mix|train_pipeline "
+                 "--seed N --seconds S --trace 0|1\n");
     return 2;
   }
   const char* threads_env = std::getenv("KGNET_NUM_THREADS");
@@ -471,7 +417,9 @@ int main(int argc, char** argv) {
       ", \"nproc\": " + std::to_string(std::thread::hardware_concurrency()) +
       ", \"KGNET_NUM_THREADS\": \"" +
       (threads_env != nullptr ? threads_env : "unset") +
-      "\", \"build_type\": \"" + KGNET_PERFBENCH_BUILD_TYPE +
+      "\", \"pool_threads\": " +
+      std::to_string(kgnet::common::ThreadPool::num_threads()) +
+      ", \"build_type\": \"" + KGNET_PERFBENCH_BUILD_TYPE +
       "\", \"git_sha\": \"" + args.git_sha + "\"}";
   std::printf("# %s\n", stamp.c_str());
 

@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <atomic>
 #include <map>
-#include <optional>
 #include <thread>
 
 #include "core/meta_sampler.h"
@@ -22,10 +21,12 @@ namespace kgnet::perfbench {
 
 namespace {
 
-/// Stage sums of a replayed TrainGML job may differ from its over-wire
-/// wall time by at most this share (the wire run shares the CPU with
-/// the open-loop reads; the replay runs alone).
+/// The median stage sum of a replayed TrainGML job may differ from the
+/// median wall time of the same job sent over the wire by at most this
+/// share; a larger gap is a failed check. Both run alone on the machine,
+/// kJobReps times each, but the wire run also registers the model.
 constexpr double kStageTolerance = 0.5;
+constexpr int kJobReps = 5;
 
 /// Sums and counts for per-layer means.
 struct Acc {
@@ -48,113 +49,55 @@ struct ReplayStats {
 
 double Us(int64_t ns) { return static_cast<double>(ns) / 1e3; }
 
-/// Replays one request the way KgServer::HandleBody handles it.
+/// Replays one plain read the way KgServer::HandleBody handles it.
 void ReplayOne(const Request& req, uint32_t rid, core::KgNet* kg,
                const Oracle& oracle, SpanRecorder* rec, ReplayStats* st) {
-  core::SparqlMlService& svc = kg->service();
+  sparql::QueryEngine& engine = kg->service().engine();
   rec->Begin("serving", "handle", rid);
   rec->Begin("serving", "request_parse", rid);
   Result<serving::Request> parsed = serving::ParseRequest(req.body);
   st->parse_us.Add(Us(rec->End()));
-  std::string resp;
-  std::optional<sparql::Query> counted;  // a plain read, for its counters
-  rdf::Snapshot counted_snap;
-  if (!parsed.ok()) {
-    ++st->wrong;
-  } else if (parsed->op == serving::Request::Op::kQuery) {
+  Result<sparql::Query> q = Status::Internal("not a query request");
+  if (parsed.ok() && parsed->op == serving::Request::Op::kQuery) {
     rec->Begin("sparql", "parse", rid);
-    Result<sparql::Query> q = sparql::ParseQuery(parsed->query);
+    q = sparql::ParseQuery(parsed->query);
     st->sparql_parse_us.Add(Us(rec->End()));
-    if (!q.ok()) {
-      ++st->wrong;
-    } else if (!serving::KgServer::RoutesToService(*q, parsed->query)) {
-      rec->Begin("sparql", "plan", rid);
-      (void)svc.engine().Explain(*q);
-      st->plan_us.Add(Us(rec->End()));
-      rec->Begin("rdf", "snapshot_open", rid);
-      const rdf::Snapshot snap = kg->store().OpenSnapshot();
-      rec->End();
-      rec->Begin("sparql", "exec", rid);
-      Result<sparql::QueryResult> r = svc.engine().Execute(*q, snap);
-      st->exec_us.Add(Us(rec->End()));
-      sparql::ExecInfo info;
-      info.snapshot_epoch = snap.epoch();
-      info.snapshot_delta = snap.delta_size();
-      if (r.ok()) {
-        st->rows_out += static_cast<double>(r->rows.size());
-        std::string why;
-        if (req.cls == Cls::kRead &&
-            RowsDigest(*r) != oracle.digest(req.key))
-          ++st->wrong;
-        if (req.cls == Cls::kRegionRead && !RegionAtomic(*r, &why))
-          ++st->wrong;
-        rec->Begin("serving", "response_encode", rid);
-        resp = serving::BuildQueryResponse(parsed->id, *r, &info);
-        st->encode_us.Add(Us(rec->End()));
-      } else {
-        ++st->wrong;
-      }
-      counted = std::move(*q);
-      counted_snap = snap;
-    } else {
-      rec->Begin("core", req.cls == Cls::kUpdate ? "update" : "sparqlml",
-                 rid);
-      Result<sparql::QueryResult> r = svc.Execute(parsed->query);
-      rec->End();
-      if (r.ok()) {
-        if (req.cls == Cls::kUpdate &&
-            (req.insert ? r->num_inserted : r->num_deleted) != req.expect)
-          ++st->wrong;
-        if (req.cls == Cls::kSparqlMl &&
-            RowsDigest(*r) != oracle.digest(req.key))
-          ++st->wrong;
-        rec->Begin("serving", "response_encode", rid);
-        resp = serving::BuildQueryResponse(parsed->id, *r, nullptr);
-        st->encode_us.Add(Us(rec->End()));
-      } else {
-        ++st->wrong;
-      }
-    }
-  } else {
-    core::InferenceManager& im = svc.inference_manager();
-    std::vector<std::string> values;
-    bool ok = true;
-    if (parsed->op == serving::Request::Op::kInferSimilar) {
-      rec->Begin("core", "infer_similar", rid);
-      auto r = im.GetSimilarEntities(parsed->model, parsed->node, parsed->k);
-      rec->End();
-      ok = r.ok();
-      if (ok) values = *r;
-    } else if (parsed->op == serving::Request::Op::kInferLinks) {
-      rec->Begin("core", "infer_batch", rid);
-      auto r = im.GetTopKLinksBatch(parsed->model, {parsed->node}, parsed->k);
-      rec->End();
-      ok = r.ok() && (*r)[0].ok();
-      if (ok) values = *(*r)[0];
-    } else {
-      rec->Begin("core", "infer_batch", rid);
-      auto r = im.GetNodeClassBatch(parsed->model, {parsed->node});
-      rec->End();
-      ok = r.ok() && (*r)[0].ok();
-      if (ok) values = {*(*r)[0]};
-    }
-    if (!ok || ValuesDigest(values) != oracle.digest(req.key)) ++st->wrong;
-    rec->Begin("serving", "response_encode", rid);
-    resp = parsed->op == serving::Request::Op::kInferClass && !values.empty()
-               ? serving::BuildValueResponse(parsed->id, values[0])
-               : serving::BuildValuesResponse(parsed->id, values);
-    st->encode_us.Add(Us(rec->End()));
   }
-  st->bytes.Add(static_cast<double>(resp.size()));
-  st->handle_ns[rid] = rec->End();
-  if (counted.has_value()) {
-    // Outside every span: the executor's counters need an ExecInfo,
-    // which turns off the single-pattern fast path the timed run used.
+  if (!q.ok() || serving::KgServer::RoutesToService(*q, parsed->query)) {
+    ++st->wrong;
+    st->handle_ns[rid] = rec->End();
+    return;
+  }
+  rec->Begin("sparql", "plan", rid);
+  (void)engine.Explain(*q);
+  st->plan_us.Add(Us(rec->End()));
+  rec->Begin("rdf", "snapshot_open", rid);
+  const rdf::Snapshot snap = kg->store().OpenSnapshot();
+  rec->End();
+  rec->Begin("sparql", "exec", rid);
+  Result<sparql::QueryResult> r = engine.Execute(*q, snap);
+  st->exec_us.Add(Us(rec->End()));
+  if (r.ok()) {
+    st->rows_out += static_cast<double>(r->rows.size());
+    if (RowsDigest(*r) != oracle.digest(req.key)) ++st->wrong;
     sparql::ExecInfo info;
-    (void)svc.engine().Execute(*counted, counted_snap, &info);
-    st->rows_scanned += static_cast<double>(info.rows_scanned);
-    if (st->plain_reads.size() < 400) st->plain_reads.push_back(*counted);
+    info.snapshot_epoch = snap.epoch();
+    info.snapshot_delta = snap.delta_size();
+    rec->Begin("serving", "response_encode", rid);
+    const std::string resp =
+        serving::BuildQueryResponse(parsed->id, *r, &info);
+    st->encode_us.Add(Us(rec->End()));
+    st->bytes.Add(static_cast<double>(resp.size()));
+  } else {
+    ++st->wrong;
   }
+  st->handle_ns[rid] = rec->End();
+  // Outside every span: the executor's counters need an ExecInfo, which
+  // turns off the single-pattern fast path the timed run used.
+  sparql::ExecInfo info;
+  (void)engine.Execute(*q, snap, &info);
+  st->rows_scanned += static_cast<double>(info.rows_scanned);
+  if (st->plain_reads.size() < 400) st->plain_reads.push_back(*q);
 }
 
 /// Stage timings of one replayed TrainGML job (the pipeline of
@@ -246,17 +189,17 @@ Status TracedRun(Workload w, uint64_t seed, double seconds,
   serving::KgServer& server = *served.server;
   const int port = server.port();
   const int senders = Senders(w);
-  const double rate = Load(w).fixed_qps;
+  const double rate = kFixedQps;
   const double fixed_s = seconds * kFixedShare;
 
   // ---- open-loop part: the untraced run's warm-up and fixed phase ----
   Oracle oracle;
-  StreamGen gen(w, seed, &served.state, &oracle, senders);
+  StreamGen gen(seed, &served.state, &oracle);
   const std::vector<Request> warm = gen.Phase(rate, kWarmS);
   const std::vector<Request> fixed = gen.Phase(rate, fixed_s);
   // Capacity: the stream offered past saturation for kSatS seconds.
   constexpr double kSatS = 5.0;
-  const std::vector<Request> saturate = gen.Phase(Load(w).sat_qps, kSatS);
+  const std::vector<Request> saturate = gen.Phase(kSaturationQps, kSatS);
   KGNET_RETURN_IF_ERROR(ComputeOracle(kg, &oracle));
   std::atomic<bool> stop{false};
   TrainLoop train;
@@ -266,15 +209,12 @@ Status TracedRun(Workload w, uint64_t seed, double seconds,
   Checker checker(&oracle);
   PhaseResult warm_r, fixed_r;
   Status st = RunPhase(port, warm, senders, kWarmS, 1.0, &checker, &warm_r);
-  if (w == Workload::kMlWriteMix) (void)kg->service().Execute(RegionClearQuery());
   if (st.ok())
     st = RunPhase(port, fixed, senders, fixed_s, 1.0, &checker, &fixed_r);
-  if (w == Workload::kMlWriteMix) (void)kg->service().Execute(RegionClearQuery());
   const serving::KgServer::Stats sstats = server.stats();
   PhaseResult sat_r;
   if (st.ok())
     st = RunPhase(port, saturate, senders, kSatS, 1.0, &checker, &sat_r);
-  if (w == Workload::kMlWriteMix) (void)kg->service().Execute(RegionClearQuery());
   if (w == Workload::kTrainPipeline) {
     while (!train.failed.load() && train.passes.load() < 1)
       std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -302,9 +242,7 @@ Status TracedRun(Workload w, uint64_t seed, double seconds,
   {
     serving::KgClient client;
     KGNET_RETURN_IF_ERROR(client.Connect("127.0.0.1", port));
-    for (uint32_t i = 0; i < fixed.size() && wire_rids.size() < 200; ++i) {
-      if (fixed[i].cls == Cls::kUpdate || fixed[i].cls == Cls::kSparqlMl)
-        continue;
+    for (uint32_t i = 0; i < fixed.size() && i < 200; ++i) {
       const int64_t t0 = NowNs();
       KGNET_RETURN_IF_ERROR(client.Call(fixed[i].body).status());
       rtt_ns[i] = NowNs() - t0;
@@ -318,7 +256,6 @@ Status TracedRun(Workload w, uint64_t seed, double seconds,
       static_cast<uint32_t>(std::min<size_t>(fixed.size(), 3000));
   for (uint32_t i = 0; i < n_replay; ++i)
     ReplayOne(fixed[i], i, kg, oracle, &rec, &rs);
-  if (w == Workload::kMlWriteMix) (void)kg->service().Execute(RegionClearQuery());
   wrong += rs.wrong;
   std::vector<double> wire;
   for (uint32_t rid : wire_rids) {
@@ -360,17 +297,22 @@ Status TracedRun(Workload w, uint64_t seed, double seconds,
       static_cast<double>(std::max<size_t>(store.size(), 1));
 
   // Dirty store: region groups appended without compaction, then the
-  // replayed plain reads again over the delta.
+  // replayed plain reads again over the delta. The groups are then read
+  // back (whole-group invariant) and deleted through the service, which
+  // must report every group's triple count.
   Acc insert_us, open_us, dirty_us;
   size_t delta_entries = 0;
   double compact_ms = 0;
   {
+    constexpr int kGroups = 400;
     const rdf::Term item = rdf::Term::Iri(std::string(kRegionNs) + "item");
     const rdf::Term marker = rdf::Term::Iri(std::string(kRegionNs) + "marker");
     const rdf::Term on = rdf::Term::Iri(std::string(kRegionNs) + "on");
-    for (int g = 0; g < 400; ++g) {
-      const rdf::Term grp =
-          rdf::Term::Iri(std::string(kRegionNs) + "probe/" + std::to_string(g));
+    auto group_iri = [](int g) {
+      return std::string(kRegionNs) + "probe/" + std::to_string(g);
+    };
+    for (int g = 0; g < kGroups; ++g) {
+      const rdf::Term grp = rdf::Term::Iri(group_iri(g));
       for (uint32_t i = 0; i <= kGroupItems; ++i) {
         const rdf::Term obj =
             i == kGroupItems ? on
@@ -394,42 +336,74 @@ Status TracedRun(Workload w, uint64_t seed, double seconds,
       dirty_us.Add(Us(rec.End()));
       if (!r.ok()) ++wrong;
     }
+    auto region = kg->service().Execute(RegionReadQuery());
+    std::string why;
+    if (!region.ok() || !RegionAtomic(*region, &why) ||
+        region->rows.size() != kGroups * kGroupItems) {
+      std::printf("  WRONG: dirty-store region read: %s\n",
+                  region.ok() ? why.c_str() : region.status().ToString().c_str());
+      ++wrong;
+    }
+    for (int g = 0; g < kGroups; ++g) {
+      rec.Begin("core", "update", -1);
+      auto del = kg->service().Execute(GroupDeleteQuery(group_iri(g)));
+      rec.End();
+      if (!del.ok() || del->num_deleted != kGroupItems + 1) {
+        std::printf("  WRONG: group %d delete: %s\n", g,
+                    del.ok() ? (std::to_string(del->num_deleted) +
+                                " triples deleted")
+                                   .c_str()
+                             : del.status().ToString().c_str());
+        ++wrong;
+      }
+    }
     rec.Begin("rdf", "compact", -1);
     store.Compact();
     compact_ms = static_cast<double>(rec.End()) / 1e6;
   }
   const double compactions = static_cast<double>(store.GetStats().compactions);
 
-  // ---- training pipeline, stage by stage ----
+  // ---- training pipeline: each job over the wire, then stage by stage ----
   const std::vector<TrainJob> jobs = TrainJobs(w);
+  std::vector<JobRun> wire_jobs(jobs.size());
   std::vector<StageRun> stages(jobs.size());
   Acc metasample_ms, subgraph_share, select_us, transform_ms, epoch_ms;
-  double worst_gap = 0;
-  for (size_t i = 0; i < jobs.size(); ++i) {
-    KGNET_RETURN_IF_ERROR(ReplayJob(jobs[i], kg, &rec, &stages[i]));
-    const StageRun& s = stages[i];
-    if (jobs[i].spec.use_meta_sampling) {
-      metasample_ms.Add(s.metasample_ms);
-      subgraph_share.Add(s.subgraph_share);
-    }
-    select_us.Add(s.select_us);
-    transform_ms.Add(s.transform_ms);
-    epoch_ms.Add(s.epoch_ms);
-    // Compare with the same job's over-wire wall time.
-    std::vector<double> wire_s;
-    const std::vector<JobRun>& runs =
-        w == Workload::kTrainPipeline ? train.jobs : served.setup_jobs;
-    for (const JobRun& j : runs)
-      if (j.label == jobs[i].label) wire_s.push_back(j.wall_s);
-    if (!wire_s.empty()) {
-      const double ws = Median(wire_s);
-      const double gap = std::abs(s.total_s - ws) / ws;
+  Acc model_metric;
+  double worst_gap = 0, train_peak_mb = 0;
+  {
+    serving::KgClient client;
+    client.set_timeout_ms(120000);
+    KGNET_RETURN_IF_ERROR(client.Connect("127.0.0.1", port));
+    for (size_t i = 0; i < jobs.size(); ++i) {
+      std::vector<double> wire_s, stage_s;
+      for (int r = 0; r < kJobReps; ++r) {
+        JobRun run;
+        KGNET_RETURN_IF_ERROR(RunJob(&client, kg, jobs[i], &run));
+        if (r == 0) wire_jobs[i] = run;  // its model serves the probes
+        wire_s.push_back(run.wall_s);
+        KGNET_RETURN_IF_ERROR(ReplayJob(jobs[i], kg, &rec, &stages[i]));
+        const StageRun& s = stages[i];
+        stage_s.push_back(s.total_s);
+        if (jobs[i].spec.use_meta_sampling) {
+          metasample_ms.Add(s.metasample_ms);
+          subgraph_share.Add(s.subgraph_share);
+        }
+        select_us.Add(s.select_us);
+        transform_ms.Add(s.transform_ms);
+        epoch_ms.Add(s.epoch_ms);
+      }
+      model_metric.Add(wire_jobs[i].metric);
+      train_peak_mb = std::max(
+          train_peak_mb, static_cast<double>(wire_jobs[i].peak_bytes) / 1e6);
+      const double ws = Median(wire_s), ss = Median(stage_s);
+      const double gap = std::abs(ss - ws) / ws;
       worst_gap = std::max(worst_gap, gap);
-      std::printf("  span-check %-8s stages %.3f s vs wire %.3f s: gap %.1f%% "
-                  "(tolerance %.0f%%) %s\n",
-                  jobs[i].label.c_str(), s.total_s, ws, gap * 100,
+      std::printf("  span-check %-8s stages %.3f s vs wire %.3f s (medians "
+                  "of %d): gap %.1f%% (tolerance %.0f%%) %s\n",
+                  jobs[i].label.c_str(), ss, ws, kJobReps, gap * 100,
                   kStageTolerance * 100,
-                  gap <= kStageTolerance ? "ok" : "MISS");
+                  gap <= kStageTolerance ? "ok" : "WRONG");
+      if (gap > kStageTolerance) ++wrong;
     }
   }
 
@@ -455,14 +429,9 @@ Status TracedRun(Workload w, uint64_t seed, double seconds,
     if (!std::isfinite(sink)) ++wrong;
   }
 
-  // ---- core inference and SPARQL-ML probes ----
-  std::string nc = served.state.nc_model, lp = served.state.lp_model;
-  if (nc.empty()) {  // read_mix / train_pipeline serve no models: train two
-    KGNET_ASSIGN_OR_RETURN(core::TrainOutcome a, kg->TrainTask(jobs[0].spec));
-    KGNET_ASSIGN_OR_RETURN(core::TrainOutcome b, kg->TrainTask(jobs[1].spec));
-    nc = a.model_uri;
-    lp = b.model_uri;
-  }
+  // ---- core inference and SPARQL-ML probes, on the wire-trained models ----
+  const std::string& nc = wire_jobs[0].model_uri;
+  const std::string& lp = wire_jobs[1].model_uri;
   Acc batch_us, similar_us, opt_us, mlexec_us, calls;
   core::InferenceManager& im = kg->service().inference_manager();
   const ServedState& ss = served.state;
@@ -510,7 +479,8 @@ Status TracedRun(Workload w, uint64_t seed, double seconds,
   double burst_batchable = 0;
   {
     tensor::Rng rng(seed ^ 0xB0057ull);
-    const Zipf papers(ss.papers.size(), 0.99), persons(ss.persons.size(), 0.99);
+    const Zipf papers(ss.papers.size(), kZipfS);
+    const Zipf persons(ss.persons.size(), kZipfS);
     for (int c = 0; c < kBurstConns; ++c) {
       for (int i = 0; i < kBurstPerConn; ++i) {
         const double id = static_cast<double>(i + 1);
@@ -580,7 +550,8 @@ Status TracedRun(Workload w, uint64_t seed, double seconds,
     auto it = self.find(layer);
     return it == self.end() ? 0.0 : static_cast<double>(it->second) / 1e6;
   };
-  *metrics = OpenLoopLatencies(fixed_r);
+  for (const Metric& m : OpenLoopLatencies(fixed_r))
+    metrics->push_back({"loadgen." + m.name, m.value, m.unit});
   metrics->insert(metrics->end(), {
       {"loadgen.max_qps", SaturationQps(sat_r), "req/s"},
       {"loadgen.offered_qps",
@@ -623,6 +594,8 @@ Status TracedRun(Workload w, uint64_t seed, double seconds,
       {"core.select_us", select_us.Mean(), "us"},
       {"gml.transform_ms", transform_ms.Mean(), "ms"},
       {"gml.epoch_ms", epoch_ms.Mean(), "ms"},
+      {"gml.model_metric", model_metric.Mean(), "score"},
+      {"core.train_peak_mb", train_peak_mb, "MB"},
       {"tensor.matmul_gflops", gflops, "GFLOP/s"},
       {"tensor.spmm_ms", spmm_ms, "ms"},
       {"serving.self_ms", self_ms("serving"), "ms"},

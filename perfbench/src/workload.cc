@@ -32,19 +32,6 @@ std::string TrainText(const std::string& payload) {
 
 }  // namespace
 
-const char* ClsName(Cls c) {
-  switch (c) {
-    case Cls::kRead: return "read";
-    case Cls::kRegionRead: return "region_read";
-    case Cls::kInferClass: return "infer_class";
-    case Cls::kInferLinks: return "infer_links";
-    case Cls::kInferSimilar: return "infer_similar";
-    case Cls::kSparqlMl: return "sparqlml";
-    case Cls::kUpdate: return "update";
-  }
-  return "?";
-}
-
 workload::DblpOptions KgOptions(Workload w) {
   workload::DblpOptions o;
   o.seed = kKgSeed;
@@ -63,7 +50,7 @@ workload::DblpOptions KgOptions(Workload w) {
 
 std::vector<TrainJob> TrainJobs(Workload w) {
   using workload::DblpSchema;
-  const int epochs = w == Workload::kTrainPipeline ? 40 : 20;
+  const int epochs = 40;
   auto nc = [&](const char* label, bool sampled) {
     TrainJob j;
     j.label = label;
@@ -119,11 +106,10 @@ std::string DeleteModelsQuery(const char* family) {
          family + " . }";
 }
 
-uint32_t Oracle::Intern(const std::string& key, Cls cls) {
+uint32_t Oracle::Intern(const std::string& key) {
   auto [it, fresh] = slot_.emplace(key, static_cast<uint32_t>(keys_.size()));
   if (fresh) {
     keys_.push_back(key);
-    cls_.push_back(cls);
     digest_.push_back(0);
   }
   return it->second;
@@ -146,89 +132,29 @@ size_t Zipf::Sample(tensor::Rng* rng) const {
   return std::min(i, cdf_.size() - 1);
 }
 
-StreamGen::StreamGen(Workload w, uint64_t seed, const ServedState* state,
-                     Oracle* oracle, int senders)
-    : w_(w),
-      rng_(seed * 0x9E3779B97F4A7C15ull + 0x5eed),
+StreamGen::StreamGen(uint64_t seed, const ServedState* state, Oracle* oracle)
+    : rng_(seed * 0x9E3779B97F4A7C15ull + 0x5eed),
       state_(state),
       oracle_(oracle),
-      senders_(senders),
-      paper_zipf_(state->papers.size(), 0.99),
-      person_zipf_(state->persons.size(), 0.99),
-      venue_zipf_(state->venues.size(), 0.99),
-      live_(static_cast<size_t>(senders)) {}
-
-uint32_t StreamGen::Slot(const std::string& text, Cls cls) {
-  return oracle_->Intern(text, cls);
-}
+      paper_zipf_(state->papers.size(), kZipfS),
+      person_zipf_(state->persons.size(), kZipfS),
+      venue_zipf_(state->venues.size(), kZipfS) {}
 
 std::vector<Request> StreamGen::Phase(double qps, double seconds) {
-  ++phase_;
-  for (auto& l : live_) l.clear();
   std::vector<Request> out;
   std::exponential_distribution<double> gap(qps);
   double t = 0;
-  for (size_t i = 0;; ++i) {
+  for (;;) {
     t += gap(rng_.generator());
     if (t >= seconds) break;
     Request r;
     r.due_ns = static_cast<int64_t>(t * 1e9);
-    Draw(&r, static_cast<int>(i % static_cast<size_t>(senders_)));
+    DrawRead(&r);
+    r.body = serving::BuildQueryRequest(static_cast<double>(next_id_++),
+                                        oracle_->key(r.key));
     out.push_back(std::move(r));
   }
   return out;
-}
-
-void StreamGen::Draw(Request* r, int sender) {
-  const double id = static_cast<double>(next_id_++);
-  if (w_ != Workload::kMlWriteMix) {
-    DrawRead(r);
-    r->body = serving::BuildQueryRequest(id, oracle_->key(r->key));
-    return;
-  }
-  // ml_write_mix: 60% inference (three ops), 10% SPARQL-ML, 10% updates,
-  // 20% region reads.
-  const double u = rng_.NextFloat();
-  const ServedState& s = *state_;
-  if (u < 0.60) {
-    const double v = u / 0.60;
-    const std::string& node = v < 0.3 ? s.papers[paper_zipf_.Sample(&rng_)]
-                                      : s.persons[person_zipf_.Sample(&rng_)];
-    const char* op = v < 0.3 ? "infer_class"
-                     : v < 0.6 ? "infer_links"
-                               : "infer_similar";
-    const Cls cls = v < 0.3 ? Cls::kInferClass
-                    : v < 0.6 ? Cls::kInferLinks
-                              : Cls::kInferSimilar;
-    const std::string& model = v < 0.3 ? s.nc_model : s.lp_model;
-    const size_t k = cls == Cls::kInferSimilar ? 5 : 3;
-    r->cls = cls;
-    r->key = Slot(std::string(op) + "|" + model + "|" + node + "|" +
-                      std::to_string(k),
-                  cls);
-    r->body = serving::BuildInferRequest(id, op, model, node, k);
-  } else if (u < 0.70) {
-    // One bound paper: the optimizer picks the per-instance plan, so
-    // each query is one rewrite plus one GetNodeClass UDF call.
-    const std::string& paper = s.papers[paper_zipf_.Sample(&rng_)];
-    const std::string title =
-        "Paper " + paper.substr(paper.rfind('/') + 1);
-    r->cls = Cls::kSparqlMl;
-    r->key = Slot(std::string(kPrefix) +
-                      "SELECT ?paper ?venue WHERE { ?paper dblp:title \"" +
-                      title +
-                      "\" . ?paper ?NC ?venue . ?NC a kgnet:NodeClassifier . "
-                      "?NC kgnet:TargetNode dblp:Publication . ?NC "
-                      "kgnet:NodeLabel dblp:publishedIn . }",
-                  Cls::kSparqlMl);
-    r->body = serving::BuildQueryRequest(id, oracle_->key(r->key));
-  } else if (u < 0.80) {
-    DrawUpdate(r, sender);
-    r->body = serving::BuildQueryRequest(id, r->body);
-  } else {
-    r->cls = Cls::kRegionRead;
-    r->body = serving::BuildQueryRequest(id, RegionReadQuery());
-  }
 }
 
 void StreamGen::DrawRead(Request* r) {
@@ -236,74 +162,37 @@ void StreamGen::DrawRead(Request* r) {
   const std::string paper = "<" + s.papers[paper_zipf_.Sample(&rng_)] + ">";
   const std::string person = "<" + s.persons[person_zipf_.Sample(&rng_)] + ">";
   const std::string venue = "<" + s.venues[venue_zipf_.Sample(&rng_)] + ">";
-  const double u = rng_.NextFloat();
+  // No published query log gives shares for these kinds, so every kind
+  // is drawn with the same probability.
+  const double u = rng_.NextFloat() * kQueryKinds;
   std::string q = kPrefix;
-  if (u < 0.30) {  // point lookup (single pattern)
+  if (u < 1) {  // point lookup (single pattern)
     q += "SELECT ?v WHERE { " + paper + " dblp:publishedIn ?v . }";
-  } else if (u < 0.45) {  // 3-pattern star
+  } else if (u < 2) {  // 3-pattern star
     q += "SELECT ?p ?v ?t WHERE { ?p dblp:authoredBy " + person +
          " . ?p dblp:publishedIn ?v . ?p dblp:title ?t . }";
-  } else if (u < 0.60) {  // paper -> author -> affiliation chain
+  } else if (u < 3) {  // paper -> author -> affiliation chain
     q += "SELECT ?a ?f ?c WHERE { " + paper +
          " dblp:authoredBy ?a . ?a dblp:primaryAffiliation ?f . "
          "?f dblp:locatedIn ?c . }";
-  } else if (u < 0.70) {  // FILTER over a venue's papers
+  } else if (u < 4) {  // FILTER over a venue's papers
     q += "SELECT ?p ?y WHERE { ?p dblp:publishedIn " + venue +
          " . ?p dblp:yearOfPublication ?y . FILTER(?y >= 2015) }";
-  } else if (u < 0.78) {  // UNION
+  } else if (u < 5) {  // UNION
     q += "SELECT ?f WHERE { { " + person +
          " dblp:primaryAffiliation ?f . } UNION { " + person +
          " dblp:pastAffiliation ?f . } }";
-  } else if (u < 0.85) {  // OPTIONAL
+  } else if (u < 6) {  // OPTIONAL
     q += "SELECT ?p ?c WHERE { ?p dblp:authoredBy " + person +
          " . OPTIONAL { ?p dblp:cites ?c . } }";
-  } else if (u < 0.90) {  // DISTINCT over a venue's author affiliations
+  } else if (u < 7) {  // DISTINCT over a venue's author affiliations
     q += "SELECT DISTINCT ?f WHERE { ?p dblp:publishedIn " + venue +
          " . ?p dblp:authoredBy ?a . ?a dblp:primaryAffiliation ?f . }";
-  } else {  // LIMIT scans, one over the periphery
-    q += u < 0.95 ? "SELECT ?t ?b WHERE { ?t dblp:broaderTopic ?b . } LIMIT 50"
-                  : "SELECT ?p ?a WHERE { ?p dblp:authoredBy ?a . } LIMIT 100";
+  } else {  // LIMIT scans, half of them over the periphery
+    q += u < 7.5 ? "SELECT ?t ?b WHERE { ?t dblp:broaderTopic ?b . } LIMIT 50"
+                 : "SELECT ?p ?a WHERE { ?p dblp:authoredBy ?a . } LIMIT 100";
   }
-  r->cls = Cls::kRead;
-  r->key = Slot(q, Cls::kRead);
-}
-
-void StreamGen::DrawUpdate(Request* r, int sender) {
-  // Each sender owns its groups, so its updates apply in send order and
-  // their counts are known here. Insert while fewer than 4 groups live,
-  // delete the oldest at 8, coin flip between.
-  std::vector<uint64_t>& live = live_[static_cast<size_t>(sender)];
-  const bool insert =
-      live.size() < 4 || (live.size() < 8 && rng_.NextFloat() < 0.5f);
-  uint64_t g = 0;
-  if (insert) {
-    g = next_group_++;
-    live.push_back(g);
-  } else {
-    g = live.front();
-    live.erase(live.begin());
-  }
-  const std::string group = Region("g/" + std::to_string(phase_) + "/" +
-                                   std::to_string(g));
-  std::string q;
-  if (insert) {
-    // Items first, marker last: a visible marker implies every item.
-    q = "INSERT DATA { ";
-    for (uint32_t i = 0; i < kGroupItems; ++i)
-      q += group + " " + Region("item") + " " +
-           Region("v/" + std::to_string(g) + "/" + std::to_string(i)) + " . ";
-    q += group + " " + Region("marker") + " " + Region("on") + " . }";
-  } else {
-    // The marker is the first template triple, so it is erased first.
-    const std::string pattern = "{ " + group + " " + Region("marker") +
-                                " ?m . " + group + " " + Region("item") +
-                                " ?x . }";
-    q = "DELETE " + pattern + " WHERE " + pattern;
-  }
-  r->cls = Cls::kUpdate;
-  r->insert = insert;
-  r->expect = kGroupItems + 1;
-  r->body = q;  // wrapped into a request body by the caller
+  r->key = oracle_->Intern(q);
 }
 
 uint64_t Fnv(uint64_t h, const std::string& s) {
@@ -320,7 +209,6 @@ uint64_t StreamDigest(const std::vector<Request>& reqs) {
   uint64_t h = kFnvSeed;
   for (const Request& r : reqs) {
     h = Fnv(h, std::to_string(r.due_ns));
-    h = Fnv(h, ClsName(r.cls));
     h = Fnv(h, r.body);
   }
   return h;
@@ -342,51 +230,14 @@ uint64_t ValuesDigest(const std::vector<std::string>& v) {
 }
 
 Status ComputeOracle(core::KgNet* kg, Oracle* oracle) {
-  core::InferenceManager& im = kg->service().inference_manager();
   for (size_t i = 0; i < oracle->size(); ++i) {
     const uint32_t slot = static_cast<uint32_t>(i);
-    const std::string& key = oracle->key(slot);
-    switch (oracle->cls(slot)) {
-      case Cls::kRead: {
-        KGNET_ASSIGN_OR_RETURN(sparql::Query q, sparql::ParseQuery(key));
-        KGNET_ASSIGN_OR_RETURN(
-            sparql::QueryResult r,
-            kg->service().engine().Execute(q, kg->store().OpenSnapshot()));
-        oracle->set_digest(slot, RowsDigest(r));
-        break;
-      }
-      case Cls::kSparqlMl: {
-        KGNET_ASSIGN_OR_RETURN(sparql::QueryResult r,
-                               kg->service().Execute(key));
-        oracle->set_digest(slot, RowsDigest(r));
-        break;
-      }
-      case Cls::kInferClass:
-      case Cls::kInferLinks:
-      case Cls::kInferSimilar: {
-        // key = op|model|node|k
-        const size_t a = key.find('|');
-        const size_t b = key.find('|', a + 1);
-        const size_t c = key.find('|', b + 1);
-        const std::string model = key.substr(a + 1, b - a - 1);
-        const std::string node = key.substr(b + 1, c - b - 1);
-        const size_t k = std::stoul(key.substr(c + 1));
-        std::vector<std::string> values;
-        if (oracle->cls(slot) == Cls::kInferClass) {
-          KGNET_ASSIGN_OR_RETURN(std::string v, im.GetNodeClass(model, node));
-          values.push_back(std::move(v));
-        } else if (oracle->cls(slot) == Cls::kInferLinks) {
-          KGNET_ASSIGN_OR_RETURN(values, im.GetTopKLinks(model, node, k));
-        } else {
-          KGNET_ASSIGN_OR_RETURN(values,
-                                 im.GetSimilarEntities(model, node, k));
-        }
-        oracle->set_digest(slot, ValuesDigest(values));
-        break;
-      }
-      default:
-        return Status::Internal("oracle slot of an unchecked class");
-    }
+    KGNET_ASSIGN_OR_RETURN(sparql::Query q,
+                           sparql::ParseQuery(oracle->key(slot)));
+    KGNET_ASSIGN_OR_RETURN(
+        sparql::QueryResult r,
+        kg->service().engine().Execute(q, kg->store().OpenSnapshot()));
+    oracle->set_digest(slot, RowsDigest(r));
   }
   return Status::OK();
 }
@@ -396,9 +247,12 @@ std::string RegionReadQuery() {
          Region("item") + " ?x . }";
 }
 
-std::string RegionClearQuery() {
-  const std::string pattern = "{ ?g " + Region("item") + " ?x . ?g " +
-                              Region("marker") + " ?m . }";
+std::string GroupDeleteQuery(const std::string& group_iri) {
+  // The marker is the first template triple, so it is erased first.
+  const std::string group = "<" + group_iri + ">";
+  const std::string pattern = "{ " + group + " " + Region("marker") +
+                              " ?m . " + group + " " + Region("item") +
+                              " ?x . }";
   return "DELETE " + pattern + " WHERE " + pattern;
 }
 

@@ -4,8 +4,8 @@
 //
 // The KG and the popularity order of its constants are fixed (seed
 // kKgSeed), so set-up cost, model quality and memory do not depend on the
-// benchmark seed; the request stream — arrival times, the mix draw and the
-// Zipf ranks — is generated from --seed. The server sees only the
+// benchmark seed; the request stream — arrival times, the query-kind draw
+// and the Zipf ranks — is generated from --seed. The server sees only the
 // generated requests.
 #ifndef KGNET_PERFBENCH_WORKLOAD_H_
 #define KGNET_PERFBENCH_WORKLOAD_H_
@@ -21,31 +21,17 @@
 
 namespace kgnet::perfbench {
 
-enum class Workload { kReadMix, kMlWriteMix, kTrainPipeline };
+enum class Workload { kReadMix, kTrainPipeline };
 
-/// Request classes; a request's class decides how its answer is checked
-/// and which per-class latency it counts towards.
-enum class Cls : uint8_t {
-  kRead,          // plain SPARQL read, checked against the oracle
-  kRegionRead,    // plain read of the bench-owned region (atomicity check)
-  kInferClass,    // infer_class, checked against InferenceManager
-  kInferLinks,    // infer_links
-  kInferSimilar,  // infer_similar
-  kSparqlMl,      // SPARQL-ML SELECT, checked against in-process execution
-  kUpdate,        // INSERT DATA / DELETE WHERE, checked by counts
-};
-const char* ClsName(Cls c);
-
+/// One plain SPARQL read of a stream.
 struct Request {
   int64_t due_ns = 0;  // intended send time, relative to the phase start
-  Cls cls = Cls::kRead;
-  uint32_t key = 0;     // oracle slot (reads, inference, SPARQL-ML)
-  uint32_t expect = 0;  // updates: triples the update must insert/delete
-  bool insert = false;  // updates: INSERT DATA (else DELETE WHERE)
-  std::string body;     // protocol request body (serving/protocol.h)
+  uint32_t key = 0;    // oracle slot
+  std::string body;    // protocol request body (serving/protocol.h)
 };
 
-/// Triples per region group: kGroupItems item triples plus one marker.
+/// Triples per region group of the dirty-store probe: kGroupItems item
+/// triples plus one marker.
 inline constexpr uint32_t kGroupItems = 8;
 inline constexpr char kRegionNs[] = "https://perfbench.example/region/";
 /// Fixed KG generator seed (see the file comment).
@@ -54,9 +40,8 @@ inline constexpr uint64_t kKgSeed = 42;
 /// KG shape per workload (sizes are documented in perfbench/README.md).
 workload::DblpOptions KgOptions(Workload w);
 
-/// The TrainGML INSERT texts a workload sends: the served models of
-/// ml_write_mix (trained over the wire during set-up) or the fixed job
-/// list of train_pipeline (NC d1h1, LP d2h1, NC on the full KG).
+/// The fixed TrainGML job list of a workload: NC d1h1 and LP d2h1, plus
+/// NC on the full KG for train_pipeline.
 struct TrainJob {
   std::string label;  // "nc_d1h1" / "lp_d2h1" / "nc_full"
   core::TrainTaskSpec spec;
@@ -71,25 +56,21 @@ std::string DeleteModelsQuery(const char* family);
 /// What the generated requests refer to. Pools list constants in
 /// popularity order (rank 0 is the hottest) for the Zipf draws.
 struct ServedState {
-  std::string nc_model;
-  std::string lp_model;
   std::vector<std::string> papers, persons, venues;
 };
 
-/// Expected answers per oracle slot. Slots are keyed by the canonical
-/// request text; answers are digests of the decoded result.
+/// Expected answers per oracle slot. Slots are keyed by the query text;
+/// answers are digests of the decoded result.
 class Oracle {
  public:
-  uint32_t Intern(const std::string& key, Cls cls);
+  uint32_t Intern(const std::string& key);
   size_t size() const { return keys_.size(); }
   const std::string& key(uint32_t slot) const { return keys_[slot]; }
-  Cls cls(uint32_t slot) const { return cls_[slot]; }
   uint64_t digest(uint32_t slot) const { return digest_[slot]; }
   void set_digest(uint32_t slot, uint64_t d) { digest_[slot] = d; }
 
  private:
   std::vector<std::string> keys_;
-  std::vector<Cls> cls_;
   std::vector<uint64_t> digest_;
   std::unordered_map<std::string, uint32_t> slot_;
 };
@@ -104,38 +85,31 @@ class Zipf {
   std::vector<double> cdf_;
 };
 
-/// Seeded request-stream generator. Phase() returns the requests of one
-/// open-loop phase: Poisson arrivals at `qps` for `seconds`, assigned
-/// round-robin to `senders` connections (request i goes to sender
-/// i % senders). Each phase's updates touch only groups of that phase,
-/// so a phase cut short by overload never leaves the next phase with an
-/// unexpected region state.
+/// Skew of every Zipf draw: YCSB's default zipfian constant (Cooper et
+/// al., "Benchmarking Cloud Serving Systems with YCSB", SoCC 2010).
+inline constexpr double kZipfS = 0.99;
+
+/// Seeded request-stream generator. Phase() returns the plain reads of
+/// one open-loop phase: Poisson arrivals at `qps` for `seconds`. Each read
+/// is one of kQueryKinds query templates, drawn with equal shares, with
+/// Zipf-ranked constants.
 class StreamGen {
  public:
-  StreamGen(Workload w, uint64_t seed, const ServedState* state,
-            Oracle* oracle, int senders);
+  static constexpr int kQueryKinds = 8;
+  StreamGen(uint64_t seed, const ServedState* state, Oracle* oracle);
   std::vector<Request> Phase(double qps, double seconds);
 
  private:
-  void Draw(Request* r, int sender);
   void DrawRead(Request* r);
-  void DrawUpdate(Request* r, int sender);
-  uint32_t Slot(const std::string& text, Cls cls);
 
-  Workload w_;
   tensor::Rng rng_;
   const ServedState* state_;
   Oracle* oracle_;
-  int senders_;
   Zipf paper_zipf_, person_zipf_, venue_zipf_;
-  int phase_ = 0;
   uint64_t next_id_ = 1;
-  // Per-sender live groups of the current phase (oldest first).
-  std::vector<std::vector<uint64_t>> live_;
-  uint64_t next_group_ = 0;
 };
 
-/// FNV-1a digest of a stream (due times, classes and bodies).
+/// FNV-1a digest of a stream (due times and bodies).
 uint64_t StreamDigest(const std::vector<Request>& reqs);
 
 /// FNV-1a helpers shared by the oracle and the answer checks.
@@ -144,17 +118,18 @@ inline constexpr uint64_t kFnvSeed = 1469598103934665603ull;
 uint64_t RowsDigest(const sparql::QueryResult& r);
 uint64_t ValuesDigest(const std::vector<std::string>& v);
 
-/// Fills the digest of every oracle slot by executing the request
-/// in-process on `kg` (before the server sees any request).
+/// Fills the digest of every oracle slot by executing the read in-process
+/// on `kg` (before the server sees any request).
 Status ComputeOracle(core::KgNet* kg, Oracle* oracle);
 
 /// Region-read invariant: every group whose marker is visible shows all
 /// kGroupItems items. `rows` are (?g, ?x) pairs.
 bool RegionAtomic(const sparql::QueryResult& rows, std::string* why);
 
-/// Text of the region read and of a whole-region delete (cleanup).
+/// Text of the region read, and of the DELETE of one whole group (the
+/// marker first, then its kGroupItems items).
 std::string RegionReadQuery();
-std::string RegionClearQuery();
+std::string GroupDeleteQuery(const std::string& group_iri);
 
 }  // namespace kgnet::perfbench
 
