@@ -8,11 +8,13 @@
 // Part 2 compares the plain-SPARQL hot path per BGP shape: the streaming
 // executor (merge/hash/bind joins over sorted index cursors) against the
 // legacy materializing nested-loop evaluator, and writes the timings to
-// BENCH_queryopt.json in the working directory.
+// BENCH_queryopt.json in the working directory. Part 6 times the read
+// kinds of the perfbench read_mix workload one by one.
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "sparql/engine.h"
 #include "sparql/exec.h"
 #include "sparql/parser.h"
+#include "tensor/rng.h"
 #include "workload/dblp_gen.h"
 
 namespace {
@@ -37,7 +40,7 @@ const char* kQuery =
     "  ?clf a kgnet:NodeClassifier .\n"
     "  ?clf kgnet:TargetNode dblp:Publication . }";
 
-double MedianMs(std::vector<double>* samples) {
+double Median(std::vector<double>* samples) {
   std::sort(samples->begin(), samples->end());
   return (*samples)[samples->size() / 2];
 }
@@ -71,7 +74,7 @@ std::pair<double, size_t> TimeQuery(kgnet::sparql::QueryEngine* engine,
       ms.push_back(
           std::chrono::duration<double, std::milli>(t1 - t0).count());
   }
-  return {MedianMs(&ms), rows};
+  return {Median(&ms), rows};
 }
 
 struct ShapeResult {
@@ -217,8 +220,8 @@ int RunThreadScalingBench(kgnet::bench::ShapeChecker* shape,
 
   const int saved_threads = common::ThreadPool::num_threads();
   const sparql::MorselConfig saved_cfg = sparql::GetMorselConfig();
-  // Thresholds low enough that the bench graph's scans, join batches
-  // and merge groups all actually take the parallel paths.
+  // Thresholds low enough that the bench graph's scans and merge groups
+  // actually take the parallel paths.
   sparql::MorselConfig forced;
   forced.scan_min_parallel_rows = 256;
   forced.smj_min_parallel_group = 64;
@@ -279,8 +282,8 @@ int RunThreadScalingBench(kgnet::bench::ShapeChecker* shape,
                          ": identical result stream at 1 threads");
       }
     }
-    r.serial_ms = MedianMs(&serial_samples);
-    r.t1_ms = MedianMs(&forced_samples);
+    r.serial_ms = Median(&serial_samples);
+    r.t1_ms = Median(&forced_samples);
 
     for (int threads : {2, 4}) {
       std::vector<double> samples;
@@ -296,7 +299,7 @@ int RunThreadScalingBench(kgnet::bench::ShapeChecker* shape,
           samples.push_back(ms);  // first run doubles as warmup
         }
       }
-      (threads == 2 ? r.t2_ms : r.t4_ms) = MedianMs(&samples);
+      (threads == 2 ? r.t2_ms : r.t4_ms) = Median(&samples);
     }
     std::printf("%-10s %12.3f %12.3f %12.3f %12.3f %9.2fx\n", r.name.c_str(),
                 r.serial_ms, r.t1_ms, r.t2_ms, r.t4_ms,
@@ -419,6 +422,122 @@ int RunMixedReadWriteBench(kgnet::bench::ShapeChecker* shape,
   return 0;
 }
 
+struct ReadKindResult {
+  std::string name;
+  double median_us = 0;
+  size_t rows = 0;
+  size_t rows_scanned = 0;
+  size_t rows_walked = 0;
+};
+
+/// Part 6: the read kinds of perfbench's read_mix stream
+/// (perfbench/src/workload.cc), each timed alone. The KG is read_mix's
+/// (same generator options and seed) and every constant is the hottest
+/// one — rank 0 of perfbench's fixed popularity shuffle — so a kind's
+/// time here is its time at the head of the Zipf draw. Reported, not
+/// gated: the host's speed drifts, so the table is for before/after
+/// comparison of one revision against another on one machine.
+int RunReadKindBench(std::vector<ReadKindResult>* out) {
+  using namespace kgnet;
+  workload::DblpOptions opts;
+  opts.seed = 42;
+  opts.include_periphery = true;
+  opts.num_papers = 6000;
+  opts.num_authors = 2400;
+  opts.num_venues = 24;
+  opts.num_affiliations = 80;
+  rdf::TripleStore store;
+  if (!workload::GenerateDblp(opts, &store).ok()) return 1;
+  store.Compact();
+
+  // perfbench's popularity order: one seeded shuffle per constant kind.
+  tensor::Rng rng(42);
+  auto hottest = [&rng](const char* kind, size_t n) {
+    std::vector<std::string> v(n);
+    for (size_t i = 0; i < n; ++i)
+      v[i] = std::string(workload::kDblpNs) + kind + "/" + std::to_string(i);
+    std::shuffle(v.begin(), v.end(), rng.generator());
+    return "<" + v[0] + ">";
+  };
+  const std::string paper = hottest("publication", opts.num_papers);
+  const std::string person = hottest("person", opts.num_authors);
+  const std::string venue = hottest("venue", opts.num_venues);
+
+  const std::string px = "PREFIX dblp: <https://dblp.org/rdf/> ";
+  struct Kind {
+    const char* name;
+    std::string query;
+  };
+  const Kind kinds[] = {
+      {"point", px + "SELECT ?v WHERE { " + paper + " dblp:publishedIn ?v . }"},
+      {"star", px + "SELECT ?p ?v ?t WHERE { ?p dblp:authoredBy " + person +
+                   " . ?p dblp:publishedIn ?v . ?p dblp:title ?t . }"},
+      {"chain", px + "SELECT ?a ?f ?c WHERE { " + paper +
+                    " dblp:authoredBy ?a . ?a dblp:primaryAffiliation ?f . "
+                    "?f dblp:locatedIn ?c . }"},
+      {"filter", px + "SELECT ?p ?y WHERE { ?p dblp:publishedIn " + venue +
+                     " . ?p dblp:yearOfPublication ?y . FILTER(?y >= 2015) }"},
+      {"union", px + "SELECT ?f WHERE { { " + person +
+                    " dblp:primaryAffiliation ?f . } UNION { " + person +
+                    " dblp:pastAffiliation ?f . } }"},
+      {"optional", px + "SELECT ?p ?c WHERE { ?p dblp:authoredBy " + person +
+                       " . OPTIONAL { ?p dblp:cites ?c . } }"},
+      {"distinct", px + "SELECT DISTINCT ?f WHERE { ?p dblp:publishedIn " +
+                       venue + " . ?p dblp:authoredBy ?a . "
+                               "?a dblp:primaryAffiliation ?f . }"},
+      {"limit50", px + "SELECT ?t ?b WHERE { ?t dblp:broaderTopic ?b . } "
+                       "LIMIT 50"},
+      {"limit100", px + "SELECT ?p ?a WHERE { ?p dblp:authoredBy ?a . } "
+                        "LIMIT 100"},
+  };
+
+  std::printf("\nPERFBENCH READ KINDS (read_mix KG, %zu triples, hottest "
+              "constants, serial Execute)\n\n",
+              store.size());
+  std::printf("%-10s %12s %8s %14s %14s\n", "kind", "median (us)", "rows",
+              "rows_scanned", "rows_walked");
+  sparql::QueryEngine engine(&store);
+  const rdf::Snapshot snapshot = store.OpenSnapshot();
+  for (const Kind& kind : kinds) {
+    auto parsed = sparql::ParseQuery(kind.query);
+    if (!parsed.ok()) {
+      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
+      return 1;
+    }
+    ReadKindResult r;
+    r.name = kind.name;
+    // Counters from one run with an ExecInfo (the full planned tree);
+    // timings as perfbench's server runs the query, without one.
+    sparql::ExecInfo info;
+    auto counted = engine.Execute(*parsed, snapshot, &info);
+    if (!counted.ok()) {
+      std::fprintf(stderr, "%s\n", counted.status().ToString().c_str());
+      return 1;
+    }
+    r.rows = counted->NumRows();
+    r.rows_scanned = info.rows_scanned;
+    r.rows_walked = info.rows_walked;
+    std::vector<double> us;
+    for (int i = 0; i <= 200; ++i) {  // one warmup + 200 timed
+      auto t0 = std::chrono::steady_clock::now();
+      auto res = engine.Execute(*parsed, snapshot);
+      auto t1 = std::chrono::steady_clock::now();
+      if (!res.ok() || res->NumRows() != r.rows) {
+        std::fprintf(stderr, "read kind %s: unstable result\n", kind.name);
+        return 1;
+      }
+      if (i > 0)
+        us.push_back(
+            std::chrono::duration<double, std::micro>(t1 - t0).count());
+    }
+    r.median_us = Median(&us);
+    std::printf("%-10s %12.1f %8zu %14zu %14zu\n", r.name.c_str(),
+                r.median_us, r.rows, r.rows_scanned, r.rows_walked);
+    out->push_back(std::move(r));
+  }
+  return 0;
+}
+
 /// Part 2: per-shape old-vs-new executor timings on a plain DBLP KG.
 int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
   using namespace kgnet;
@@ -534,6 +653,10 @@ int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
   MixedReadWriteResult mixed;
   if (RunMixedReadWriteBench(shape, &store, &mixed) != 0) return 1;
 
+  // Part 6: the perfbench read kinds, one by one (own KG).
+  std::vector<ReadKindResult> kinds;
+  if (RunReadKindBench(&kinds) != 0) return 1;
+
   // Machine-readable output for tracking across revisions.
   FILE* json = std::fopen("BENCH_queryopt.json", "w");
   if (json != nullptr) {
@@ -588,6 +711,16 @@ int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
                    "\"t4_ms\": %.4f}%s\n",
                    r.name.c_str(), r.serial_ms, r.t1_ms, r.t2_ms, r.t4_ms,
                    i + 1 < scaling.size() ? "," : "");
+    }
+    std::fprintf(json, "  ],\n  \"read_kinds\": [\n");
+    for (size_t i = 0; i < kinds.size(); ++i) {
+      const ReadKindResult& r = kinds[i];
+      std::fprintf(json,
+                   "    {\"name\": \"%s\", \"median_us\": %.1f, "
+                   "\"rows\": %zu, \"rows_scanned\": %zu, "
+                   "\"rows_walked\": %zu}%s\n",
+                   r.name.c_str(), r.median_us, r.rows, r.rows_scanned,
+                   r.rows_walked, i + 1 < kinds.size() ? "," : "");
     }
     std::fprintf(json, "  ]\n}\n");
     std::fclose(json);

@@ -55,6 +55,12 @@ class RunCursor {
   /// Rows left in the range (exact).
   size_t remaining() const { return end_ - pos_; }
 
+  /// Keys this cursor has decoded: the rows it emitted plus, when it
+  /// started mid-block without a primed position, the rows it decoded
+  /// only to reach its first row. A cursor from CompressedRun::Seek
+  /// starts primed, so for it this is exactly the rows emitted.
+  size_t walked() const { return walked_; }
+
   /// A fresh cursor over `count` rows starting `offset` rows past this
   /// cursor's current position (clamped to the cursor's end). The slice
   /// seeks via the skip table like any new cursor; this cursor is not
@@ -74,6 +80,7 @@ class RunCursor {
   const CompressedRun* run_ = nullptr;
   size_t pos_ = 0;  // next row to emit
   size_t end_ = 0;
+  size_t walked_ = 0;
   // Decode state, valid once primed_: prev_ is the key of row pos_ - 1
   // and ptr_ addresses the encoding of row pos_ (both refreshed from the
   // skip table whenever pos_ crosses a block boundary).
@@ -103,12 +110,21 @@ class CompressedRun {
     return bytes_.size() + skip_.size() * sizeof(SkipEntry);
   }
 
-  /// Row range [lo, hi) of keys whose first `prefix_len` slots equal the
-  /// first `prefix_len` slots of `prefix` (0 selects the whole run).
-  /// Exact; costs two skip-table binary searches plus the decode of at
-  /// most one block per bound.
+  /// A cursor over the rows whose first `prefix_len` slots equal the
+  /// first `prefix_len` slots of `prefix` (0 selects the whole run),
+  /// primed on the range's first row. One pass: a skip-table binary
+  /// search, then one decode of the boundary block that yields the
+  /// first row, the cursor's decode state and — when the range ends in
+  /// that block — its end. A range ending in a later block costs one
+  /// more skip-table search and block decode. remaining() is exact.
+  RunCursor Seek(int prefix_len, const IndexKey& prefix) const;
+
+  /// Row range [lo, hi) of Seek(prefix_len, prefix).
   std::pair<size_t, size_t> PrefixRange(int prefix_len,
-                                        const IndexKey& prefix) const;
+                                        const IndexKey& prefix) const {
+    const RunCursor c = Seek(prefix_len, prefix);
+    return {c.pos_, c.end_};
+  }
 
   /// Opens a decoding cursor over rows [lo, hi).
   RunCursor Cursor(size_t lo, size_t hi) const {
@@ -128,9 +144,11 @@ class CompressedRun {
                            // at billion-triple scale)
   };
 
-  /// First row with key >= `key` / key > `key` (lexicographic).
-  size_t LowerBound(const IndexKey& key) const;
-  size_t UpperBound(const IndexKey& key) const;
+  struct BlockWalk;
+
+  /// First row with key > `key` (lexicographic), given that every row
+  /// before block `first_block` is <= `key`.
+  size_t UpperBound(const IndexKey& key, size_t first_block) const;
 
   static void EncodeOne(const IndexKey& prev, const IndexKey& cur,
                         std::vector<uint8_t>* out);

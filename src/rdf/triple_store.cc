@@ -260,9 +260,30 @@ IndexOrder Snapshot::ChooseIndex(const TriplePattern& pattern) const {
 TripleCursor Snapshot::OpenCursor(IndexOrder order,
                                   const TriplePattern& pattern) const {
   TripleCursor c;
-  c.pattern_ = pattern;
-  c.positions_ = IndexOrderPositions(order);
-  if (!gen_) return c;
+  Reopen(order, pattern, &c);
+  return c;
+}
+
+void Snapshot::Reopen(IndexOrder order, const TriplePattern& pattern,
+                      TripleCursor* c) const {
+  SeekUnpinned(order, pattern, c);
+  // Comparing before assigning keeps a re-open free of atomic refcount
+  // traffic when the cursor already pins this snapshot's versions.
+  if (c->gen_ != gen_) c->gen_ = gen_;
+  if (c->delta_ != nullptr && c->view_ != view_) c->view_ = view_;
+}
+
+void Snapshot::SeekUnpinned(IndexOrder order, const TriplePattern& pattern,
+                            TripleCursor* c) const {
+  c->pattern_ = pattern;
+  c->has_run_ = false;
+  c->delta_ = nullptr;
+  c->dbegin_ = c->dpos_ = c->dend_ = 0;
+  if (!gen_) {
+    c->run_ = RunCursor();
+    c->positions_ = IndexOrderPositions(order);
+    return;
+  }
   const Generation::Run* run = &gen_->run(order);
   if (!run->present) run = &gen_->run(ChooseIndexForPattern(pattern));
   const IndexOrder eff = run->order;
@@ -273,28 +294,28 @@ TripleCursor Snapshot::OpenCursor(IndexOrder order,
   int prefix_len = 0;
   while (prefix_len < 3 && key[static_cast<size_t>(prefix_len)] != kNullTermId)
     ++prefix_len;
-  const auto [lo, hi] = run->run.PrefixRange(prefix_len, key);
-  c.run_ = run->run.Cursor(lo, hi);
-  c.positions_ = IndexOrderPositions(eff);
-  c.gen_ = gen_;
+  c->run_ = run->run.Seek(prefix_len, key);
+  c->positions_ = IndexOrderPositions(eff);
   if (view_) {
     const DeltaView::OrderDelta& od = view_->order_delta(eff);
     if (!od.keys.empty()) {
       const auto [dlo, dhi] = od.PrefixRange(prefix_len, key);
       if (dlo < dhi) {
-        c.delta_ = &od;
-        c.dpos_ = dlo;
-        c.dend_ = dhi;
-        c.view_ = view_;
+        c->delta_ = &od;
+        c->dbegin_ = c->dpos_ = dlo;
+        c->dend_ = dhi;
       }
     }
   }
-  return c;
 }
 
 size_t Snapshot::EstimateRange(IndexOrder order,
                                const TriplePattern& pattern) const {
-  return OpenCursor(order, pattern).remaining();
+  // Only the range size is read, while this snapshot keeps the versions
+  // alive, so the cursor needs no pins of its own.
+  TripleCursor c;
+  SeekUnpinned(order, pattern, &c);
+  return c.remaining();
 }
 
 size_t Snapshot::EstimateCardinality(const TriplePattern& pattern) const {

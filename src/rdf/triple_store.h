@@ -197,6 +197,11 @@ class TripleCursor {
     return run_rem + ins - tomb;
   }
 
+  /// Index rows this cursor has consumed: run rows it decoded (see
+  /// RunCursor::walked) plus delta entries it stepped over, whether the
+  /// pattern filter kept them or not.
+  size_t walked() const { return run_.walked() + (dpos_ - dbegin_); }
+
   /// True when the remaining range carries no delta entries, i.e. it is
   /// exactly a generation run range. Only then is Slice() meaningful —
   /// the morsel-parallel executor checks this before carving the range.
@@ -229,6 +234,7 @@ class TripleCursor {
   // Delta range [dpos_, dend_) into delta_ (null when the range is
   // empty; dend_ == 0 then, so the merge never dereferences it).
   const DeltaView::OrderDelta* delta_ = nullptr;
+  size_t dbegin_ = 0;
   size_t dpos_ = 0;
   size_t dend_ = 0;
   // Ownership pins: run_ borrows gen_'s storage and delta_ points into
@@ -281,6 +287,12 @@ class Snapshot {
   /// (merge joins) check has_index() first, as the planner does.
   TripleCursor OpenCursor(IndexOrder order, const TriplePattern& pattern) const;
 
+  /// OpenCursor into an existing cursor: the re-open path of an index
+  /// nested-loop probe. Ownership pins already held for this snapshot
+  /// are kept rather than copied again.
+  void Reopen(IndexOrder order, const TriplePattern& pattern,
+              TripleCursor* cursor) const;
+
   /// Size of the index range OpenCursor(order, pattern) would walk: an
   /// O(log n) upper bound on its result count, exact when every bound
   /// position lies in the seekable prefix — delta entries included, so
@@ -305,6 +317,11 @@ class Snapshot {
 
  private:
   friend class TripleStore;
+  /// Reopen without taking the generation/delta-view pins: the cursor
+  /// is valid only while this snapshot is.
+  void SeekUnpinned(IndexOrder order, const TriplePattern& pattern,
+                    TripleCursor* cursor) const;
+
   std::shared_ptr<const Generation> gen_;
   std::shared_ptr<const DeltaView> view_;
   uint64_t epoch_ = 0;

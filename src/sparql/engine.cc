@@ -261,15 +261,54 @@ std::vector<SelectItem> ProjectionItems(const Query& query,
   return items;
 }
 
+/// ProjectionSlots() marker for an item that is an expression, not a
+/// plain variable.
+constexpr int kExprItem = -2;
+
+/// Resolves each plain-variable projection item to its slot once per
+/// query (-1 when the variable never occurs, so it is always UNDEF);
+/// expression items get kExprItem.
+std::vector<int> ProjectionSlots(const std::vector<SelectItem>& items,
+                                 const EvalContext& ctx) {
+  std::vector<int> slots;
+  slots.reserve(items.size());
+  for (const SelectItem& it : items)
+    slots.push_back(it.expr->op == ExprOp::kVar ? ctx.vars.Find(it.expr->var)
+                                                : kExprItem);
+  return slots;
+}
+
+/// The id a plain-variable item with slot `slot` projects from `sol`
+/// (kNullTermId: UNDEF).
+TermId ItemId(int slot, const Solution& sol) {
+  return slot >= 0 && static_cast<size_t>(slot) < sol.size()
+             ? sol[static_cast<size_t>(slot)]
+             : kNullTermId;
+}
+
 /// Evaluates one projected row; unbound variables become explicit
 /// Term::Undef() cells — never an empty literal, which a row could
 /// genuinely bind (DISTINCT and serialization must tell them apart).
+/// `slots` comes from ProjectionSlots(items, ...).
 Result<std::vector<Term>> ProjectRow(const std::vector<SelectItem>& items,
+                                     const std::vector<int>& slots,
                                      EvalContext* ctx, const Solution& sol) {
   std::vector<Term> row;
   row.reserve(items.size());
-  for (const auto& it : items) {
-    auto v = EvalExpr(it.expr, ctx, sol);
+  for (size_t i = 0; i < items.size(); ++i) {
+    const int slot = slots[i];
+    if (slot != kExprItem) {
+      // Two push_backs, not one over a conditional expression: that
+      // would copy the dictionary term into a temporary and then move
+      // it, measurably slower on wide projections.
+      const TermId id = ItemId(slot, sol);
+      if (id == kNullTermId)
+        row.push_back(Term::Undef());
+      else
+        row.push_back(ctx->store->dict().Lookup(id));
+      continue;
+    }
+    auto v = EvalExpr(items[i].expr, ctx, sol);
     if (!v.ok()) {
       if (v.status().code() == StatusCode::kFailedPrecondition) {
         // Unbound variable in projection: explicit unbound cell.
@@ -283,15 +322,78 @@ Result<std::vector<Term>> ProjectRow(const std::vector<SelectItem>& items,
   return row;
 }
 
+/// A set of fixed-width TermId rows for id-level DISTINCT: a row arena
+/// plus an open-addressing index over it (linear probing, load <= 1/2).
+/// Membership only; never iterated.
+class IdRowSet {
+ public:
+  explicit IdRowSet(size_t width) : width_(width) {}
+
+  /// Adds `row` (width ids); false when an equal row is already in.
+  bool Insert(const TermId* row) {
+    if ((count_ + 1) * 2 > index_.size()) Grow();
+    const size_t mask = index_.size() - 1;
+    for (size_t i = Hash(row) & mask;; i = (i + 1) & mask) {
+      const uint32_t r = index_[i];
+      if (r == 0) {
+        ids_.insert(ids_.end(), row, row + width_);
+        index_[i] = static_cast<uint32_t>(++count_);
+        return true;
+      }
+      if (std::equal(row, row + width_, ids_.data() + (r - 1) * width_))
+        return false;
+    }
+  }
+
+ private:
+  uint64_t Hash(const TermId* row) const {
+    uint64_t h = 1469598103934665603ull;
+    for (size_t i = 0; i < width_; ++i) {
+      h ^= row[i];
+      h *= 1099511628211ull;
+    }
+    return h ^ (h >> 29);
+  }
+  void Grow() {
+    index_.assign(std::max<size_t>(16, index_.size() * 2), 0);
+    const size_t mask = index_.size() - 1;
+    for (size_t r = 0; r < count_; ++r) {
+      size_t i = Hash(ids_.data() + r * width_) & mask;
+      while (index_[i] != 0) i = (i + 1) & mask;
+      index_[i] = static_cast<uint32_t>(r + 1);
+    }
+  }
+
+  size_t width_;
+  size_t count_ = 0;
+  std::vector<TermId> ids_;      // inserted rows, width_ ids each
+  std::vector<uint32_t> index_;  // 1-based row number; 0 = empty
+};
+
 /// Drains `next` (one full-width solution per call) into `result`,
 /// applying the query's projection, then DISTINCT, then OFFSET, then
 /// LIMIT — in that order. Shared by the operator-tree streaming path and
 /// the single-pattern fast path below, so the two row pipelines cannot
 /// drift apart semantically.
+///
+/// When every projection item is a plain variable, DISTINCT compares the
+/// projected TermIds before anything is decoded: ids are 1:1 with terms
+/// and UNDEF is the null id, so the id rows kept are exactly the rows
+/// the term-key comparison keeps, and only rows that survive DISTINCT
+/// and OFFSET are decoded. A projection with an expression falls back
+/// to comparing decoded term keys.
 Status DrainSelectRows(const Query& query, EvalContext* ctx,
                        const std::vector<SelectItem>& items,
                        const std::function<bool(Solution*)>& next,
                        Solution* sol, QueryResult* result) {
+  const std::vector<int> slots = ProjectionSlots(items, *ctx);
+  // Plain variables project without evaluation and never fail, so their
+  // rows can be deduped and skipped before they are decoded.
+  const bool all_plain =
+      std::count(slots.begin(), slots.end(), kExprItem) == 0;
+  const bool id_distinct = query.distinct && all_plain;
+  IdRowSet seen_ids(items.size());
+  std::vector<TermId> ids(items.size());
   std::unordered_set<std::string> seen;
   size_t skipped = 0;
   while ((query.limit < 0 ||
@@ -301,12 +403,22 @@ Status DrainSelectRows(const Query& query, EvalContext* ctx,
     // path (whose cursor loop has no operator underneath) and catches a
     // trip between operator pulls on the streaming path.
     KGNET_RETURN_IF_ERROR(ctx->cancel.Check());
-    auto row = ProjectRow(items, ctx, *sol);
-    if (!row.ok()) return row.status();
-    if (query.distinct && !seen.insert(RowKey(*row)).second) continue;
-    if (static_cast<int64_t>(skipped) < query.offset) {
+    if (id_distinct) {
+      for (size_t i = 0; i < items.size(); ++i) ids[i] = ItemId(slots[i], *sol);
+      if (!seen_ids.Insert(ids.data())) continue;
+    }
+    if (all_plain && static_cast<int64_t>(skipped) < query.offset) {
       ++skipped;
       continue;
+    }
+    auto row = ProjectRow(items, slots, ctx, *sol);
+    if (!row.ok()) return row.status();
+    if (!all_plain) {
+      if (query.distinct && !seen.insert(RowKey(*row)).second) continue;
+      if (static_cast<int64_t>(skipped) < query.offset) {
+        ++skipped;
+        continue;
+      }
     }
     result->rows.push_back(std::move(*row));
   }
@@ -531,6 +643,7 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
     KGNET_ASSIGN_OR_RETURN(QueryResult sub_result,
                            Execute(*sub, ctx.snapshot, &sub_info, ctx.cancel));
     stats.rows_scanned += sub_info.rows_scanned;
+    stats.rows_walked += sub_info.rows_walked;
     // Register subselect output columns as variables.
     std::vector<int> slots;
     for (const auto& col : sub_result.columns)
@@ -588,6 +701,7 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
       KGNET_RETURN_IF_ERROR(plan.exec->status());
       if (info != nullptr) {
         info->rows_scanned = stats.rows_scanned;
+        info->rows_walked = stats.rows_walked;
         info->cancel_checks = ctx.cancel.checks();
       }
       return result;
@@ -601,6 +715,7 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
     KGNET_RETURN_IF_ERROR(plan.exec->status());
     if (info != nullptr) {
       info->rows_scanned = stats.rows_scanned;
+      info->rows_walked = stats.rows_walked;
       info->cancel_checks = ctx.cancel.checks();
     }
     return result;
@@ -615,6 +730,7 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
   for (auto& s : solutions) s.resize(ctx.vars.size(), kNullTermId);
   if (info != nullptr) {
     info->rows_scanned = stats.rows_scanned;
+    info->rows_walked = stats.rows_walked;
     info->cancel_checks = ctx.cancel.checks();
   }
 
@@ -670,10 +786,11 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
   std::vector<SelectItem> items = ProjectionItems(query, ctx);
   for (const auto& it : items) result.columns.push_back(it.alias);
 
+  const std::vector<int> slots = ProjectionSlots(items, ctx);
   std::unordered_set<std::string> seen;
   for (const auto& sol : solutions) {
     KGNET_ASSIGN_OR_RETURN(std::vector<Term> row,
-                           ProjectRow(items, &ctx, sol));
+                           ProjectRow(items, slots, &ctx, sol));
     if (query.distinct) {
       std::string key = RowKey(row);
       if (!seen.insert(key).second) continue;

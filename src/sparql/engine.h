@@ -56,6 +56,12 @@ struct ExecInfo {
   std::string plan;
   /// Matching triples pulled out of index cursors across the whole query.
   size_t rows_scanned = 0;
+  /// Index rows those cursors consumed: every matching row plus the rows
+  /// the pattern filter dropped (a bound position outside the seekable
+  /// prefix) and any rows a cursor decoded only to reach its first row.
+  /// rows_walked >> rows_scanned means scans filter instead of seeking.
+  /// The skip-table seek that positions a cursor is not counted.
+  size_t rows_walked = 0;
   /// The storage epoch the query's snapshot observed and the number of
   /// uncompacted delta entries it merged over the run generation (see
   /// rdf::Snapshot) — every read in the query saw exactly this epoch.

@@ -15,6 +15,45 @@ using rdf::TriplePattern;
 
 // ------------------------------------------------- expression evaluation --
 
+namespace {
+
+/// The comparison semantics of EvalExpr for one of kEq..kGe: numeric
+/// when both terms parse as numbers, otherwise kind-aware lexical.
+bool CompareTerms(ExprOp op, const Term& l, const Term& r) {
+  double ld, rd;
+  int cmp;
+  if (l.AsDouble(&ld) && r.AsDouble(&rd)) {
+    cmp = ld < rd ? -1 : (ld > rd ? 1 : 0);
+  } else {
+    // Kind-aware lexical comparison.
+    if (l.kind != r.kind && (op == ExprOp::kEq || op == ExprOp::kNe))
+      return op == ExprOp::kNe;
+    cmp = l.lexical.compare(r.lexical);
+    cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
+    if (cmp == 0 && (l.datatype != r.datatype || l.lang != r.lang) &&
+        (op == ExprOp::kEq || op == ExprOp::kNe))
+      cmp = 1;
+  }
+  switch (op) {
+    case ExprOp::kEq:
+      return cmp == 0;
+    case ExprOp::kNe:
+      return cmp != 0;
+    case ExprOp::kLt:
+      return cmp < 0;
+    case ExprOp::kLe:
+      return cmp <= 0;
+    case ExprOp::kGt:
+      return cmp > 0;
+    case ExprOp::kGe:
+      return cmp >= 0;
+    default:
+      return false;
+  }
+}
+
+}  // namespace
+
 bool EffectiveBool(const Term& t) {
   if (t.is_literal()) {
     if (t.lexical == "true") return true;
@@ -70,44 +109,7 @@ Result<Term> EvalExpr(const ExprPtr& e, EvalContext* ctx,
     case ExprOp::kGe: {
       KGNET_ASSIGN_OR_RETURN(Term l, EvalExpr(e->args[0], ctx, sol));
       KGNET_ASSIGN_OR_RETURN(Term r, EvalExpr(e->args[1], ctx, sol));
-      double ld, rd;
-      int cmp;
-      if (l.AsDouble(&ld) && r.AsDouble(&rd)) {
-        cmp = ld < rd ? -1 : (ld > rd ? 1 : 0);
-      } else {
-        // Kind-aware lexical comparison.
-        if (l.kind != r.kind && (e->op == ExprOp::kEq || e->op == ExprOp::kNe))
-          return BoolTerm(e->op == ExprOp::kNe);
-        cmp = l.lexical.compare(r.lexical);
-        cmp = cmp < 0 ? -1 : (cmp > 0 ? 1 : 0);
-        if (cmp == 0 && (l.datatype != r.datatype || l.lang != r.lang) &&
-            (e->op == ExprOp::kEq || e->op == ExprOp::kNe))
-          cmp = 1;
-      }
-      bool v = false;
-      switch (e->op) {
-        case ExprOp::kEq:
-          v = cmp == 0;
-          break;
-        case ExprOp::kNe:
-          v = cmp != 0;
-          break;
-        case ExprOp::kLt:
-          v = cmp < 0;
-          break;
-        case ExprOp::kLe:
-          v = cmp <= 0;
-          break;
-        case ExprOp::kGt:
-          v = cmp > 0;
-          break;
-        case ExprOp::kGe:
-          v = cmp >= 0;
-          break;
-        default:
-          break;
-      }
-      return BoolTerm(v);
+      return BoolTerm(CompareTerms(e->op, l, r));
     }
     case ExprOp::kCall: {
       std::vector<Term> args;
@@ -120,6 +122,96 @@ Result<Term> EvalExpr(const ExprPtr& e, EvalContext* ctx,
     }
   }
   return Status::Internal("unhandled expression op");
+}
+
+// ------------------------------------------------------------ CompiledExpr --
+
+CompiledExpr::CompiledExpr(ExprPtr expr, EvalContext* ctx)
+    : expr_(std::move(expr)), ctx_(ctx) {
+  Compile(expr_, ctx);
+}
+
+int CompiledExpr::Compile(const ExprPtr& e, EvalContext* ctx) {
+  const int i = static_cast<int>(nodes_.size());
+  nodes_.push_back({e, -1, -1, -1});
+  switch (e->op) {
+    case ExprOp::kVar:
+      nodes_[static_cast<size_t>(i)].slot = ctx->vars.Find(e->var);
+      break;
+    case ExprOp::kConst:
+    case ExprOp::kCall:  // evaluated whole by EvalExpr
+      break;
+    case ExprOp::kNot: {
+      const int a = Compile(e->args[0], ctx);
+      nodes_[static_cast<size_t>(i)].lhs = a;
+      break;
+    }
+    default: {  // kAnd, kOr and the comparisons: two operands
+      const int a = Compile(e->args[0], ctx);
+      const int b = Compile(e->args[1], ctx);
+      nodes_[static_cast<size_t>(i)].lhs = a;
+      nodes_[static_cast<size_t>(i)].rhs = b;
+      break;
+    }
+  }
+  return i;
+}
+
+Result<const Term*> CompiledExpr::Operand(int i, const Solution& row,
+                                          Term* scratch) const {
+  const Node& n = nodes_[static_cast<size_t>(i)];
+  switch (n.src->op) {
+    case ExprOp::kVar:
+      if (n.slot < 0 || static_cast<size_t>(n.slot) >= row.size() ||
+          row[static_cast<size_t>(n.slot)] == kNullTermId)
+        return Status::FailedPrecondition("unbound variable ?" + n.src->var);
+      return &ctx_->store->dict().Lookup(row[static_cast<size_t>(n.slot)]);
+    case ExprOp::kConst:
+      return &n.src->constant;
+    case ExprOp::kCall: {
+      KGNET_ASSIGN_OR_RETURN(*scratch, EvalExpr(n.src, ctx_, row));
+      return scratch;
+    }
+    default: {
+      KGNET_ASSIGN_OR_RETURN(const bool v, TestNode(i, row));
+      *scratch = BoolTerm(v);
+      return scratch;
+    }
+  }
+}
+
+Result<bool> CompiledExpr::TestNode(int i, const Solution& row) const {
+  const Node& n = nodes_[static_cast<size_t>(i)];
+  switch (n.src->op) {
+    case ExprOp::kVar:
+    case ExprOp::kConst:
+    case ExprOp::kCall: {
+      Term scratch;
+      KGNET_ASSIGN_OR_RETURN(const Term* t, Operand(i, row, &scratch));
+      return EffectiveBool(*t);
+    }
+    case ExprOp::kNot: {
+      KGNET_ASSIGN_OR_RETURN(const bool v, TestNode(n.lhs, row));
+      return !v;
+    }
+    case ExprOp::kAnd:
+    case ExprOp::kOr: {
+      KGNET_ASSIGN_OR_RETURN(const bool l, TestNode(n.lhs, row));
+      if (n.src->op == ExprOp::kAnd && !l) return false;
+      if (n.src->op == ExprOp::kOr && l) return true;
+      return TestNode(n.rhs, row);
+    }
+    default: {
+      Term ls, rs;
+      KGNET_ASSIGN_OR_RETURN(const Term* l, Operand(n.lhs, row, &ls));
+      KGNET_ASSIGN_OR_RETURN(const Term* r, Operand(n.rhs, row, &rs));
+      return CompareTerms(n.src->op, *l, *r);
+    }
+  }
+}
+
+Result<bool> CompiledExpr::Test(const Solution& row) const {
+  return TestNode(0, row);
 }
 
 // ------------------------------------------------------ pattern compiling --
@@ -172,10 +264,23 @@ bool ParallelEligible(const MorselConfig& cfg) {
   return cfg.force_parallel || common::ThreadPool::num_threads() > 1;
 }
 
+/// MergeRows over `n`-slot rows held anywhere (e.g. a row arena).
+bool MergeIds(const TermId* l, const TermId* r, TermId* out, size_t n) {
+  for (size_t i = 0; i < n; ++i) {
+    const TermId lv = l[i];
+    const TermId rv = r[i];
+    if (lv != kNullTermId && rv != kNullTermId && lv != rv) return false;
+    out[i] = lv != kNullTermId ? lv : rv;
+  }
+  return true;
+}
+
 }  // namespace
 
 bool MergeRows(const Solution& l, const Solution& r, Solution* out) {
   const size_t n = out->size();
+  if (l.size() >= n && r.size() >= n)
+    return MergeIds(l.data(), r.data(), out->data(), n);
   for (size_t i = 0; i < n; ++i) {
     const TermId lv = i < l.size() ? l[i] : kNullTermId;
     const TermId rv = i < r.size() ? r[i] : kNullTermId;
@@ -209,16 +314,17 @@ void IndexScan::Open(const Solution& outer) {
   base_.resize(width_, kNullTermId);
   TriplePattern pattern = BindPattern(cp_, base_);
   rdf::IndexOrder order = order_ ? *order_ : snapshot_->ChooseIndex(pattern);
-  cursor_ = snapshot_->OpenCursor(order, pattern);
-  cfg_ = GetMorselConfig();
-  if (cfg_.scan_morsel_rows == 0) cfg_.scan_morsel_rows = 1;
+  snapshot_->Reopen(order, pattern, &cursor_);
   total_rows_ = cursor_.remaining();
   // Slice() carves the generation-run range, so morsel decode requires a
   // delta-free range (sliceable); a dirty range streams serially via the
   // merging cursor until the next compaction.
-  parallel_ = ParallelEligible(cfg_) &&
-              total_rows_ >= cfg_.scan_min_parallel_rows &&
-              cursor_.sliceable();
+  const MorselConfig& cfg = GetMorselConfig();
+  parallel_ = total_rows_ >= cfg.scan_min_parallel_rows &&
+              ParallelEligible(cfg) && cursor_.sliceable();
+  if (!parallel_) return;
+  morsel_rows_ = std::max<size_t>(1, cfg.scan_morsel_rows);
+  max_wave_ = cfg.scan_max_wave_morsels;
   scan_pos_ = 0;
   wave_morsels_ = 1;
   buf_.clear();
@@ -252,11 +358,11 @@ void IndexScan::DecodeWave() {
   // both the row stream and the counters are exactly the serial ones.
   // The wave size ramps 1, 2, 4, ... morsels so a LIMIT consuming only
   // a few rows never pays for a deep decode-ahead.
-  const size_t grain = cfg_.scan_morsel_rows;
+  const size_t grain = morsel_rows_;
   const size_t rows = std::min(total_rows_ - scan_pos_, wave_morsels_ * grain);
   const size_t nchunks = (rows + grain - 1) / grain;
   std::vector<std::vector<Solution>> bufs(nchunks);
-  std::vector<size_t> scanned(nchunks, 0);
+  std::vector<size_t> scanned(nchunks, 0), walked(nchunks, 0);
   common::ParallelFor(0, rows, grain, [&](size_t b, size_t e) {
     const size_t ci = b / grain;
     rdf::TripleCursor c = cursor_.Slice(scan_pos_ + b, e - b);
@@ -266,15 +372,17 @@ void IndexScan::DecodeWave() {
       ++scanned[ci];
       if (BindRow(t, &out)) bufs[ci].push_back(std::move(out));
     }
+    walked[ci] = c.walked();
   });
   buf_.clear();
   buf_pos_ = 0;
   for (size_t i = 0; i < nchunks; ++i) {
     stats_->rows_scanned += scanned[i];
+    stats_->rows_walked += walked[i];
     for (Solution& r : bufs[i]) buf_.push_back(std::move(r));
   }
   scan_pos_ += rows;
-  wave_morsels_ = std::min(wave_morsels_ * 2, cfg_.scan_max_wave_morsels);
+  wave_morsels_ = std::min(wave_morsels_ * 2, max_wave_);
 }
 
 bool IndexScan::Next(Solution* row) {
@@ -289,13 +397,19 @@ bool IndexScan::Next(Solution* row) {
       DecodeWave();
     }
   }
+  const size_t walked = cursor_.walked();
   Triple t;
+  bool found = false;
   while (cursor_.Next(&t)) {
-    if (Cancelled()) return false;
+    if (Cancelled()) break;
     ++stats_->rows_scanned;
-    if (BindRow(t, row)) return true;
+    if (BindRow(t, row)) {
+      found = true;
+      break;
+    }
   }
-  return false;
+  stats_->rows_walked += cursor_.walked() - walked;
+  return found;
 }
 
 // --------------------------------------------------------- SortMergeJoin --
@@ -405,6 +519,38 @@ bool SortMergeJoin::Next(Solution* row) {
 
 // -------------------------------------------------------------- HashJoin --
 
+void HashJoin::Table::Clear() {
+  ids.clear();
+  keys.clear();
+  next.clear();
+  head.assign(16, kEnd);
+  tail.assign(16, kEnd);
+}
+
+void HashJoin::Table::Insert(const Solution& row, uint64_t key) {
+  const uint32_t r = static_cast<uint32_t>(keys.size());
+  ids.insert(ids.end(), row.begin(), row.end());
+  keys.push_back(key);
+  next.push_back(kEnd);
+  if (keys.size() > head.size()) {
+    // Load factor 1 reached: double the buckets and re-chain every row
+    // in arrival order, which keeps each key's chain in arrival order.
+    head.assign(head.size() * 2, kEnd);
+    tail.assign(head.size(), kEnd);
+    const uint64_t mask = head.size() - 1;
+    for (uint32_t i = 0; i < static_cast<uint32_t>(keys.size()); ++i) {
+      const size_t b = keys[i] & mask;
+      next[i] = kEnd;
+      (head[b] == kEnd ? head[b] : next[tail[b]]) = i;
+      tail[b] = i;
+    }
+    return;
+  }
+  const size_t b = key & (head.size() - 1);
+  (head[b] == kEnd ? head[b] : next[tail[b]]) = r;
+  tail[b] = r;
+}
+
 uint64_t HashJoin::KeyOf(const Solution& row) const {
   uint64_t h = 1469598103934665603ull;
   for (int s : key_slots_) {
@@ -415,16 +561,12 @@ uint64_t HashJoin::KeyOf(const Solution& row) const {
 }
 
 void HashJoin::Open(const Solution& outer) {
-  cfg_ = GetMorselConfig();
-  const size_t parts = std::max<size_t>(1, cfg_.join_partitions);
-  ptables_.assign(parts, {});
-  btables_.assign(parts, {});
+  ptable_.Clear();
+  btable_.Clear();
   pending_.clear();
   out_pos_ = 0;
   probe_done_ = build_done_ = false;
   turn_probe_ = true;
-  parallel_ = ParallelEligible(cfg_) && cfg_.join_min_parallel_batch > 0;
-  batch_rows_ = std::max<size_t>(1, cfg_.join_min_parallel_batch);
   probe_->Open(outer);
   build_->Open(outer);
 }
@@ -432,7 +574,10 @@ void HashJoin::Open(const Solution& outer) {
 bool HashJoin::Next(Solution* row) {
   for (;;) {
     if (out_pos_ < pending_.size()) {
-      *row = std::move(pending_[out_pos_++]);
+      row->assign(pending_.begin() + static_cast<std::ptrdiff_t>(out_pos_),
+                  pending_.begin() +
+                      static_cast<std::ptrdiff_t>(out_pos_ + width_));
+      out_pos_ += width_;
       return true;
     }
     pending_.clear();
@@ -440,10 +585,7 @@ bool HashJoin::Next(Solution* row) {
     if (!status_.ok()) return false;
     if (Cancelled()) return false;
     if (probe_done_ && build_done_) return false;
-    if (parallel_)
-      StepBatch();
-    else
-      StepOne();
+    StepOne();
   }
 }
 
@@ -453,117 +595,30 @@ void HashJoin::StepOne() {
   const bool take_probe = build_done_ || (!probe_done_ && turn_probe_);
   turn_probe_ = !turn_probe_;
   Operator* src = take_probe ? probe_.get() : build_.get();
-  Solution r;
-  if (!src->Next(&r)) {
+  if (!src->Next(&pulled_)) {
     if (!src->status().ok())
       status_ = src->status();
     else
       (take_probe ? probe_done_ : build_done_) = true;
     return;
   }
-  const uint64_t key = KeyOf(r);
-  const size_t part = key % ptables_.size();
-  auto& other = take_probe ? btables_[part] : ptables_[part];
-  auto it = other.find(key);
-  if (it != other.end()) {
-    for (const Solution& o : it->second) {
-      Solution out(r.size());
-      if (MergeRows(r, o, &out)) pending_.push_back(std::move(out));
-    }
+  width_ = pulled_.size();
+  const uint64_t key = KeyOf(pulled_);
+  const Table& other = take_probe ? btable_ : ptable_;
+  for (uint32_t r = other.head[key & (other.head.size() - 1)];
+       r != Table::kEnd; r = other.next[r]) {
+    if (other.keys[r] != key) continue;
+    const size_t at = pending_.size();
+    pending_.resize(at + width_);
+    if (!MergeIds(pulled_.data(), other.ids.data() + size_t{r} * width_,
+                  pending_.data() + at, width_))
+      pending_.resize(at);
   }
   // Store the row only while the other side can still probe it: once
   // one input is exhausted, the survivor's rows have already seen every
   // partner, so keeping them would just materialize the larger input.
   if (!(take_probe ? build_done_ : probe_done_))
-    (take_probe ? ptables_[part] : btables_[part])[key].push_back(std::move(r));
-}
-
-void HashJoin::StepBatch() {
-  // Phase 1 (driver): pull a batch under the exact serial alternation
-  // protocol, recording for every row the side it came from and whether
-  // the serial loop would have stored it (a function of the done flags
-  // at pull time). The batch ramps so a LIMIT near the top still stops
-  // both inputs after a handful of rows.
-  struct Entry {
-    Solution row;
-    uint64_t key = 0;
-    bool from_probe = false;
-    bool store = false;
-  };
-  const size_t target = batch_rows_;
-  batch_rows_ = std::min(std::max<size_t>(1, cfg_.join_max_batch_rows),
-                         batch_rows_ * 2);
-  std::vector<Entry> entries;
-  entries.reserve(target);
-  while (entries.size() < target && !(probe_done_ && build_done_)) {
-    const bool take_probe = build_done_ || (!probe_done_ && turn_probe_);
-    turn_probe_ = !turn_probe_;
-    Operator* src = take_probe ? probe_.get() : build_.get();
-    Entry e;
-    if (!src->Next(&e.row)) {
-      if (!src->status().ok()) {
-        // Keep the rows pulled before the error: the serial loop emitted
-        // their matches before it ever reached the failing pull.
-        status_ = src->status();
-        break;
-      }
-      (take_probe ? probe_done_ : build_done_) = true;
-      continue;
-    }
-    e.key = KeyOf(e.row);
-    e.from_probe = take_probe;
-    e.store = !(take_probe ? build_done_ : probe_done_);
-    entries.push_back(std::move(e));
-  }
-  if (entries.empty()) return;
-
-  // Phase 2 (pool): partition the batch by key hash — rows that can ever
-  // match share a key, hence a partition — and replay each partition's
-  // entries in batch order against its persistent tables. Partitions
-  // touch disjoint tables and disjoint output slots, so the tasks are
-  // independent; the replay inside one partition is the serial protocol
-  // verbatim.
-  const size_t parts = ptables_.size();
-  std::vector<std::vector<size_t>> by_part(parts);
-  for (size_t i = 0; i < entries.size(); ++i)
-    by_part[entries[i].key % parts].push_back(i);
-  std::vector<std::vector<std::pair<size_t, Solution>>> matched(parts);
-  common::ParallelFor(0, parts, 1, [&](size_t pb, size_t pe) {
-    for (size_t p = pb; p < pe; ++p) {
-      for (size_t i : by_part[p]) {
-        Entry& e = entries[i];
-        auto& other = e.from_probe ? btables_[p] : ptables_[p];
-        auto it = other.find(e.key);
-        if (it != other.end()) {
-          for (const Solution& o : it->second) {
-            Solution out(e.row.size());
-            if (MergeRows(e.row, o, &out))
-              matched[p].emplace_back(i, std::move(out));
-          }
-        }
-        if (e.store)
-          (e.from_probe ? ptables_[p] : btables_[p])[e.key].push_back(
-              std::move(e.row));
-      }
-    }
-  });
-
-  // Phase 3 (driver): stitch the partition outputs back into the serial
-  // emission order. The serial loop emits a row's matches when the later
-  // of its two sides arrives, so ordering by batch index reproduces it;
-  // one entry's matches are already contiguous and bucket-ordered inside
-  // its partition's list, and the stable sort keeps them that way.
-  size_t total = 0;
-  for (const auto& v : matched) total += v.size();
-  std::vector<std::pair<size_t, Solution>> flat;
-  flat.reserve(total);
-  for (auto& v : matched)
-    for (auto& pr : v) flat.push_back(std::move(pr));
-  std::stable_sort(
-      flat.begin(), flat.end(),
-      [](const std::pair<size_t, Solution>& a,
-         const std::pair<size_t, Solution>& b) { return a.first < b.first; });
-  for (auto& pr : flat) pending_.push_back(std::move(pr.second));
+    (take_probe ? ptable_ : btable_).Insert(pulled_, key);
 }
 
 // -------------------------------------------------------------- BindJoin --
@@ -659,12 +714,12 @@ bool FilterOp::Next(Solution* row) {
         }
       }
       if (!ready) continue;  // lenient: not all variables bound yet
-      auto v = EvalExpr(f.expr, ctx_, *row);
+      auto v = f.expr.Test(*row);
       if (!v.ok()) {
         status_ = v.status();
         return false;
       }
-      if (!EffectiveBool(*v)) {
+      if (!*v) {
         pass = false;
         break;
       }

@@ -11,18 +11,16 @@
 // groups without materializing between stages.
 //
 // Morsel-driven parallelism: when more than one thread is configured
-// (see common/thread_pool.h) the bulky operators run their inner work on
-// the shared pool in fixed-size morsels — IndexScan decodes waves of
-// index-range morsels, HashJoin replays pulled batches against
-// hash-partitioned tables, SortMergeJoin merges large right-side groups
-// in chunks. Every parallel path is latched at Open(): with one thread
-// (and force_parallel off) the exact serial code runs, and when a
-// parallel path does engage, morsel bounds, partition assignment and
-// merge order are pure functions of the MorselConfig — never of the
-// thread count — so the emitted row stream is bitwise-identical to the
-// serial one at any KGNET_NUM_THREADS. LIMIT short-circuiting survives
-// because waves and batches ramp up from small sizes instead of
-// materializing inputs.
+// (see common/thread_pool.h) IndexScan decodes waves of index-range
+// morsels on the shared pool and SortMergeJoin merges large right-side
+// groups in chunks; HashJoin has one serial code path. Every parallel
+// path is latched at Open(): with one thread (and force_parallel off)
+// the exact serial code runs, and when a parallel path does engage,
+// morsel bounds and merge order are pure functions of the MorselConfig
+// — never of the thread count — so the emitted row stream is
+// bitwise-identical to the serial one at any KGNET_NUM_THREADS. LIMIT
+// short-circuiting survives because scan waves ramp up from small sizes
+// instead of materializing inputs.
 //
 // This header also hosts the evaluation helpers shared with the engine's
 // projection/filter code: the variable table, compiled patterns and the
@@ -30,6 +28,7 @@
 #ifndef KGNET_SPARQL_EXEC_H_
 #define KGNET_SPARQL_EXEC_H_
 
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
@@ -102,6 +101,38 @@ void CollectExprVars(const ExprPtr& e, std::set<std::string>* out);
 Result<rdf::Term> EvalExpr(const ExprPtr& e, EvalContext* ctx,
                            const Solution& sol);
 
+/// A FILTER expression compiled at plan time: variables are resolved to
+/// slots once, and Test() compares the bound terms in place in the
+/// dictionary — no Term copy and no result-term allocation per row.
+/// Test() returns exactly EffectiveBool(EvalExpr(expr, ...)), errors
+/// included; UDF calls and the operands nested under them fall back to
+/// EvalExpr.
+class CompiledExpr {
+ public:
+  CompiledExpr(ExprPtr expr, EvalContext* ctx);
+
+  Result<bool> Test(const Solution& row) const;
+  const ExprPtr& expr() const { return expr_; }
+
+ private:
+  struct Node {
+    ExprPtr src;
+    int slot = -1;           // kVar: the variable's slot (-1: unknown)
+    int lhs = -1, rhs = -1;  // child node indices
+  };
+  int Compile(const ExprPtr& e, EvalContext* ctx);
+  Result<bool> TestNode(int i, const Solution& row) const;
+  /// The term an operand denotes: the dictionary entry of a variable,
+  /// the constant itself, or — for any other expression — its EvalExpr
+  /// value stored in `*scratch`.
+  Result<const rdf::Term*> Operand(int i, const Solution& row,
+                                   rdf::Term* scratch) const;
+
+  ExprPtr expr_;
+  EvalContext* ctx_;
+  std::vector<Node> nodes_;  // nodes_[0] is the root
+};
+
 /// A triple pattern with every position resolved to either a variable
 /// slot (>= 0) or a constant term id.
 struct CompiledPattern {
@@ -128,11 +159,12 @@ rdf::TriplePattern BindPattern(const CompiledPattern& cp, const Solution& sol);
 /// totals are deterministic for a fixed MorselConfig.
 struct ExecStats {
   size_t rows_scanned = 0;  // matching triples pulled out of index cursors
+  size_t rows_walked = 0;   // index rows those cursors consumed to do so
 };
 
 /// Tuning knobs for the executor's morsel-driven parallelism. All sizes
-/// are thread-count independent on purpose: they fix the morsel bounds,
-/// partition assignment and merge order, which is what keeps results
+/// are thread-count independent on purpose: they fix the morsel bounds
+/// and merge order, which is what keeps results
 /// bitwise-identical at any thread count. The defaults keep small
 /// queries (and every existing LIMIT short-circuit guarantee) on the
 /// serial code path; tests shrink them to drive the parallel operators
@@ -145,12 +177,6 @@ struct MorselConfig {
   /// Wave ramp cap: a scan decodes 1, 2, 4, ... up to this many morsels
   /// ahead of consumption, so a LIMIT near the top still stops early.
   size_t scan_max_wave_morsels = 32;
-  /// Rows HashJoin pulls per batch when parallel (ramps up to
-  /// join_max_batch_rows); also the initial batch size.
-  size_t join_min_parallel_batch = 64;
-  size_t join_max_batch_rows = 2048;
-  /// Hash partitions (tables and batch replay parallelism) per side.
-  size_t join_partitions = 16;
   /// Minimum right-group size before SortMergeJoin merges a group on the
   /// pool instead of row-at-a-time.
   size_t smj_min_parallel_group = 256;
@@ -240,7 +266,8 @@ class SeedScan : public Operator {
 /// Streams one triple pattern from a permutation-index range, binding the
 /// pattern's free slots. With a fixed `order`, rows arrive sorted by
 /// `ordered_slot`; without one, the best index is chosen at Open() time
-/// from the then-bound positions (the BindJoin inner side).
+/// from the then-bound positions (the BindJoin inner side, and UNION /
+/// OPTIONAL scans that seek on an outer binding).
 class IndexScan : public Operator {
  public:
   IndexScan(const rdf::Snapshot* snapshot, const CompiledPattern& cp,
@@ -279,7 +306,8 @@ class IndexScan : public Operator {
   // of Slice() morsels decode on the pool into buf_, merged in morsel
   // order; otherwise Next() advances cursor_ exactly as before.
   bool parallel_ = false;
-  MorselConfig cfg_;
+  size_t morsel_rows_ = 1;   // MorselConfig values latched when parallel_
+  size_t max_wave_ = 1;
   size_t total_rows_ = 0;    // index rows in the range at Open
   size_t scan_pos_ = 0;      // index rows already decoded
   size_t wave_morsels_ = 1;  // ramp: morsels in the next wave
@@ -329,10 +357,11 @@ class SortMergeJoin : public Operator {
 /// hashed into its side's table and probed against the other side's, so
 /// every matching pair is emitted exactly once — when the later of its
 /// two rows arrives. A LIMIT above therefore stops *both* scans early,
-/// where the old eager build always paid for its full index range. The
-/// price is that output interleaves the two sides, so the stream is
-/// unordered (ordered_slot -1). An empty key set degenerates to a cross
-/// product (single bucket).
+/// where an eager build always paid for its full index range. The price
+/// is that output interleaves the two sides, so the stream is unordered
+/// (ordered_slot -1). An empty key set degenerates to a cross product
+/// (single bucket). Tables and pending output are flat arenas reused
+/// across re-opens, so steady-state pulls allocate nothing.
 class HashJoin : public Operator {
  public:
   HashJoin(std::unique_ptr<Operator> probe, std::unique_ptr<Operator> build,
@@ -345,35 +374,39 @@ class HashJoin : public Operator {
   bool Next(Solution* row) override;
 
  private:
+  /// One input's stored rows: a row arena plus a chained key index over
+  /// it. A key's rows chain in arrival order, which fixes the order in
+  /// which a new row's matches are emitted. Only keyed lookups — never
+  /// iterated as a whole.
+  struct Table {
+    static constexpr uint32_t kEnd = UINT32_MAX;
+    std::vector<rdf::TermId> ids;   // rows, `width` ids each
+    std::vector<uint64_t> keys;     // per row: its key hash
+    std::vector<uint32_t> next;     // per row: next row of its bucket
+    std::vector<uint32_t> head, tail;  // per bucket (a power of two)
+
+    void Clear();
+    void Insert(const Solution& row, uint64_t key);
+  };
+
   /// FNV-1a over the key slot ids. A (vanishingly rare) collision merges
-  /// two buckets, which only costs extra MergeRows attempts — MergeRows
+  /// two buckets, which only costs extra MergeIds attempts — MergeIds
   /// re-validates every shared slot, so results stay exact.
   uint64_t KeyOf(const Solution& row) const;
 
-  /// Serial step: pull one row following the alternation protocol, probe
-  /// and store it. Appends matches to pending_.
+  /// Pulls one row following the alternation protocol, probes the other
+  /// side's table and stores it. Appends matches to pending_.
   void StepOne();
-  /// Parallel step: pull a (ramping) batch of rows under the same
-  /// alternation protocol, then replay it against the hash-partitioned
-  /// tables — one pool task per partition — and stitch the partition
-  /// outputs back into serial emission order by batch index.
-  void StepBatch();
 
   std::unique_ptr<Operator> probe_, build_;
   std::vector<int> key_slots_;
-  /// Per-side tables, hash-partitioned by key % join_partitions. The
-  /// partitioning is semantically invisible (a key's bucket lives in
-  /// exactly one partition) but lets StepBatch process partitions
-  /// independently. Only keyed find()/insert — never iterated.
-  std::vector<std::unordered_map<uint64_t, std::vector<Solution>>> ptables_,
-      btables_;
-  std::vector<Solution> pending_;  // merged rows awaiting emission
-  size_t out_pos_ = 0;
+  Table ptable_, btable_;
+  Solution pulled_;
+  size_t width_ = 0;
+  std::vector<rdf::TermId> pending_;  // merged rows awaiting emission
+  size_t out_pos_ = 0;                // next pending_ id to emit
   bool probe_done_ = false, build_done_ = false;
   bool turn_probe_ = true;
-  bool parallel_ = false;  // latched at Open
-  MorselConfig cfg_;
-  size_t batch_rows_ = 0;  // current batch size (ramps up)
 };
 
 /// Index nested-loop join: re-opens the inner side (an IndexScan in
@@ -449,15 +482,14 @@ class LeftOuterJoin : public Operator {
 class FilterOp : public Operator {
  public:
   struct Condition {
-    ExprPtr expr;
+    CompiledExpr expr;
     /// Non-empty = lenient: skip the expression unless every listed slot
     /// is bound in the row.
     std::vector<int> required_slots;
   };
 
-  FilterOp(std::unique_ptr<Operator> child, std::vector<Condition> filters,
-           EvalContext* ctx)
-      : child_(std::move(child)), filters_(std::move(filters)), ctx_(ctx) {}
+  FilterOp(std::unique_ptr<Operator> child, std::vector<Condition> filters)
+      : child_(std::move(child)), filters_(std::move(filters)) {}
 
   void Open(const Solution& outer) override;
   bool Next(Solution* row) override;
@@ -466,7 +498,6 @@ class FilterOp : public Operator {
  private:
   std::unique_ptr<Operator> child_;
   std::vector<Condition> filters_;
-  EvalContext* ctx_;
 };
 
 }  // namespace kgnet::sparql

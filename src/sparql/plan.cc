@@ -55,8 +55,11 @@ struct PatternState {
   // enumerated, so every candidate below is executable.
   std::vector<ScanChoice> choices;
   size_t cheapest = 0;    // index into `choices` with the smallest range
-  size_t out_est = 0;     // estimated matching triples
+  size_t out_est = 0;     // estimated matching triples (per open when outer)
   std::vector<int> slots;  // distinct variable slots
+  // Shares a slot the outer plan binds in every row: the scan seeks on
+  // the outer value at each open, so its order is chosen then ([auto]).
+  bool outer = false;
   bool joined = false;
 };
 
@@ -177,7 +180,8 @@ std::string RenderPlanTree(const PlanNode& root) {
 
 Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
                            const std::vector<Solution>* seeds,
-                           ExecStats* stats, bool build_desc) {
+                           ExecStats* stats, bool build_desc,
+                           const std::vector<char>* outer_bound) {
   const rdf::Snapshot& snapshot = ctx->snapshot;
   const double log_n = std::log2(static_cast<double>(snapshot.size()) + 2.0);
 
@@ -200,6 +204,11 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
     filters.push_back(std::move(cf));
   }
   const size_t width = ctx->vars.size();
+  auto outer_has = [&](int slot) {
+    return outer_bound != nullptr && slot >= 0 &&
+           static_cast<size_t>(slot) < outer_bound->size() &&
+           (*outer_bound)[static_cast<size_t>(slot)] != 0;
+  };
 
   // --- per-pattern scan choices ---
   for (PatternState& ps : patterns) {
@@ -220,6 +229,9 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
     const int num_bound =
         (bound_pos[0] ? 1 : 0) + (bound_pos[1] ? 1 : 0) + (bound_pos[2] ? 1 : 0);
     ps.choices.reserve(static_cast<size_t>(rdf::kNumIndexOrders));
+    std::array<int, rdf::kNumIndexOrders> prefix_lens{};
+    std::array<int, rdf::kNumIndexOrders> full_prefix_slots{};
+    size_t num_full_prefix = 0;
     for (int i = 0; i < rdf::kNumIndexOrders; ++i) {
       const IndexOrder order = static_cast<IndexOrder>(i);
       if (!snapshot.has_index(order)) continue;
@@ -231,19 +243,14 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
       // index lookup: an empty prefix scans the whole store, and a
       // prefix covering *every* bound position selects exactly the
       // pattern's matches — the exact cardinality already computed
-      // above. Only strict in-between prefixes need a skip-table probe.
+      // above. Only strict in-between prefixes need a skip-table probe,
+      // taken below.
       int prefix_len = 0;
       while (prefix_len < 3 && bound_pos[positions[static_cast<size_t>(
                                    prefix_len)]])
         ++prefix_len;
-      if (prefix_len == 0) {
-        c.range = std::min(snapshot.size(), kMaxEst);
-      } else if (prefix_len == num_bound) {
-        c.range = ps.out_est;
-      } else {
-        c.range =
-            std::min(snapshot.EstimateRange(c.order, ps.consts), kMaxEst);
-      }
+      c.range = prefix_len == 0 ? std::min(snapshot.size(), kMaxEst)
+                                : ps.out_est;
       c.ordered_slot = -1;
       for (int k = 0; k < 3; ++k) {
         int slot = SlotAtPosition(ps.cp, positions[k]);
@@ -254,8 +261,35 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
           break;
         }
       }
+      if (prefix_len == num_bound)
+        full_prefix_slots[num_full_prefix++] = c.ordered_slot;
+      prefix_lens[ps.choices.size()] = prefix_len;
       ps.choices.push_back(c);
     }
+    // An in-between prefix range holds every match and more, so a scan
+    // over the full prefix in the same row order beats it everywhere the
+    // planner compares scans; such a choice is dropped unprobed.
+    size_t kept = 0;
+    for (size_t i = 0; i < ps.choices.size(); ++i) {
+      ScanChoice c = ps.choices[i];
+      if (prefix_lens[i] > 0 && prefix_lens[i] < num_bound) {
+        const auto full_end =
+            full_prefix_slots.begin() +
+            static_cast<std::ptrdiff_t>(num_full_prefix);
+        if (std::find(full_prefix_slots.begin(), full_end, c.ordered_slot) !=
+            full_end)
+          continue;
+        c.range =
+            std::min(snapshot.EstimateRange(c.order, ps.consts), kMaxEst);
+      }
+      ps.choices[kept++] = c;
+    }
+    ps.choices.resize(kept);
+    // A pattern seeking on an outer binding returns, per open, what a
+    // join with the single outer row would: JoinEst(1, matches).
+    for (int slot : ps.slots)
+      if (outer_has(slot)) ps.outer = true;
+    if (ps.outer) ps.out_est = JoinEst(1, ps.out_est);
   }
 
   // Slots appearing in more than one pattern: candidate merge-join keys
@@ -295,6 +329,8 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
   // --- seed relation ---
   Running run;
   run.bound.assign(width, 0);
+  for (size_t slot = 0; slot < width; ++slot)
+    if (outer_has(static_cast<int>(slot))) run.bound[slot] = 1;
   bool have_relation = false;
   bool use_seeds = false;
   if (seeds != nullptr) {
@@ -342,7 +378,7 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
         }
       if (!ok) continue;
       cf.attached = true;
-      ready.push_back({cf.expr, {}});
+      ready.push_back({CompiledExpr(cf.expr, ctx), {}});
       if (build_desc) {
         run.desc = MakePlanNode(PlanNode::Kind::kFilter,
                                 "Filter(" + SerializeExpr(cf.expr) + ")",
@@ -351,8 +387,7 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
       }
     }
     if (!ready.empty())
-      run.op = std::make_unique<FilterOp>(std::move(run.op), std::move(ready),
-                                          ctx);
+      run.op = std::make_unique<FilterOp>(std::move(run.op), std::move(ready));
   };
 
   auto make_scan = [&](PatternState& ps, const ScanChoice* choice)
@@ -376,15 +411,26 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
     for (size_t i = 1; i < patterns.size(); ++i)
       if (patterns[i].out_est < patterns[best].out_est) best = i;
     PatternState& ps = patterns[best];
-    const ScanChoice& c = ps.choices[ps.cheapest];
-    run.op = make_scan(ps, &c);
-    if (build_desc)
-      run.desc = LeafNode(PlanNode::Kind::kIndexScan,
-                          PatternLabel(ps, IndexOrderName(c.order)) +
-                              ParallelMark(c.range) + CancelMark(ctx),
-                          ps.out_est);
+    if (ps.outer) {
+      // Sideways information passing: the scan seeks on the outer row's
+      // bindings at every open instead of filtering a fixed range.
+      run.op = make_scan(ps, nullptr);
+      if (build_desc)
+        run.desc = LeafNode(PlanNode::Kind::kIndexScan,
+                            PatternLabel(ps, "auto") + CancelMark(ctx),
+                            ps.out_est);
+      run.ordered = -1;
+    } else {
+      const ScanChoice& c = ps.choices[ps.cheapest];
+      run.op = make_scan(ps, &c);
+      if (build_desc)
+        run.desc = LeafNode(PlanNode::Kind::kIndexScan,
+                            PatternLabel(ps, IndexOrderName(c.order)) +
+                                ParallelMark(c.range) + CancelMark(ctx),
+                            ps.out_est);
+      run.ordered = c.ordered_slot;
+    }
     run.est = ps.out_est;
-    run.ordered = c.ordered_slot;
     run.Bind(ps.slots);
     ps.joined = true;
     --remaining;
@@ -450,7 +496,9 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
       }
       const size_t out = JoinEst(run.est, ps.out_est);
       // Hash join: build the pattern's cheapest range, probe the plan.
-      {
+      // A pattern on an outer binding only seeks: its fixed-order ranges
+      // ignore the outer value, so only the bind join is considered.
+      if (!ps.outer) {
         Candidate c;
         c.pattern = i;
         c.algo = Algo::kHash;
@@ -472,7 +520,7 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
         consider(c);
       }
       // Merge join: needs the plan and a scan ordered on a shared slot.
-      if (run.ordered >= 0 &&
+      if (!ps.outer && run.ordered >= 0 &&
           std::count(shared.begin(), shared.end(), run.ordered) > 0) {
         const ScanChoice* mc = nullptr;
         for (const ScanChoice& sc : ps.choices) {
@@ -518,7 +566,8 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
         auto right = make_scan(ps, nullptr);
         if (build_desc) {
           auto rdesc = LeafNode(PlanNode::Kind::kIndexScan,
-                                PatternLabel(ps, "auto"), ps.out_est);
+                                PatternLabel(ps, "auto") + CancelMark(ctx),
+                                ps.out_est);
           std::string label =
               "BindJoin(" + SlotList(best.shared, ctx->vars) + ")";
           run.desc = JoinNode(PlanNode::Kind::kBindJoin, std::move(label),
@@ -569,7 +618,7 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
     for (CompiledFilter& cf : filters) {
       if (cf.attached) continue;
       cf.attached = true;
-      lenient.push_back({cf.expr, cf.slots});
+      lenient.push_back({CompiledExpr(cf.expr, ctx), cf.slots});
       if (build_desc) {
         run.desc = MakePlanNode(
             PlanNode::Kind::kFilter,
@@ -580,7 +629,7 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
     }
     if (!lenient.empty())
       run.op = std::make_unique<FilterOp>(std::move(run.op),
-                                          std::move(lenient), ctx);
+                                          std::move(lenient));
   }
 
   Plan plan;
@@ -588,6 +637,7 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
   plan.exec = std::move(run.op);
   plan.width = width;
   plan.est_rows = run.est;
+  plan.bound = std::move(run.bound);
   return plan;
 }
 
@@ -618,14 +668,18 @@ void RegisterGroupVars(const GraphPattern& gp, EvalContext* ctx) {
 }
 
 Plan BuildGroupPlan(const GraphPattern& gp, EvalContext* ctx,
-                    const std::vector<Solution>* seeds, ExecStats* stats,
+                    const std::vector<Solution>* seeds,
+                    const std::vector<char>* outer_bound, ExecStats* stats,
                     bool build_desc) {
-  Plan run = PlanBasicGraphPattern(gp, ctx, seeds, stats, build_desc);
+  Plan run =
+      PlanBasicGraphPattern(gp, ctx, seeds, stats, build_desc, outer_bound);
 
   // UNION chains: the running plan drives every alternative per row; a
   // row multiplies by its matching alternatives (and drops when none
   // match), so a BindJoin over a UnionAll of the branch plans reproduces
-  // the materialized semantics while streaming.
+  // the materialized semantics while streaming. Each branch is planned
+  // with the slots the running plan binds in every row, so it seeks on
+  // them; afterwards a slot is certainly bound if every branch binds it.
   for (const auto& alternatives : gp.unions) {
     std::vector<std::unique_ptr<Operator>> branches;
     std::unique_ptr<PlanNode> unode;
@@ -637,9 +691,18 @@ Plan BuildGroupPlan(const GraphPattern& gp, EvalContext* ctx,
       unode->children.push_back(std::move(run.desc));
     }
     size_t est = 0;
+    std::vector<char> bound;
     for (const GraphPattern& alt : alternatives) {
-      Plan branch = BuildGroupPlan(alt, ctx, nullptr, stats, build_desc);
-      est = SatAdd(est, JoinEst(run.est_rows, branch.est_rows));
+      Plan branch =
+          BuildGroupPlan(alt, ctx, nullptr, &run.bound, stats, build_desc);
+      // The branch runs once per outer row; its estimate is per run.
+      est = SatAdd(est, SatMul(run.est_rows, branch.est_rows));
+      if (bound.empty()) {
+        bound = std::move(branch.bound);
+      } else {
+        for (size_t i = 0; i < bound.size(); ++i)
+          bound[i] = bound[i] != 0 && branch.bound[i] != 0 ? 1 : 0;
+      }
       branches.push_back(std::move(branch.exec));
       if (build_desc) unode->children.push_back(std::move(branch.desc));
     }
@@ -650,13 +713,17 @@ Plan BuildGroupPlan(const GraphPattern& gp, EvalContext* ctx,
     run.exec = std::make_unique<BindJoin>(
         std::move(run.exec), std::make_unique<UnionAll>(std::move(branches)));
     run.est_rows = est;
+    if (!bound.empty()) run.bound = std::move(bound);
   }
 
-  // OPTIONAL groups: a streaming left-outer join per group.
+  // OPTIONAL groups: a streaming left-outer join per group, the inner
+  // plan seeking on the left row's certain bindings. Its own variables
+  // may stay unbound, so the certainly-bound set does not grow.
   for (const GraphPattern& opt : gp.optionals) {
-    Plan inner = BuildGroupPlan(opt, ctx, nullptr, stats, build_desc);
+    Plan inner =
+        BuildGroupPlan(opt, ctx, nullptr, &run.bound, stats, build_desc);
     const size_t est =
-        std::max(run.est_rows, JoinEst(run.est_rows, inner.est_rows));
+        std::max(run.est_rows, SatMul(run.est_rows, inner.est_rows));
     if (build_desc)
       run.desc = JoinNode(PlanNode::Kind::kLeftJoin, "LeftJoin(optional)", est,
                           std::move(run.desc), std::move(inner.desc));
@@ -675,7 +742,7 @@ Plan PlanGroupPattern(const GraphPattern& gp, EvalContext* ctx,
   // Fix the solution width before any operator is built: sub-plans of
   // nested groups must all agree on it.
   RegisterGroupVars(gp, ctx);
-  Plan plan = BuildGroupPlan(gp, ctx, seeds, stats, build_desc);
+  Plan plan = BuildGroupPlan(gp, ctx, seeds, nullptr, stats, build_desc);
   plan.width = ctx->vars.size();
   return plan;
 }

@@ -73,6 +73,8 @@ struct Plan {
   size_t width = 0;
   /// Planner estimate of the result cardinality.
   size_t est_rows = 0;
+  /// Per slot: nonzero when every row the plan emits binds that slot.
+  std::vector<char> bound;
 
   std::string ToString() const {
     return desc ? RenderPlanTree(*desc) : std::string();
@@ -94,9 +96,16 @@ struct Plan {
 /// that never render a plan pass false and skip that string work — it
 /// is measurable on sub-millisecond selective queries. With false,
 /// Plan::desc is null and ToString() returns "".
+///
+/// `outer_bound`, when given, flags the slots every outer row binds (the
+/// plan is then the inner side of an OPTIONAL or UNION, opened once per
+/// outer row). Patterns sharing such a slot scan in auto-index mode
+/// (`IndexScan[auto]`), seeking on the outer value at every open —
+/// sideways information passing, as in RDF-3X.
 Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
                            const std::vector<Solution>* seeds,
-                           ExecStats* stats, bool build_desc = true);
+                           ExecStats* stats, bool build_desc = true,
+                           const std::vector<char>* outer_bound = nullptr);
 
 /// Compiles a *full* group pattern — BGP + FILTERs, then UNION chains,
 /// then OPTIONAL groups, recursively — into one streaming plan, so those
@@ -107,6 +116,10 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
 ///                    union, matching the legacy evaluator's semantics);
 ///   LeftJoin(optional)  streams the optional group per outer row,
 ///                    emitting the bare outer row when nothing matches.
+///
+/// Both inner groups are planned with the slots the outer plan binds in
+/// every row (see PlanBasicGraphPattern's `outer_bound`), so a scan that
+/// shares one seeks per open rather than filtering a fixed index range.
 ///
 /// Every variable of the whole group tree is registered in ctx->vars up
 /// front so all sub-plans share one final solution width. Nested

@@ -7,6 +7,7 @@
 #include <set>
 
 #include "sparql/engine.h"
+#include "sparql/exec.h"
 #include "sparql/parser.h"
 #include "tensor/rng.h"
 
@@ -121,6 +122,174 @@ TEST_F(EngineExtraTest, UdfErrorPropagates) {
       "SELECT my:fails(?n) AS ?x WHERE { ?n a <http://x/T> . }");
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
+}
+
+/// Reference DISTINCT: the first occurrence of every row of the plain
+/// stream, compared as decoded terms.
+std::vector<std::vector<Term>> FirstOccurrences(
+    const std::vector<std::vector<Term>>& rows) {
+  std::vector<std::vector<Term>> out;
+  std::set<std::string> seen;
+  for (const auto& row : rows) {
+    std::string key;
+    for (const Term& t : row) key += t.EncodeKey() + '\x02';
+    if (seen.insert(key).second) out.push_back(row);
+  }
+  return out;
+}
+
+std::vector<std::vector<Term>> Slice(const std::vector<std::vector<Term>>& v,
+                                     size_t offset, size_t limit) {
+  const size_t lo = std::min(offset, v.size());
+  const size_t hi = std::min(v.size(), lo + limit);
+  return {v.begin() + static_cast<std::ptrdiff_t>(lo),
+          v.begin() + static_cast<std::ptrdiff_t>(hi)};
+}
+
+class DistinctTest : public EngineExtraTest {
+ protected:
+  DistinctTest() {
+    // Nodes 0..5 get one of three colors; 6..9 none (UNDEF under OPTIONAL).
+    for (int i = 0; i < 6; ++i)
+      store_.InsertIris("http://x/n" + std::to_string(i), "http://x/color",
+                        "http://x/c" + std::to_string(i % 3));
+  }
+
+  std::vector<std::vector<Term>> Rows(const std::string& query) {
+    auto r = engine_.ExecuteString(query);
+    EXPECT_TRUE(r.ok()) << r.status() << "\n" << query;
+    return r.ok() ? r->rows : std::vector<std::vector<Term>>{};
+  }
+};
+
+// DISTINCT on projected ids keeps exactly the rows the term comparison
+// keeps, UNDEF cells included, and OFFSET/LIMIT slice the deduped stream.
+TEST_F(DistinctTest, IdDistinctMatchesTermDedupe) {
+  const std::string where =
+      " WHERE { ?n a ?t . OPTIONAL { ?n <http://x/color> ?c . } }";
+  const auto plain = Rows("SELECT ?t ?c" + where);
+  ASSERT_EQ(plain.size(), 10u);
+  const auto want = FirstOccurrences(plain);
+  const auto got = Rows("SELECT DISTINCT ?t ?c" + where);
+  EXPECT_EQ(got, want);
+  ASSERT_EQ(got.size(), 4u);  // c0, c1, c2 and UNDEF
+  EXPECT_EQ(std::count_if(got.begin(), got.end(),
+                          [](const std::vector<Term>& row) {
+                            return row[1].is_undef();
+                          }),
+            1);
+  for (size_t offset : {0u, 1u, 3u, 4u, 7u}) {
+    for (size_t limit : {0u, 1u, 2u, 10u}) {
+      EXPECT_EQ(Rows("SELECT DISTINCT ?t ?c" + where + " LIMIT " +
+                     std::to_string(limit) + " OFFSET " +
+                     std::to_string(offset)),
+                Slice(want, offset, limit))
+          << "offset=" << offset << " limit=" << limit;
+    }
+  }
+}
+
+// The single-pattern fast path drains through the same id dedupe; a
+// variable the pattern never binds projects as UNDEF in every row.
+TEST_F(DistinctTest, IdDistinctOnTheSinglePatternFastPath) {
+  EXPECT_EQ(Rows("SELECT DISTINCT ?t WHERE { ?n a ?t . }").size(), 1u);
+  const auto plain =
+      Rows("SELECT ?c ?nowhere WHERE { ?n <http://x/color> ?c . }");
+  const auto want = FirstOccurrences(plain);
+  ASSERT_EQ(want.size(), 3u);
+  EXPECT_TRUE(want[0][1].is_undef());
+  EXPECT_EQ(
+      Rows("SELECT DISTINCT ?c ?nowhere WHERE { ?n <http://x/color> ?c . }"),
+      want);
+  EXPECT_EQ(Rows("SELECT DISTINCT ?c WHERE { ?n <http://x/color> ?c . } "
+                 "LIMIT 1 OFFSET 1"),
+            Slice(FirstOccurrences(
+                      Rows("SELECT ?c WHERE { ?n <http://x/color> ?c . }")),
+                  1, 1));
+  // The fast path and the planned tree (taken when an ExecInfo is
+  // requested) agree row for row.
+  auto q = ParseQuery("SELECT DISTINCT ?c WHERE { ?n <http://x/color> ?c . }");
+  ASSERT_TRUE(q.ok());
+  ExecInfo info;
+  auto planned = engine_.Execute(*q, &info);
+  ASSERT_TRUE(planned.ok()) << planned.status();
+  EXPECT_EQ(planned->rows,
+            Rows("SELECT DISTINCT ?c WHERE { ?n <http://x/color> ?c . }"));
+}
+
+// A projection with an expression falls back to comparing decoded terms:
+// every row is evaluated (the UDF runs once per solution), and the
+// result is still the first occurrence of every projected row.
+TEST_F(DistinctTest, ExpressionProjectionFallsBackToTermKeys) {
+  engine_.udfs().Register("my:id",
+                          [](const std::vector<Term>& args) -> Result<Term> {
+                            return args.at(0);
+                          });
+  const std::string where =
+      " WHERE { ?n a ?t . OPTIONAL { ?n <http://x/color> ?c . } }";
+  const auto want = FirstOccurrences(Rows("SELECT ?t my:id(?c) AS ?x" + where));
+  engine_.udfs().ResetCounters();
+  const auto got = Rows("SELECT DISTINCT ?t my:id(?c) AS ?x" + where);
+  EXPECT_EQ(engine_.udfs().CallCount("my:id"), 6u);  // rows binding ?c
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got.size(), 4u);
+  EXPECT_EQ(Rows("SELECT DISTINCT ?t my:id(?c) AS ?x" + where +
+                 " LIMIT 2 OFFSET 1"),
+            Slice(want, 1, 2));
+}
+
+// FILTER expressions compile at plan time; their truth value must be
+// EffectiveBool(EvalExpr(...)) on every row, errors included.
+TEST_F(EngineExtraTest, CompiledFilterAgreesWithEvalExpr) {
+  engine_.udfs().Register("my:id",
+                          [](const std::vector<Term>& args) -> Result<Term> {
+                            return args.at(0);
+                          });
+  const char* filters[] = {
+      "?v >= 3",
+      "?v = \"3\"",
+      "?n != <http://x/n1>",
+      "!(?v < 3) && ?v <= 5",
+      "?v = 0 || ?v = 9",
+      "(?v < 3) = (?v < 5)",
+      "my:id(?v) > 4",
+      "?v",
+      "?n",
+      "?u = 1",
+      "?v < ?u || ?v > 2",
+      "?v > 2 || ?v < ?u",
+      "my:missing(?v)",
+  };
+  for (const char* f : filters) {
+    auto q = ParseQuery(std::string("SELECT * WHERE { ?n <http://x/rank> ?v . "
+                                    "FILTER(") +
+                        f + ") }");
+    ASSERT_TRUE(q.ok()) << q.status() << "\n" << f;
+    ASSERT_EQ(q->where.filters.size(), 1u);
+    EvalContext ctx;
+    ctx.store = &store_;
+    ctx.snapshot = store_.OpenSnapshot();
+    ctx.udfs = &engine_.udfs();
+    const int n = ctx.vars.SlotOf("n");
+    const int v = ctx.vars.SlotOf("v");
+    ctx.vars.SlotOf("u");  // registered, never bound
+    const CompiledExpr compiled(q->where.filters[0], &ctx);
+    for (const rdf::Triple& t : ctx.snapshot.Match(
+             {rdf::kNullTermId, store_.dict().FindIri("http://x/rank"),
+              rdf::kNullTermId})) {
+      Solution row(ctx.vars.size(), rdf::kNullTermId);
+      row[static_cast<size_t>(n)] = t.s;
+      row[static_cast<size_t>(v)] = t.o;
+      auto want = EvalExpr(q->where.filters[0], &ctx, row);
+      auto got = compiled.Test(row);
+      ASSERT_EQ(got.ok(), want.ok()) << f;
+      if (want.ok()) {
+        EXPECT_EQ(*got, EffectiveBool(*want)) << f;
+      } else {
+        EXPECT_EQ(got.status().code(), want.status().code()) << f;
+      }
+    }
+  }
 }
 
 TEST_F(EngineExtraTest, ChainJoinFollowsPath) {

@@ -32,8 +32,8 @@ using rdf::Term;
 
 /// Saves and restores the process-wide MorselConfig, and installs tiny
 /// thresholds (plus force_parallel) so the 15-60-triple oracle graphs
-/// actually drive the morsel-parallel scan, batched hash join and group
-/// merge code paths that production sizes would leave dormant.
+/// actually drive the morsel-parallel scan and group merge code paths
+/// that production sizes would leave dormant.
 class TinyMorselGuard {
  public:
   TinyMorselGuard() : saved_(GetMorselConfig()) {
@@ -41,9 +41,6 @@ class TinyMorselGuard {
     cfg.scan_morsel_rows = 3;
     cfg.scan_min_parallel_rows = 4;
     cfg.scan_max_wave_morsels = 4;
-    cfg.join_min_parallel_batch = 2;
-    cfg.join_max_batch_rows = 8;
-    cfg.join_partitions = 4;
     cfg.smj_min_parallel_group = 2;
     cfg.force_parallel = true;
   }

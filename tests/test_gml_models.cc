@@ -176,10 +176,17 @@ TEST(SamplerTest, SubgraphAdjacencySizesMatch) {
 
 // -------------------------------------------------- node classification --
 
+// gtest prints a parameter without a PrintTo() as its raw bytes, and ctest
+// names each case after that text. The explicit zero field fills what would
+// otherwise be padding, so the bytes (and the ctest names) stay identical from
+// run to run instead of echoing stale stack contents.
 struct NcCase {
+  NcCase(GmlMethod m, double acc) : method(m), min_accuracy(acc) {}
   GmlMethod method;
+  int32_t zero = 0;
   double min_accuracy;
 };
+static_assert(sizeof(NcCase) == 16, "NcCase must have no padding");
 
 class NodeClassifierTest : public ::testing::TestWithParam<NcCase> {};
 
@@ -276,10 +283,14 @@ TEST(NodeClassifierTest, TrainFailsWithoutLabels) {
 
 // ------------------------------------------------------ link prediction --
 
+// See NcCase for why the padding is an explicit zero field.
 struct LpCase {
+  LpCase(GmlMethod m, double hits) : method(m), min_hits10(hits) {}
   GmlMethod method;
+  int32_t zero = 0;
   double min_hits10;
 };
+static_assert(sizeof(LpCase) == 16, "LpCase must have no padding");
 
 class LinkPredictorTest : public ::testing::TestWithParam<LpCase> {};
 

@@ -124,5 +124,77 @@ TEST(CompressedRunTest, SkipTableBoundsDecodeWork) {
   }
 }
 
+/// Seek's cursor must yield exactly PrefixRange's rows, which must be
+/// the flat std::equal_range rows, for every prefix length. Probes come
+/// from the run itself (hits, with ranges starting on and inside blocks
+/// and spanning several), from its gaps (empty ranges) and from past
+/// both ends. The keys run once with small ids and once stretched by a
+/// constant factor, so gaps and full values also take multi-byte varints.
+TEST(CompressedRunTest, SeekYieldsExactlyThePrefixRangeRows) {
+  for (TermId scale : {1u, 300007u}) {
+    std::vector<IndexKey> keys = RandomSortedKeys(31, 700, 9);
+    std::vector<IndexKey> probes(keys.begin(), keys.end());
+    probes.push_back({0, 0, 0});     // before the first key
+    probes.push_back({10, 10, 10});  // past the last key
+    probes.push_back({4, 0, 0});     // inside the run, matching no triple
+    for (auto* set : {&keys, &probes})
+      for (IndexKey& k : *set)
+        for (TermId& id : k) id *= scale;
+    for (size_t bs : {1u, 2u, 3u, 128u}) {
+      CompressedRun run(bs);
+      run.Assign(keys);
+      size_t block_starts = 0, spanning = 0, empty = 0;
+      for (const IndexKey& probe : probes) {
+        for (int plen = 0; plen <= 3; ++plen) {
+          std::vector<IndexKey> want;
+          size_t want_lo = keys.size();
+          for (size_t i = 0; i < keys.size(); ++i) {
+            if (std::equal(keys[i].begin(), keys[i].begin() + plen,
+                           probe.begin())) {
+              if (want.empty()) want_lo = i;
+              want.push_back(keys[i]);
+            }
+          }
+          const auto [lo, hi] = run.PrefixRange(plen, probe);
+          RunCursor c = run.Seek(plen, probe);
+          ASSERT_EQ(c.remaining(), hi - lo) << "bs=" << bs << " plen=" << plen;
+          ASSERT_EQ(hi - lo, want.size()) << "bs=" << bs << " plen=" << plen;
+          if (!want.empty()) {
+            ASSERT_EQ(lo, want_lo);
+          }
+          std::vector<IndexKey> got;
+          IndexKey k;
+          while (c.Next(&k)) got.push_back(k);
+          ASSERT_EQ(got, want) << "bs=" << bs << " plen=" << plen;
+          // A primed cursor decodes only the rows it yields.
+          EXPECT_EQ(c.walked(), want.size()) << "bs=" << bs;
+          if (want.empty()) ++empty;
+          if (!want.empty() && lo % bs == 0) ++block_starts;
+          if (!want.empty() && lo / bs != (hi - 1) / bs) ++spanning;
+        }
+      }
+      EXPECT_GT(block_starts, 0u) << "bs=" << bs;
+      EXPECT_GT(spanning, 0u) << "bs=" << bs;
+      EXPECT_GT(empty, 0u) << "bs=" << bs;
+    }
+  }
+}
+
+// The old path opened an unprimed cursor at PrefixRange's lo; such a
+// cursor decodes its block from the start, and walked() says so.
+TEST(CompressedRunTest, UnprimedMidBlockCursorCountsItsWalk) {
+  const std::vector<IndexKey> keys = RandomSortedKeys(3, 300, 50);
+  CompressedRun run(16);
+  run.Assign(keys);
+  RunCursor c = run.Cursor(21, 23);
+  IndexKey k;
+  ASSERT_TRUE(c.Next(&k));
+  EXPECT_EQ(k, keys[21]);
+  EXPECT_EQ(c.walked(), 6u);  // rows 16..21 of the second block
+  ASSERT_TRUE(c.Next(&k));
+  EXPECT_EQ(c.walked(), 7u);
+  EXPECT_FALSE(c.Next(&k));
+}
+
 }  // namespace
 }  // namespace kgnet::rdf

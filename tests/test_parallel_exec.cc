@@ -1,7 +1,8 @@
 // Targeted tests for the morsel-driven parallel executor: the serial
 // latch, the bitwise-identical-output contract of the parallel
-// IndexScan / HashJoin / SortMergeJoin paths, LIMIT short-circuiting
-// through the wave/batch ramps, and the EXPLAIN annotation. The
+// IndexScan / SortMergeJoin paths (and of the serial HashJoin above
+// them), LIMIT short-circuiting through the wave ramp and the hash
+// join, and the EXPLAIN annotation. The
 // randomized differential coverage lives in test_exec_oracle.cc; this
 // file pins the operator-level mechanics on hand-built graphs large
 // enough to engage the parallel paths for real.
@@ -95,7 +96,6 @@ TEST(ParallelExecTest, MorselScanMatchesSerialOrderAtAnyThreadCount) {
   cfg.scan_min_parallel_rows = 8;
   cfg.scan_morsel_rows = 64;
   cfg.smj_min_parallel_group = 4;
-  cfg.join_min_parallel_batch = 8;
   cfg.force_parallel = true;
   for (int threads : {1, 2, 4}) {
     common::ThreadPool::SetNumThreads(threads);
@@ -134,9 +134,10 @@ TEST(ParallelExecTest, LimitShortCircuitsParallelScan) {
   EXPECT_LT(info.rows_scanned, total / 10);
 }
 
-// LIMIT through a parallel hash join stops *both* inputs: the batch
-// ramp starts at join_min_parallel_batch rows, so a LIMIT needing few
-// matches pulls a bounded number of rows from each side. The classic
+// LIMIT through a hash join over parallel scans stops *both* inputs:
+// the join pulls one row at a time, alternating sides, so a LIMIT
+// needing few matches pulls a bounded number of rows from each side.
+// The classic
 // trio lacks a cheap scan ordered on a *subject*-position join variable
 // under a bound predicate, so `?o <p2> ?b` forces the planner off the
 // merge join and onto the hash join.
@@ -158,8 +159,6 @@ TEST(ParallelExecTest, LimitShortCircuitsParallelHashJoin) {
   MorselConfig& cfg = GetMorselConfig();
   cfg.scan_min_parallel_rows = 8;
   cfg.scan_morsel_rows = 16;
-  cfg.join_min_parallel_batch = 8;
-  cfg.join_max_batch_rows = 64;
   cfg.force_parallel = true;
 
   QueryEngine engine(&store);
@@ -177,7 +176,7 @@ TEST(ParallelExecTest, LimitShortCircuitsParallelHashJoin) {
   EXPECT_LT(info.rows_scanned, total / 4);
 }
 
-// The batched partitioned hash join and the chunked merge-join group
+// The hash join over parallel scans and the chunked merge-join group
 // emission reproduce the serial stream exactly, across thread counts.
 TEST(ParallelExecTest, ParallelJoinsMatchSerialOrder) {
   ThreadCountGuard guard;
@@ -223,9 +222,6 @@ TEST(ParallelExecTest, ParallelJoinsMatchSerialOrder) {
     MorselConfig& cfg = GetMorselConfig();
     cfg.scan_min_parallel_rows = 8;
     cfg.scan_morsel_rows = 32;
-    cfg.join_min_parallel_batch = 4;
-    cfg.join_max_batch_rows = 32;
-    cfg.join_partitions = 8;
     cfg.smj_min_parallel_group = 4;
     cfg.force_parallel = true;
     for (int threads : {1, 2, 4}) {
@@ -265,7 +261,7 @@ TEST(ParallelExecTest, ExplainMarksParallelEligibleScans) {
 }
 
 // Degenerate knob values must not crash or change results: zero morsel
-// rows, one partition, zero-size batches.
+// rows, a one-morsel wave, one-row merge groups.
 TEST(ParallelExecTest, DegenerateConfigValuesStaySafe) {
   ThreadCountGuard guard;
   MorselConfigGuard cfg_guard;
@@ -282,9 +278,6 @@ TEST(ParallelExecTest, DegenerateConfigValuesStaySafe) {
   cfg.scan_morsel_rows = 0;       // clamped to 1
   cfg.scan_min_parallel_rows = 0;
   cfg.scan_max_wave_morsels = 1;  // smallest legal ramp
-  cfg.join_partitions = 1;        // single partition
-  cfg.join_min_parallel_batch = 1;
-  cfg.join_max_batch_rows = 1;
   cfg.smj_min_parallel_group = 1;
   cfg.force_parallel = true;
   common::ThreadPool::SetNumThreads(4);

@@ -5,6 +5,7 @@
 
 #include <string>
 
+#include "common/cancel.h"
 #include "rdf/term.h"
 #include "sparql/engine.h"
 #include "sparql/parser.h"
@@ -245,6 +246,180 @@ TEST_F(PlanTest, AskStopsAtFirstRow) {
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->ask_result);
   EXPECT_LT(info.rows_scanned, 30u);
+}
+
+/// A bibliographic graph with the shapes of perfbench's read kinds:
+/// 600 papers over 24 venues, each with a year, 3 authors and 3
+/// citations; 240 authors with a primary affiliation. Compacted, so every
+/// read walks one generation run.
+class ReadShapeTest : public ::testing::Test {
+ protected:
+  ReadShapeTest() : engine_(&store_) {
+    for (int i = 0; i < 600; ++i) {
+      const std::string p = "p" + std::to_string(i);
+      store_.InsertIris(p, "publishedIn", "v" + std::to_string(i % 24));
+      store_.Insert(rdf::Term::Iri(p), rdf::Term::Iri("year"),
+                    rdf::Term::IntLiteral(2000 + i % 25));
+      for (int k = 0; k < 3; ++k) {
+        store_.InsertIris(p, "authoredBy",
+                          "a" + std::to_string((i * 7 + k * 13) % 240));
+        store_.InsertIris(p, "cites",
+                          "p" + std::to_string((i * 31 + k * 17 + 1) % 600));
+      }
+    }
+    for (int j = 0; j < 240; ++j)
+      store_.InsertIris("a" + std::to_string(j), "primaryAffiliation",
+                        "f" + std::to_string(j % 20));
+    store_.Compact();
+  }
+
+  std::string Plan(const std::string& query) {
+    auto p = engine_.ExplainString(query);
+    EXPECT_TRUE(p.ok()) << p.status();
+    return p.ok() ? *p : std::string();
+  }
+
+  ExecInfo Run(const std::string& query, size_t* rows) {
+    ExecInfo info;
+    auto q = ParseQuery(query);
+    EXPECT_TRUE(q.ok()) << q.status();
+    if (!q.ok()) return info;
+    auto r = engine_.Execute(*q, &info);
+    EXPECT_TRUE(r.ok()) << r.status();
+    *rows = r.ok() ? r->NumRows() : 0;
+    // The streaming plan must agree with the legacy evaluator.
+    engine_.set_exec_mode(ExecMode::kMaterialized);
+    auto legacy = engine_.Execute(*q);
+    engine_.set_exec_mode(ExecMode::kStreaming);
+    EXPECT_TRUE(legacy.ok()) << legacy.status();
+    if (legacy.ok()) {
+      EXPECT_EQ(legacy->NumRows(), *rows) << query;
+    }
+    return info;
+  }
+
+  rdf::TripleStore store_;
+  QueryEngine engine_;
+};
+
+const char kOptionalShape[] =
+    "SELECT ?p ?c WHERE { ?p <authoredBy> <a5> . "
+    "OPTIONAL { ?p <cites> ?c . } }";
+const char kFilterShape[] =
+    "SELECT ?p ?y WHERE { ?p <publishedIn> <v1> . ?p <year> ?y . "
+    "FILTER(?y >= 2015) }";
+const char kDistinctShape[] =
+    "SELECT DISTINCT ?f WHERE { ?p <publishedIn> <v1> . "
+    "?p <authoredBy> ?a . ?a <primaryAffiliation> ?f . }";
+
+// An OPTIONAL group sharing a variable with the outer plan seeks on the
+// outer value at every open instead of filtering the whole <cites> range.
+TEST_F(ReadShapeTest, OptionalInnerScanSeeksOnOuterBinding) {
+  const std::string plan = Plan(kOptionalShape);
+  EXPECT_NE(plan.find("IndexScan[auto] ?p <cites> ?c"), std::string::npos)
+      << plan;
+}
+
+TEST_F(ReadShapeTest, UnionBranchesSharingAnOuterSlotSeek) {
+  const std::string plan = Plan(
+      "SELECT ?p ?c WHERE { ?p <publishedIn> <v1> . "
+      "{ ?p <cites> ?c . } UNION { ?c <cites> ?p . } }");
+  EXPECT_NE(plan.find("IndexScan[auto] ?p <cites> ?c"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("IndexScan[auto] ?c <cites> ?p"), std::string::npos)
+      << plan;
+}
+
+// A group that shares no slot with the outer plan keeps its fixed-order
+// scan: nothing is known about it before the open.
+TEST_F(ReadShapeTest, InnerGroupSharingNoSlotKeepsFixedOrder) {
+  const std::string optional = Plan(
+      "SELECT ?p ?f WHERE { ?p <publishedIn> <v1> . "
+      "OPTIONAL { <a5> <primaryAffiliation> ?f . } }");
+  EXPECT_NE(optional.find("IndexScan[spo] <a5> <primaryAffiliation> ?f"),
+            std::string::npos)
+      << optional;
+  EXPECT_EQ(optional.find("[auto]"), std::string::npos) << optional;
+  const std::string union_plan = Plan(
+      "SELECT ?f WHERE { { <a5> <primaryAffiliation> ?f . } UNION "
+      "{ <a6> <primaryAffiliation> ?f . } }");
+  EXPECT_NE(union_plan.find("IndexScan[spo] <a5> <primaryAffiliation> ?f"),
+            std::string::npos)
+      << union_plan;
+  EXPECT_EQ(union_plan.find("[auto]"), std::string::npos) << union_plan;
+}
+
+// Multi-pattern inner groups: the pattern on the outer binding opens the
+// group, the rest joins on it; rows match the legacy evaluator.
+TEST_F(ReadShapeTest, MultiPatternOptionalStartsFromTheOuterBinding) {
+  const std::string query =
+      "SELECT ?p ?c ?v WHERE { ?p <authoredBy> <a5> . "
+      "OPTIONAL { ?c <publishedIn> ?v . ?p <cites> ?c . } }";
+  const std::string plan = Plan(query);
+  EXPECT_NE(plan.find("IndexScan[auto] ?p <cites> ?c"), std::string::npos)
+      << plan;
+  EXPECT_NE(plan.find("IndexScan[auto] ?c <publishedIn> ?v"),
+            std::string::npos)
+      << plan;
+  size_t rows = 0;
+  Run(query, &rows);
+  EXPECT_GT(rows, 0u);
+}
+
+// rows_walked counts every index row a cursor consumed. Each of the
+// three tail shapes must consume about what it returns: an OPTIONAL that
+// filtered the whole <cites> range per outer row, or probes that decoded
+// their block from its start up to the first row, walk many times more.
+TEST_F(ReadShapeTest, TailShapesWalkAboutWhatTheyScan) {
+  for (const char* query : {kOptionalShape, kFilterShape, kDistinctShape}) {
+    size_t rows = 0;
+    const ExecInfo info = Run(query, &rows);
+    EXPECT_GT(rows, 0u) << query;
+    EXPECT_GT(info.rows_scanned, 0u) << query;
+    EXPECT_GE(info.rows_walked, info.rows_scanned) << query;
+    EXPECT_LE(info.rows_walked, 2 * info.rows_scanned)
+        << query << "\n" << info.plan;
+  }
+}
+
+TEST_F(ReadShapeTest, RowsWalkedCountsRowsThePatternFilterDrops) {
+  // ?x <cites> ?x repeats a variable: the scan walks every <cites> row
+  // and keeps only self-citations.
+  size_t rows = 0;
+  const ExecInfo info = Run("SELECT ?x WHERE { ?x <cites> ?x . }", &rows);
+  EXPECT_EQ(info.rows_walked, 1800u);
+  EXPECT_EQ(info.rows_scanned, 1800u);
+  EXPECT_LT(rows, 1800u);
+}
+
+// Every scan the planner arms with the query's token says so in EXPLAIN,
+// the inner side of a BindJoin and the [auto] scans of inner groups
+// included.
+TEST_F(ReadShapeTest, LiveCancelTokenMarksEveryScan) {
+  common::CancelSource source;
+  for (const char* query : {kOptionalShape, kFilterShape, kDistinctShape}) {
+    auto q = ParseQuery(query);
+    ASSERT_TRUE(q.ok()) << q.status();
+    ExecInfo info;
+    auto r = engine_.Execute(*q, store_.OpenSnapshot(), &info,
+                             source.token());
+    ASSERT_TRUE(r.ok()) << r.status();
+    size_t scans = 0;
+    for (size_t at = info.plan.find("IndexScan["); at != std::string::npos;
+         at = info.plan.find("IndexScan[", at + 1)) {
+      ++scans;
+      const size_t eol = info.plan.find('\n', at);
+      EXPECT_NE(info.plan.substr(at, eol - at).find(" [cancel]"),
+                std::string::npos)
+          << info.plan;
+    }
+    EXPECT_GE(scans, 2u) << info.plan;
+    EXPECT_GT(info.cancel_checks, 0u);
+  }
+  // Without a token no scan is marked.
+  size_t rows = 0;
+  const ExecInfo plain = Run(kFilterShape, &rows);
+  EXPECT_EQ(plain.plan.find("[cancel]"), std::string::npos) << plain.plan;
 }
 
 }  // namespace
