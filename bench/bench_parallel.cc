@@ -1,7 +1,7 @@
 // Thread-pool scaling of the parallel hot paths: dense GEMM, sparse
-// SpMM, the triple store's six-permutation flush, and an end-to-end GCN
-// training epoch, each swept over 1/2/4/N pool threads
-// (ThreadPool::SetNumThreads). Two kinds of claims are checked:
+// SpMM and an end-to-end GCN training epoch, each swept over 1/2/4/N
+// pool threads (ThreadPool::SetNumThreads). Two kinds of claims are
+// checked:
 //
 //   - determinism, always: every kernel must produce bitwise-identical
 //     results at every thread count (the pool's fixed chunking and the
@@ -10,15 +10,20 @@
 //     exercise this — determinism may not depend on how many cores the
 //     host really has.
 //   - scaling, only on hardware with >= 4 cores: >= 2.5x at 4 threads
-//     for MatMul and SpMM, >= 2x for the flush. On smaller machines the
-//     bars are skipped (a 1-core box cannot exhibit parallel speedup)
-//     and the JSON still records the measured curve.
+//     for MatMul and SpMM. On smaller machines the bars are skipped (a
+//     1-core box cannot exhibit parallel speedup) and the JSON still
+//     records the measured curve.
+//
+// A serial `load` section follows the sweep: a DBLP bulk load split
+// into generate + intern and the one compaction that builds the six
+// permutation runs when the load's TripleStore::BulkLoad scope closes.
 //
 // Results go to BENCH_parallel.json in the working directory.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -151,42 +156,40 @@ SectionResult BenchSpMM(const std::vector<int>& counts, const CsrMatrix& adj,
   return r;
 }
 
-SectionResult BenchFlush(const std::vector<int>& counts,
-                         const kgnet::workload::DblpOptions& opts) {
-  SectionResult r;
-  r.name = "flush";
-  r.shape = "dblp 6-order rebuild";
-  size_t reference_bytes = 0;
+/// One DBLP bulk load, split at the scope release.
+struct LoadSplit {
+  double generate_ms = 0;  // GenerateDblp: generate, intern, append
+  double compact_ms = 0;   // the BulkLoad release: the one compaction
   size_t triples = 0;
-  for (int threads : counts) {
-    ThreadPool::SetNumThreads(threads);
-    // Median of 3 full rebuilds: each sample regenerates the pending
-    // buffer (flushing twice would be a no-op).
-    std::vector<double> ms;
-    size_t total_bytes = 0;
-    for (int i = 0; i < 3; ++i) {
-      kgnet::rdf::TripleStore store;
-      if (!kgnet::workload::GenerateDblp(opts, &store).ok()) break;
-      const auto t0 = std::chrono::steady_clock::now();
-      store.FlushInserts();
-      const auto t1 = std::chrono::steady_clock::now();
-      ms.push_back(
-          std::chrono::duration<double, std::milli>(t1 - t0).count());
-      total_bytes = store.TotalIndexBytes();
-      triples = store.size();
-    }
-    if (threads == counts.front()) {
-      reference_bytes = total_bytes;
-    } else if (total_bytes != reference_bytes) {
-      // The compressed runs are a deterministic function of the triple
-      // set; any byte difference means a rebuild diverged.
-      r.bitwise_identical = false;
-    }
-    r.samples.push_back({threads, ms.empty() ? 0.0 : MedianMs(&ms)});
+  uint64_t compactions = 0;  // per load; a bulk load performs one
+};
+
+/// Median of 3 loads. An outer BulkLoad scope around GenerateDblp (whose
+/// own scope nests inside it) holds the compaction back, so releasing it
+/// times exactly the one compaction of the load.
+LoadSplit BenchLoad(const kgnet::workload::DblpOptions& opts) {
+  using Clock = std::chrono::steady_clock;
+  std::vector<double> generate_ms, compact_ms;
+  LoadSplit r;
+  for (int i = 0; i < 3; ++i) {
+    kgnet::rdf::TripleStore store;
+    std::optional<kgnet::rdf::TripleStore::BulkLoad> bulk(&store);
+    const auto t0 = Clock::now();
+    if (!kgnet::workload::GenerateDblp(opts, &store).ok()) break;
+    const auto t1 = Clock::now();
+    bulk.reset();
+    const auto t2 = Clock::now();
+    generate_ms.push_back(
+        std::chrono::duration<double, std::milli>(t1 - t0).count());
+    compact_ms.push_back(
+        std::chrono::duration<double, std::milli>(t2 - t1).count());
+    r.triples = store.size();
+    r.compactions = store.GetStats().compactions;
   }
-  char shape[64];
-  std::snprintf(shape, sizeof(shape), "dblp %zu triples, 6 orders", triples);
-  r.shape = shape;
+  if (!generate_ms.empty()) {
+    r.generate_ms = MedianMs(&generate_ms);
+    r.compact_ms = MedianMs(&compact_ms);
+  }
   return r;
 }
 
@@ -248,7 +251,7 @@ int main() {
   for (int c : counts) std::printf(" %d", c);
   std::printf("\n\n");
 
-  // Shared inputs. The DBLP graph matches bench_queryopt's, so the flush
+  // Shared inputs. The DBLP graph matches bench_queryopt's, so the load
   // numbers line up with the index-memory section there.
   workload::DblpOptions opts;
   opts.num_papers = 4000;
@@ -277,25 +280,30 @@ int main() {
   PrintSection(sections.back());
   sections.push_back(BenchSpMM(counts, adj, graph->features));
   PrintSection(sections.back());
-  sections.push_back(BenchFlush(counts, opts));
-  PrintSection(sections.back());
   sections.push_back(BenchGcnEpoch(counts, *graph));
   PrintSection(sections.back());
   common::ThreadPool::SetNumThreads(default_threads);
+
+  const LoadSplit load = BenchLoad(opts);
+  std::printf("\nload         dblp %zu triples, 6 orders: generate+intern "
+              "%.3f ms, one compaction %.3f ms (%llu compaction)\n",
+              load.triples, load.generate_ms, load.compact_ms,
+              static_cast<unsigned long long>(load.compactions));
 
   // ---- shape checks ----
   for (const SectionResult& r : sections)
     shape.Check(r.bitwise_identical,
                 r.name + ": results bitwise-identical across thread counts");
+  shape.Check(load.compactions == 1,
+              "load: a bulk load builds the permutation runs once");
   if (hw >= 4) {
     char buf[96];
     for (const SectionResult& r : sections) {
       if (r.name == "gcn_epoch") continue;  // covered by the two kernels
       const double s4 = r.SpeedupAt(4);
-      const double bar = r.name == "flush" ? 2.0 : 2.5;
-      std::snprintf(buf, sizeof(buf), "%s: >= %.1fx at 4 threads (got %.2fx)",
-                    r.name.c_str(), bar, s4);
-      shape.Check(s4 >= bar, buf);
+      std::snprintf(buf, sizeof(buf), "%s: >= 2.5x at 4 threads (got %.2fx)",
+                    r.name.c_str(), s4);
+      shape.Check(s4 >= 2.5, buf);
     }
   } else {
     std::printf("\nscaling bars skipped: hardware_concurrency=%d < 4 "
@@ -326,7 +334,11 @@ int main() {
       std::fprintf(json, "],\n     \"speedup_at_4\": %.3f}%s\n",
                    r.SpeedupAt(4), i + 1 < sections.size() ? "," : "");
     }
-    std::fprintf(json, "  ]\n}\n");
+    std::fprintf(json,
+                 "  ],\n  \"load\": {\"triples\": %zu, \"generate_ms\": "
+                 "%.4f, \"compact_ms\": %.4f, \"compactions\": %llu}\n}\n",
+                 load.triples, load.generate_ms, load.compact_ms,
+                 static_cast<unsigned long long>(load.compactions));
     std::fclose(json);
     std::printf("\nwrote BENCH_parallel.json\n");
   }

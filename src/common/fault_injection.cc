@@ -99,9 +99,7 @@ FaultInjector::FaultInjector() {
     return;
   }
   if (rate <= 0.0) return;
-  seed_ = seed;
-  rate_ = rate;
-  enabled_.store(true, std::memory_order_relaxed);
+  Arm(seed, rate, -1);
 }
 
 FaultInjector& FaultInjector::Instance() {
@@ -122,34 +120,40 @@ bool FaultInjector::Decision(uint64_t seed, FaultSite site, uint64_t n,
 }
 
 bool FaultInjector::ShouldFail(FaultSite site) {
-  if (!enabled_.load(std::memory_order_relaxed)) return false;
+  if (!enabled_.load(std::memory_order_acquire)) return false;
   const int idx = static_cast<int>(site);
   const uint64_t n = count_[idx].fetch_add(1, std::memory_order_relaxed);
-  if (only_site_ >= 0 && idx != only_site_) return false;
-  if (!Decision(seed_, site, n, rate_)) return false;
+  const int only = only_site_.load(std::memory_order_relaxed);
+  if (only >= 0 && idx != only) return false;
+  if (!Decision(seed_.load(std::memory_order_relaxed), site, n,
+                rate_.load(std::memory_order_relaxed)))
+    return false;
   fired_[idx].fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
 void FaultInjector::Configure(uint64_t seed, double rate) {
-  enabled_.store(false, std::memory_order_relaxed);
-  ResetCounters();
-  seed_ = seed;
-  rate_ = rate;
-  only_site_ = -1;
-  if (rate > 0.0) enabled_.store(true, std::memory_order_relaxed);
+  Arm(seed, rate, -1);
 }
 
 void FaultInjector::ConfigureSite(uint64_t seed, double rate,
                                   FaultSite only_site) {
-  Configure(seed, rate);
-  only_site_ = static_cast<int>(only_site);
+  Arm(seed, rate, static_cast<int>(only_site));
 }
 
 void FaultInjector::Disable() {
   enabled_.store(false, std::memory_order_relaxed);
   ResetCounters();
-  only_site_ = -1;
+  only_site_.store(-1, std::memory_order_relaxed);
+}
+
+void FaultInjector::Arm(uint64_t seed, double rate, int only_site) {
+  enabled_.store(false, std::memory_order_relaxed);
+  ResetCounters();
+  seed_.store(seed, std::memory_order_relaxed);
+  rate_.store(rate, std::memory_order_relaxed);
+  only_site_.store(only_site, std::memory_order_relaxed);
+  if (rate > 0.0) enabled_.store(true, std::memory_order_release);
 }
 
 void FaultInjector::ResetCounters() {

@@ -55,18 +55,19 @@ class FaultInjector {
   /// resets all counters; ConfigureSite() additionally restricts firing
   /// to one site (other sites still count invocations, preserving the
   /// schedule, but never fail — lets a test fault the model call without
-  /// chaosing its own sockets); Disable() disarms and resets. Not
-  /// thread-safe against concurrent ShouldFail() — call between test
-  /// phases only.
+  /// chaosing its own sockets); Disable() disarms and resets. Call them
+  /// between test phases: a ShouldFail() racing a reconfiguration is
+  /// race-free (every field is atomic) but may decide under a mix of the
+  /// old and new settings.
   void Configure(uint64_t seed, double rate);
   void ConfigureSite(uint64_t seed, double rate, FaultSite only_site);
   void Disable();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  uint64_t seed() const { return seed_; }
-  double rate() const { return rate_; }
+  uint64_t seed() const { return seed_.load(std::memory_order_relaxed); }
+  double rate() const { return rate_.load(std::memory_order_relaxed); }
   /// Site restriction in effect (-1 = all sites).
-  int only_site() const { return only_site_; }
+  int only_site() const { return only_site_.load(std::memory_order_relaxed); }
 
   /// Invocations / injected faults at `site` since the last (re)arm.
   uint64_t invocations(FaultSite site) const;
@@ -79,13 +80,18 @@ class FaultInjector {
 
  private:
   FaultInjector();
+  /// Disarms, resets the counters, stores the settings and re-arms when
+  /// `rate` > 0 (only_site -1 = all sites).
+  void Arm(uint64_t seed, double rate, int only_site);
   void ResetCounters();
 
+  /// Armed flag. Stored with release after the settings below, loaded
+  /// with acquire, so a ShouldFail() that sees it set sees them too.
   std::atomic<bool> enabled_{false};
-  uint64_t seed_ = 0;
-  double rate_ = 0.0;
+  std::atomic<uint64_t> seed_{0};
+  std::atomic<double> rate_{0.0};
   /// -1 = all sites; otherwise only this site fires (test hook).
-  int only_site_ = -1;
+  std::atomic<int> only_site_{-1};
   std::atomic<uint64_t> count_[kNumFaultSites];
   std::atomic<uint64_t> fired_[kNumFaultSites];
 };

@@ -1,5 +1,6 @@
 #include "core/meta_sampler.h"
 
+#include <optional>
 #include <sstream>
 #include <unordered_set>
 
@@ -42,6 +43,9 @@ Result<std::unique_ptr<TripleStore>> MetaSampler::Extract(
   const size_t seed_count = frontier.size();
 
   auto out = std::make_unique<TripleStore>();
+  // KG' is built in one batch: one compaction when the scope is reset
+  // below, not one per trigger window.
+  std::optional<TripleStore::BulkLoad> bulk(out.get());
   std::unordered_set<TermId> included_nodes(visited);
   size_t extracted = 0;
 
@@ -101,6 +105,7 @@ Result<std::unique_ptr<TripleStore>> MetaSampler::Extract(
                  });
   }
 
+  bulk.reset();
   if (stats != nullptr) {
     stats->seed_nodes = seed_count;
     stats->visited_nodes = visited.size();

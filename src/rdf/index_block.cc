@@ -7,12 +7,16 @@ namespace kgnet::rdf {
 
 namespace {
 
-void PutVarint(uint32_t v, std::vector<uint8_t>* out) {
+/// Bytes one key can take: three varints of up to five bytes each.
+constexpr size_t kMaxKeyBytes = 15;
+
+uint8_t* PutVarint(uint32_t v, uint8_t* out) {
   while (v >= 0x80) {
-    out->push_back(static_cast<uint8_t>(v) | 0x80);
+    *out++ = static_cast<uint8_t>(v) | 0x80;
     v >>= 7;
   }
-  out->push_back(static_cast<uint8_t>(v));
+  *out++ = static_cast<uint8_t>(v);
+  return out;
 }
 
 uint32_t GetVarint(const uint8_t** p) {
@@ -36,22 +40,18 @@ void SkipVarint(const uint8_t** p) {
 // Gap encoding against the previous key. The run is sorted, so the
 // first slot that differs from `prev` increased; everything left of it
 // is equal and omitted, everything right of it restarts as full values.
-void CompressedRun::EncodeOne(const IndexKey& prev, const IndexKey& cur,
-                              std::vector<uint8_t>* out) {
+uint8_t* CompressedRun::EncodeOne(const IndexKey& prev, const IndexKey& cur,
+                                  uint8_t* out) {
   const TermId d0 = cur[0] - prev[0];
-  PutVarint(d0, out);
+  out = PutVarint(d0, out);
   if (d0 != 0) {
-    PutVarint(cur[1], out);
-    PutVarint(cur[2], out);
-    return;
+    out = PutVarint(cur[1], out);
+    return PutVarint(cur[2], out);
   }
   const TermId d1 = cur[1] - prev[1];
-  PutVarint(d1, out);
-  if (d1 != 0) {
-    PutVarint(cur[2], out);
-    return;
-  }
-  PutVarint(cur[2] - prev[2], out);
+  out = PutVarint(d1, out);
+  if (d1 != 0) return PutVarint(cur[2], out);
+  return PutVarint(cur[2] - prev[2], out);
 }
 
 void CompressedRun::DecodeOne(const uint8_t** p, IndexKey* key) {
@@ -76,11 +76,16 @@ void CompressedRun::Assign(const std::vector<IndexKey>& keys) {
   skip_.clear();
   size_ = keys.size();
   skip_.reserve((size_ + block_size_ - 1) / block_size_);
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (i % block_size_ == 0)
-      skip_.push_back({keys[i], static_cast<uint64_t>(bytes_.size())});
-    else
-      EncodeOne(keys[i - 1], keys[i], &bytes_);
+  // Each block encodes into a buffer sized for its worst case and is
+  // appended in one piece.
+  std::vector<uint8_t> block(block_size_ * kMaxKeyBytes);
+  for (size_t first = 0; first < size_; first += block_size_) {
+    const size_t end = std::min(size_, first + block_size_);
+    skip_.push_back({keys[first], static_cast<uint64_t>(bytes_.size())});
+    uint8_t* p = block.data();
+    for (size_t i = first + 1; i < end; ++i)
+      p = EncodeOne(keys[i - 1], keys[i], p);
+    bytes_.insert(bytes_.end(), block.data(), p);
   }
   bytes_.shrink_to_fit();
 }
@@ -245,6 +250,54 @@ void CompressedRun::DecodeAll(std::vector<IndexKey>* out) const {
   RunCursor c = Cursor(0, size_);
   IndexKey k;
   while (c.Next(&k)) out->push_back(k);
+}
+
+void RadixSortKeys(std::vector<IndexKey>* keys,
+                   std::vector<IndexKey>* scratch) {
+  const size_t n = keys->size();
+  if (n < 2) return;
+  // The bytes each slot needs: those of the OR of its ids.
+  IndexKey any = {0, 0, 0};
+  for (const IndexKey& k : *keys)
+    for (size_t slot = 0; slot < 3; ++slot) any[slot] |= k[slot];
+  struct Digit {
+    size_t slot;
+    int shift;
+    std::array<size_t, 256> count;
+  };
+  // Least significant digit first: slot 2 low byte ... slot 0 high byte.
+  std::array<Digit, 12> digits;
+  size_t num_digits = 0;
+  for (size_t slot = 3; slot-- > 0;)
+    for (int shift = 0; shift < 32 && (any[slot] >> shift) != 0; shift += 8)
+      digits[num_digits++] = {slot, shift, {}};
+  // One counting pass for every digit.
+  for (const IndexKey& k : *keys)
+    for (size_t d = 0; d < num_digits; ++d)
+      ++digits[d].count[(k[digits[d].slot] >> digits[d].shift) & 0xff];
+
+  scratch->resize(n);
+  IndexKey* src = keys->data();
+  IndexKey* dst = scratch->data();
+  bool in_scratch = false;
+  for (size_t d = 0; d < num_digits; ++d) {
+    const size_t slot = digits[d].slot;
+    const int shift = digits[d].shift;
+    std::array<size_t, 256>& count = digits[d].count;
+    // A digit every key shares leaves the order as it is.
+    if (count[(src[0][slot] >> shift) & 0xff] == n) continue;
+    size_t offset = 0;
+    for (size_t& c : count) {
+      const size_t bucket = c;
+      c = offset;
+      offset += bucket;
+    }
+    for (size_t i = 0; i < n; ++i)
+      dst[count[(src[i][slot] >> shift) & 0xff]++] = src[i];
+    std::swap(src, dst);
+    in_scratch = !in_scratch;
+  }
+  if (in_scratch) keys->swap(*scratch);
 }
 
 }  // namespace kgnet::rdf

@@ -150,8 +150,10 @@ class CompressedRun {
   /// before block `first_block` is <= `key`.
   size_t UpperBound(const IndexKey& key, size_t first_block) const;
 
-  static void EncodeOne(const IndexKey& prev, const IndexKey& cur,
-                        std::vector<uint8_t>* out);
+  /// Writes the encoding of `cur` after `prev` at `out` (at most 15
+  /// bytes); returns the end of what it wrote.
+  static uint8_t* EncodeOne(const IndexKey& prev, const IndexKey& cur,
+                            uint8_t* out);
   static void DecodeOne(const uint8_t** p, IndexKey* key);
 
   size_t block_size_;
@@ -159,6 +161,16 @@ class CompressedRun {
   std::vector<uint8_t> bytes_;
   std::vector<SkipEntry> skip_;
 };
+
+/// Sorts `keys` lexicographically (the order CompressedRun::Assign
+/// expects), equal to std::sort, with one LSD radix sort over byte
+/// digits: slot 2's low byte first, slot 0's high byte last. Bytes above
+/// a slot's largest id are never visited, and a digit every key shares
+/// costs no pass, so ids below 2^16 sort in at most six passes. `scratch`
+/// is the second ping-pong buffer; both vectors keep their capacity for
+/// the next call, and on return `keys` holds the result (the two may
+/// have been swapped).
+void RadixSortKeys(std::vector<IndexKey>* keys, std::vector<IndexKey>* scratch);
 
 }  // namespace kgnet::rdf
 

@@ -214,6 +214,10 @@ Result<size_t> LoadNTriples(std::string_view document, TripleStore* store) {
   std::vector<std::optional<ParsedTriple>> parsed;
   std::vector<ChunkError> errors;
 
+  // Every window inserts into one batch, so the store builds its
+  // permutation runs once, when the scope closes (also on the early
+  // return at a parse error).
+  TripleStore::BulkLoad bulk(store);
   size_t added = 0;
   size_t window_first_line = 1;  // 1-based line number of lines[0]
   size_t start = 0;

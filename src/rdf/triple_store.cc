@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <array>
+#include <cstddef>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "tensor/memory_meter.h"
 
 namespace kgnet::rdf {
@@ -166,61 +166,89 @@ std::pair<size_t, size_t> DeltaView::OrderDelta::PrefixRange(
           static_cast<size_t>(hi - keys.begin())};
 }
 
+namespace {
+
+/// Permutes `triples` into `order` and sorts them into `keys`; `scratch`
+/// is the radix sort's second buffer. Both keep their capacity, so one
+/// pair of buffers serves every order of a build.
+void SortedKeys(IndexOrder order, const std::vector<Triple>& triples,
+                std::vector<IndexKey>* keys, std::vector<IndexKey>* scratch) {
+  keys->clear();
+  keys->reserve(triples.size());
+  for (const Triple& t : triples) keys->push_back(PermuteTriple(order, t));
+  RadixSortKeys(keys, scratch);
+}
+
+}  // namespace
+
+void TripleStore::DefiniteEntries(const Generation& gen,
+                                  const std::vector<LogEntry>& log,
+                                  std::vector<Triple>* inserts,
+                                  std::vector<Triple>* erases) {
+  inserts->clear();
+  erases->clear();
+  // membership_ admits a triple to the log only when it is absent, so a
+  // log without erases inserts each triple once, and none of them is in
+  // the generation the log started from: every entry is definite.
+  const bool has_erase = std::any_of(
+      log.begin(), log.end(), [](const LogEntry& e) { return e.erase; });
+  if (!has_erase) {
+    inserts->reserve(log.size());
+    for (const LogEntry& e : log) inserts->push_back(e.triple);
+    return;
+  }
+  // Last-op-wins collapse: scan newest-to-oldest and keep the first
+  // occurrence of each triple. The set serves keyed lookups only; the
+  // callers sort the survivors per order, so no result depends on hash
+  // iteration order. Then keep only definite entries — an insert the
+  // generation lacks, an erase of a key the generation has.
+  // Insert-then-erase of a new triple and erase-then-reinsert of a
+  // generation key net out here, which is what makes every surviving
+  // entry worth exactly +-1 in any range count.
+  const CompressedRun& spo = gen.run(IndexOrder::kSpo).run;
+  std::unordered_set<Triple, TripleHash> seen;
+  seen.reserve(log.size());
+  for (size_t i = log.size(); i > 0; --i) {
+    const LogEntry& e = log[i - 1];
+    if (!seen.insert(e.triple).second) continue;
+    const auto [lo, hi] =
+        spo.PrefixRange(3, PermuteTriple(IndexOrder::kSpo, e.triple));
+    const bool in_gen = lo < hi;
+    if (e.erase != in_gen) continue;
+    (e.erase ? erases : inserts)->push_back(e.triple);
+  }
+}
+
 std::shared_ptr<const DeltaView> TripleStore::BuildDeltaView(
     const Generation& gen, const std::vector<LogEntry>& log, uint64_t epoch) {
   auto view = std::make_shared<DeltaView>();
   view->epoch_ = epoch;
   if (log.empty()) return view;
-  // Last-op-wins collapse: scan newest-to-oldest and keep the first
-  // occurrence of each triple. The set serves keyed lookups only; the
-  // surviving entries are re-sorted per order below, so no result
-  // depends on hash iteration order.
-  std::vector<std::pair<Triple, bool>> ops;  // (triple, is_erase)
-  ops.reserve(log.size());
-  {
-    std::unordered_set<Triple, TripleHash> seen;
-    seen.reserve(log.size());
-    for (size_t i = log.size(); i > 0; --i) {
-      const LogEntry& e = log[i - 1];
-      if (seen.insert(e.triple).second) ops.emplace_back(e.triple, e.erase);
-    }
-  }
-  // Keep only definite entries — an insert the generation lacks, an
-  // erase of a key the generation has. Insert-then-erase of a new
-  // triple and erase-then-reinsert of a generation key net out here,
-  // which is what makes every surviving entry worth exactly +-1 in any
-  // range count.
-  const CompressedRun& spo = gen.run(IndexOrder::kSpo).run;
-  std::vector<std::pair<Triple, bool>> entries;
-  entries.reserve(ops.size());
-  for (const auto& [t, is_erase] : ops) {
-    const IndexKey key = PermuteTriple(IndexOrder::kSpo, t);
-    const auto [lo, hi] = spo.PrefixRange(3, key);
-    const bool in_gen = lo < hi;
-    if (is_erase != in_gen) continue;
-    entries.emplace_back(t, is_erase);
-    if (is_erase)
-      ++view->num_tombstones_;
-    else
-      ++view->num_inserts_;
-  }
+  std::vector<Triple> inserts, erases;
+  DefiniteEntries(gen, log, &inserts, &erases);
+  view->num_inserts_ = inserts.size();
+  view->num_tombstones_ = erases.size();
+  std::vector<IndexKey> ins, tomb, scratch;
   for (int oi = 0; oi < kNumIndexOrders; ++oi) {
     const auto order = static_cast<IndexOrder>(oi);
     if (!gen.run(order).present) continue;
+    SortedKeys(order, inserts, &ins, &scratch);
+    SortedKeys(order, erases, &tomb, &scratch);
+    // Interleave the two sorted lists (their keys are disjoint: an
+    // insert key is absent from the generation, a tombstone present).
     DeltaView::OrderDelta& od = view->orders_[static_cast<size_t>(oi)];
-    std::vector<std::pair<IndexKey, uint8_t>> rows;
-    rows.reserve(entries.size());
-    for (const auto& [t, is_erase] : entries)
-      rows.emplace_back(PermuteTriple(order, t), is_erase ? 1 : 0);
-    std::sort(rows.begin(), rows.end());
-    od.keys.reserve(rows.size());
-    od.tombstone.reserve(rows.size());
-    od.ins_before.reserve(rows.size() + 1);
+    const size_t n = ins.size() + tomb.size();
+    od.keys.reserve(n);
+    od.tombstone.reserve(n);
+    od.ins_before.reserve(n + 1);
     od.ins_before.push_back(0);
-    for (const auto& [k, tomb] : rows) {
-      od.keys.push_back(k);
-      od.tombstone.push_back(tomb);
-      od.ins_before.push_back(od.ins_before.back() + (tomb != 0 ? 0u : 1u));
+    size_t i = 0, j = 0;
+    while (i < ins.size() || j < tomb.size()) {
+      const bool take_ins =
+          j == tomb.size() || (i < ins.size() && ins[i] < tomb[j]);
+      od.keys.push_back(take_ins ? ins[i++] : tomb[j++]);
+      od.tombstone.push_back(take_ins ? 0 : 1);
+      od.ins_before.push_back(od.ins_before.back() + (take_ins ? 1u : 0u));
     }
   }
   return view;
@@ -434,21 +462,38 @@ TripleStore& TripleStore::operator=(TripleStore&& other) noexcept {
   return *this;
 }
 
-bool TripleStore::Insert(const Triple& t) {
-  size_t log_len = 0;
-  size_t gen_triples = 0;
+TripleStore::BulkLoad::BulkLoad(TripleStore* store) : store_(store) {
+  common::MutexLock lk(&store_->mu_);
+  ++store_->bulk_depth_;
+}
+
+TripleStore::BulkLoad::~BulkLoad() {
+  bool due = false;
+  {
+    common::MutexLock lk(&store_->mu_);
+    --store_->bulk_depth_;
+    due = store_->CompactDueLocked();
+  }
+  if (due) store_->Compact();
+}
+
+bool TripleStore::Append(const Triple& t, bool erase) {
+  bool due = false;
   {
     common::MutexLock lk(&mu_);
-    if (!membership_.insert(t).second) return false;
-    log_.push_back({t, false});
-    log_len = log_.size();
-    gen_triples = gen_->num_triples();
+    const bool applied =
+        erase ? membership_.erase(t) > 0 : membership_.insert(t).second;
+    if (!applied) return false;
+    log_.push_back({t, erase});
+    due = CompactDueLocked();
   }
   // The compaction trigger runs on the writer, outside mu_ — never on a
   // read path.
-  if (log_len >= CompactTrigger(gen_triples)) Compact();
+  if (due) Compact();
   return true;
 }
+
+bool TripleStore::Insert(const Triple& t) { return Append(t, false); }
 
 bool TripleStore::Insert(const Term& s, const Term& p, const Term& o) {
   return Insert(Triple(dict_.Intern(s), dict_.Intern(p), dict_.Intern(o)));
@@ -460,19 +505,7 @@ bool TripleStore::InsertIris(std::string_view s, std::string_view p,
       Triple(dict_.InternIri(s), dict_.InternIri(p), dict_.InternIri(o)));
 }
 
-bool TripleStore::Erase(const Triple& t) {
-  size_t log_len = 0;
-  size_t gen_triples = 0;
-  {
-    common::MutexLock lk(&mu_);
-    if (membership_.erase(t) == 0) return false;
-    log_.push_back({t, true});
-    log_len = log_.size();
-    gen_triples = gen_->num_triples();
-  }
-  if (log_len >= CompactTrigger(gen_triples)) Compact();
-  return true;
-}
+bool TripleStore::Erase(const Triple& t) { return Append(t, true); }
 
 size_t TripleStore::EraseMatching(const TriplePattern& pattern) {
   std::vector<Triple> victims = Match(pattern);
@@ -504,68 +537,69 @@ Snapshot TripleStore::OpenSnapshot() const {
 
 void TripleStore::Compact() const {
   // One compaction cycle at a time: writer-triggered and explicit calls
-  // serialize here, without ever holding mu_ across the merge — readers
-  // keep opening snapshots of the outgoing generation throughout.
+  // serialize here. Under mu_ the cycle only copies the log; readers
+  // keep opening snapshots of the outgoing generation throughout the
+  // sorts and merges below.
   common::MutexLock cycle(&compact_mu_);
   std::shared_ptr<const Generation> gen;
-  std::shared_ptr<const DeltaView> view;
+  std::vector<LogEntry> log;
   uint64_t watermark = 0;
   {
     common::MutexLock lk(&mu_);
     if (log_.empty()) return;
     watermark = log_base_ + log_.size();
-    view = ViewAtCurrentEpochLocked();
     gen = gen_;
+    log = log_;
   }
-  // Merge run + delta per maintained order, one task per order on the
-  // shared pool (each task writes only its own slot). The single writer
-  // may keep appending meanwhile: entries at epoch >= watermark are not
-  // part of `view` and survive the log trim below.
-  auto runs = std::make_shared<std::array<Generation::Run, kNumIndexOrders>>();
-  const size_t block_size = options_.block_size;
-  common::ParallelFor(0, kNumIndexOrders, 1, [&](size_t b, size_t e) {
-    for (size_t oi = b; oi < e; ++oi) {
-      const auto order = static_cast<IndexOrder>(oi);
-      const Generation::Run& src = gen->run(order);
-      Generation::Run& dst = (*runs)[oi];
-      dst.order = order;
-      dst.present = src.present;
-      dst.run = CompressedRun(block_size);
-      if (!src.present) continue;
-      const DeltaView::OrderDelta& od = view->order_delta(order);
-      std::vector<IndexKey> keys;
-      keys.reserve(src.run.size() + od.keys.size());
-      RunCursor c = src.run.Cursor(0, src.run.size());
-      IndexKey k;
-      size_t di = 0;
-      while (c.Next(&k)) {
-        while (di < od.keys.size() && od.keys[di] < k) {
-          // Strictly-smaller pending delta entries are inserts: a
-          // tombstone's key exists in the run, so the merge meets it at
-          // equality below.
-          keys.push_back(od.keys[di]);
-          ++di;
-        }
-        if (di < od.keys.size() && od.keys[di] == k) {
-          const bool tomb = od.tombstone[di] != 0;
-          ++di;
-          if (tomb) continue;  // suppressed row
-        }
-        keys.push_back(k);
+  // The single writer may keep appending meanwhile: entries at epoch >=
+  // watermark are not in `log` and survive the log trim below.
+  std::vector<Triple> inserts, erases;
+  DefiniteEntries(*gen, log, &inserts, &erases);
+  log = std::vector<LogEntry>();  // freed before the key buffers grow
+  // Merge run + delta per maintained order, one order after another
+  // through the same key buffers.
+  std::array<Generation::Run, kNumIndexOrders> runs;
+  std::vector<IndexKey> ins, tomb, scratch, merged;
+  for (int oi = 0; oi < kNumIndexOrders; ++oi) {
+    const auto order = static_cast<IndexOrder>(oi);
+    const Generation::Run& src = gen->run(order);
+    Generation::Run& dst = runs[static_cast<size_t>(oi)];
+    dst.order = order;
+    dst.present = src.present;
+    dst.run = CompressedRun(options_.block_size);
+    if (!src.present) continue;
+    SortedKeys(order, inserts, &ins, &scratch);
+    SortedKeys(order, erases, &tomb, &scratch);
+    merged.clear();
+    merged.reserve(src.run.size() + ins.size() - tomb.size());
+    RunCursor c = src.run.Cursor(0, src.run.size());
+    IndexKey k;
+    size_t i = 0, j = 0;
+    while (c.Next(&k)) {
+      // Inserts are absent from the run, so the ones below k go first;
+      // tombstones are present in it, so the merge meets each at k.
+      while (i < ins.size() && ins[i] < k) merged.push_back(ins[i++]);
+      if (j < tomb.size() && tomb[j] == k) {
+        ++j;
+        continue;  // suppressed row
       }
-      for (; di < od.keys.size(); ++di) keys.push_back(od.keys[di]);
-      dst.run.Assign(keys);
+      merged.push_back(k);
     }
-  });
+    merged.insert(merged.end(), ins.begin() + static_cast<std::ptrdiff_t>(i),
+                  ins.end());
+    dst.run.Assign(merged);
+  }
   auto next = std::make_shared<const Generation>(
-      std::move(*runs),
-      gen->num_triples() + view->num_inserts() - view->num_tombstones(),
+      std::move(runs), gen->num_triples() + inserts.size() - erases.size(),
       watermark, live_generations_);
   {
     common::MutexLock lk(&mu_);
     gen_ = std::move(next);
     const auto consumed = static_cast<std::ptrdiff_t>(watermark - log_base_);
     log_.erase(log_.begin(), log_.begin() + consumed);
+    // A bulk load grows the log to its whole batch; do not keep that
+    // capacity for the life of the store.
+    log_.shrink_to_fit();
     log_base_ = watermark;
     // Any cached view was built against the superseded generation.
     view_cache_.reset();

@@ -343,11 +343,13 @@ class Snapshot {
 /// generation and the delta view of the log at the current epoch;
 /// cursors merge run + delta with tombstone suppression, preserving
 /// index sort order. Compact() — triggered by the writer once the log
-/// passes the compaction threshold, or called explicitly — merges the
-/// delta into a fresh generation on the shared thread pool (one task
-/// per order) off the read path and swaps it in; superseded generations
-/// are reclaimed when their last pinning snapshot drops. No reader ever
-/// blocks on (or observes) a partial rebuild.
+/// passes the compaction threshold, or called explicitly — copies the
+/// log under `mu_`, then sorts it and merges it into a fresh generation
+/// order by order on the calling thread, off the read path, and swaps
+/// it in; superseded generations are reclaimed when their last pinning
+/// snapshot drops. No reader ever blocks on (or observes) a partial
+/// rebuild. A loader holds a BulkLoad scope so its whole batch is
+/// merged by one compaction.
 ///
 /// Concurrency: any number of concurrent readers are safe against one
 /// concurrent writer and a concurrent Compact(). Mutations themselves
@@ -378,10 +380,9 @@ class TripleStore {
     /// Rows per compressed index block (see rdf/index_block.h).
     size_t block_size = kDefaultIndexBlockSize;
     /// Log length at which the writer triggers an automatic Compact()
-    /// (the effective trigger also scales with the generation size so
-    /// bulk loads stay O(n log n) amortized). 0 resolves the process
-    /// default: KGNET_DELTA_COMPACT_THRESHOLD when set and valid, else
-    /// kDefaultDeltaCompactThreshold.
+    /// (the effective trigger is max(this, generation size / 4)). 0
+    /// resolves the process default: KGNET_DELTA_COMPACT_THRESHOLD when
+    /// set and valid, else kDefaultDeltaCompactThreshold.
     size_t delta_compact_threshold = 0;
   };
 
@@ -408,6 +409,25 @@ class TripleStore {
     int64_t live_generations = 0;
     /// Completed compaction cycles.
     uint64_t compactions = 0;
+  };
+
+  /// A bulk-load scope. While any scope is held, Insert and Erase skip
+  /// the automatic compaction check, so the batch piles up in the
+  /// mutation log; when the outermost scope closes, the usual trigger is
+  /// checked once, so a load past it builds each permutation run once.
+  /// Snapshots opened mid-scope see exactly the mutations made so far.
+  /// Scopes nest; they are writer-role (held by the one writer). The
+  /// generators, LoadNTriples and MetaSampler::Extract hold one; update
+  /// traffic does not, and keeps the per-mutation trigger.
+  class BulkLoad {
+   public:
+    explicit BulkLoad(TripleStore* store);
+    ~BulkLoad();
+    BulkLoad(const BulkLoad&) = delete;
+    BulkLoad& operator=(const BulkLoad&) = delete;
+
+   private:
+    TripleStore* store_;
   };
 
   TripleStore() : TripleStore(Options()) {}
@@ -444,8 +464,8 @@ class TripleStore {
 
   /// Inserts an encoded triple. Duplicate inserts are ignored.
   /// Returns true if the triple was new. Appends to the mutation log —
-  /// no index rebuild; may trigger an automatic Compact() once the log
-  /// passes the compaction threshold.
+  /// no index rebuild; outside a BulkLoad scope, may trigger an
+  /// automatic Compact() once the log passes the compaction threshold.
   bool Insert(const Triple& t);
 
   /// Encodes and inserts a (subject, predicate, object) of Terms.
@@ -516,13 +536,15 @@ class TripleStore {
   size_t NumDistinctPredicates() const;
   size_t NumDistinctObjects() const;
 
-  /// Merges the uncompacted delta into a fresh run generation — in
-  /// parallel on the shared thread pool, one task per maintained order
-  /// — and swaps it in. Runs entirely off the read path: concurrent
-  /// snapshots keep streaming their pinned generation; the superseded
-  /// generation is reclaimed when its last pin drops. Safe to call
-  /// concurrently with readers and with the (single) writer; concurrent
-  /// Compact() calls serialize. A no-op when the log is empty.
+  /// Merges the uncompacted delta into a fresh run generation and swaps
+  /// it in. Only the copy of the log happens under `mu_`; the sorts and
+  /// merges (one maintained order after another, through one reused key
+  /// buffer) run on the calling thread with no store lock held, so
+  /// concurrent snapshots keep opening and streaming their pinned
+  /// generation; the superseded generation is reclaimed when its last
+  /// pin drops. Safe to call concurrently with readers and with the
+  /// (single) writer; concurrent Compact() calls serialize. A no-op when
+  /// the log is empty.
   void Compact() const;
 
   /// Synonym for Compact(), kept for callers of the pre-MVCC API (and
@@ -548,11 +570,30 @@ class TripleStore {
     bool erase = false;
   };
 
+  /// The definite entries of `log` against `gen`, the generation it was
+  /// logged over (see DeltaView): the triples it inserts into `gen` and
+  /// the ones it erases from it, each once, in no particular order.
+  static void DefiniteEntries(const Generation& gen,
+                              const std::vector<LogEntry>& log,
+                              std::vector<Triple>* inserts,
+                              std::vector<Triple>* erases);
+
   /// Builds the definite delta view of `log` against `gen` (see
   /// DeltaView). Pure; callers pass the guarded members under mu_.
   static std::shared_ptr<const DeltaView> BuildDeltaView(
       const Generation& gen, const std::vector<LogEntry>& log,
       uint64_t epoch);
+
+  /// Appends one mutation to the log unless it is a no-op (a duplicate
+  /// insert, an erase of an absent triple); returns whether it applied.
+  bool Append(const Triple& t, bool erase);
+
+  /// True when the writer should compact now: no BulkLoad scope is held
+  /// and the log has reached CompactTrigger.
+  bool CompactDueLocked() const KGNET_REQUIRES(mu_) {
+    return bulk_depth_ == 0 &&
+           log_.size() >= CompactTrigger(gen_->num_triples());
+  }
 
   /// The empty generation every store starts from (epoch 0).
   std::shared_ptr<const Generation> MakeEmptyGeneration() const;
@@ -562,8 +603,8 @@ class TripleStore {
       KGNET_REQUIRES(mu_);
 
   /// Log length at which the writer compacts: the configured threshold,
-  /// scaled up geometrically with the generation so bulk loading stays
-  /// O(n log n) amortized.
+  /// scaled up geometrically with the generation so the rows a
+  /// compaction rewrites stay proportional to the mutations it folds in.
   size_t CompactTrigger(size_t generation_triples) const {
     return std::max(compact_threshold_, generation_triples / 4);
   }
@@ -578,9 +619,9 @@ class TripleStore {
   mutable std::atomic<uint64_t> compactions_{0};
 
   /// Guards the mutable storage state below: the generation pointer,
-  /// the mutation log, membership, and the view cache. Held only for
-  /// short pointer/append/lookup sections — never across an index
-  /// merge (Compact() does its merging outside, under compact_mu_).
+  /// the mutation log, membership, the view cache and the bulk-load
+  /// depth. Never held across a compaction's sorts or merges: Compact()
+  /// only copies the log under it and does the rest under compact_mu_.
   mutable common::Mutex mu_;
   /// The live generation (never null; empty generation at epoch 0).
   mutable std::shared_ptr<const Generation> gen_ KGNET_GUARDED_BY(mu_);
@@ -593,6 +634,9 @@ class TripleStore {
   /// Delta view of log_ at the current epoch, built lazily on the first
   /// snapshot of each epoch and shared by all of them.
   mutable std::shared_ptr<const DeltaView> view_cache_ KGNET_GUARDED_BY(mu_);
+  /// Open BulkLoad scopes; the writer skips the compaction check while
+  /// it is nonzero.
+  int bulk_depth_ KGNET_GUARDED_BY(mu_) = 0;
   /// Serializes compaction cycles (writer-triggered and explicit).
   mutable common::Mutex compact_mu_;
 };

@@ -23,6 +23,8 @@ Status GenerateDblp(const DblpOptions& o, TripleStore* store) {
   if (o.num_venues == 0 || o.num_papers == 0 || o.num_authors == 0 ||
       o.num_affiliations == 0)
     return Status::InvalidArgument("DBLP generator requires non-zero sizes");
+  // One batch: the store builds its permutation runs once, at the end.
+  TripleStore::BulkLoad bulk(store);
   tensor::Rng rng(o.seed);
   const std::string type = std::string(rdf::kRdfType);
 

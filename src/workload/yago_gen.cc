@@ -22,6 +22,8 @@ std::string Iri(const std::string& kind, size_t i) {
 Status GenerateYago(const YagoOptions& o, TripleStore* store) {
   if (o.num_places == 0 || o.num_countries == 0)
     return Status::InvalidArgument("YAGO generator requires non-zero sizes");
+  // One batch: the store builds its permutation runs once, at the end.
+  TripleStore::BulkLoad bulk(store);
   tensor::Rng rng(o.seed);
   const std::string type = std::string(rdf::kRdfType);
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -194,6 +195,56 @@ TEST(CompressedRunTest, UnprimedMidBlockCursorCountsItsWalk) {
   ASSERT_TRUE(c.Next(&k));
   EXPECT_EQ(c.walked(), 7u);
   EXPECT_FALSE(c.Next(&k));
+}
+
+// ------------------------------------------------------ RadixSortKeys --
+
+/// RadixSortKeys against std::sort on a copy, through reused buffers.
+void ExpectSortsLikeStdSort(const std::vector<IndexKey>& input,
+                            std::vector<IndexKey>* scratch) {
+  std::vector<IndexKey> want = input;
+  std::sort(want.begin(), want.end());
+  std::vector<IndexKey> got = input;
+  RadixSortKeys(&got, scratch);
+  EXPECT_EQ(got, want) << "n=" << input.size();
+}
+
+TEST(RadixSortKeysTest, MatchesStdSortOnRandomKeys) {
+  tensor::Rng rng(41);
+  std::vector<IndexKey> scratch;
+  // Full 32-bit ids (every byte digit live, UINT32_MAX included), small
+  // ids (high-byte passes skipped), and mixes with many ties per slot.
+  const uint64_t ranges[] = {uint64_t{1} << 32, 1000, 3, 70000};
+  for (uint64_t range : ranges) {
+    for (size_t n : {3u, 17u, 256u, 5000u}) {
+      std::vector<IndexKey> keys(n);
+      for (IndexKey& k : keys)
+        for (TermId& id : k) id = static_cast<TermId>(rng.NextUint(range));
+      if (range == (uint64_t{1} << 32)) keys[0] = {UINT32_MAX, 0, UINT32_MAX};
+      ExpectSortsLikeStdSort(keys, &scratch);
+    }
+  }
+  // Slots from different ranges: one digit shared by every key, the
+  // next one not.
+  std::vector<IndexKey> keys(1000);
+  for (IndexKey& k : keys)
+    k = {static_cast<TermId>(0x01000000 + rng.NextUint(2)), 7,
+         static_cast<TermId>(rng.NextUint(uint64_t{1} << 32))};
+  ExpectSortsLikeStdSort(keys, &scratch);
+}
+
+TEST(RadixSortKeysTest, HandlesEqualKeysAndTinyInputs) {
+  std::vector<IndexKey> scratch;
+  ExpectSortsLikeStdSort({}, &scratch);
+  ExpectSortsLikeStdSort({{5, 6, 7}}, &scratch);
+  ExpectSortsLikeStdSort({{5, 6, 7}, {1, 2, 3}}, &scratch);
+  ExpectSortsLikeStdSort({{1, 2, 3}, {1, 2, 3}}, &scratch);
+  ExpectSortsLikeStdSort({{0, 0, 0}, {0, 0, 0}}, &scratch);
+  ExpectSortsLikeStdSort(std::vector<IndexKey>(300, {9, 0x123456, 4}),
+                         &scratch);
+  ExpectSortsLikeStdSort(
+      std::vector<IndexKey>(300, {UINT32_MAX, UINT32_MAX, UINT32_MAX}),
+      &scratch);
 }
 
 }  // namespace

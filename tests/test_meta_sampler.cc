@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "workload/dblp_gen.h"
 
 namespace kgnet::core {
@@ -112,6 +117,106 @@ TEST_F(MetaSamplerTest, LabelsAndDescription) {
   const std::string sparql = MetaSampler::DescribeAsSparql(s);
   EXPECT_NE(sparql.find("CONSTRUCT"), std::string::npos);
   EXPECT_NE(sparql.find("T"), std::string::npos);
+}
+
+/// KG' as sorted "s p o" lines of term strings: independent of KG''s
+/// own dictionary ids and of how its runs were built.
+std::vector<std::string> TermTriples(const rdf::TripleStore& kg) {
+  std::vector<std::string> out;
+  kg.Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
+    out.push_back(kg.dict().Lookup(t.s).lexical + " " +
+                  kg.dict().Lookup(t.p).lexical + " " +
+                  kg.dict().Lookup(t.o).lexical);
+    return true;
+  });
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(MetaSamplerTest, PinsTheSubgraphAndStatsOfEachSpec) {
+  const std::string a = std::string(rdf::kRdfType);
+  struct Case {
+    SampleDirection direction;
+    uint32_t hops;
+    std::vector<std::string> triples;
+    MetaSampleStats stats;
+  };
+  const std::vector<Case> cases = {
+      {SampleDirection::kOutgoing, 1,
+       {"m1 " + a + " M", "t1 " + a + " T", "t1 label L1", "t1 out m1",
+        "t2 " + a + " T", "t2 label L2"},
+       {2, 6, 6, 11}},
+      {SampleDirection::kBidirectional, 1,
+       {"in1 in t1", "m1 " + a + " M", "t1 " + a + " T", "t1 label L1",
+        "t1 out m1", "t2 " + a + " T", "t2 label L2"},
+       {2, 7, 7, 11}},
+      {SampleDirection::kOutgoing, 2,
+       {"m1 " + a + " M", "m1 out far1", "t1 " + a + " T", "t1 label L1",
+        "t1 out m1", "t2 " + a + " T", "t2 label L2"},
+       {2, 8, 7, 11}},
+  };
+  MetaSampler sampler(&store_);
+  for (const Case& c : cases) {
+    MetaSampleStats stats;
+    auto kg = sampler.Extract(Spec(c.direction, c.hops), &stats);
+    ASSERT_TRUE(kg.ok()) << kg.status();
+    const std::string label = SampleSpecLabel(Spec(c.direction, c.hops));
+    std::vector<std::string> want = c.triples;
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(TermTriples(**kg), want) << label;
+    EXPECT_EQ(stats.seed_nodes, c.stats.seed_nodes) << label;
+    EXPECT_EQ(stats.visited_nodes, c.stats.visited_nodes) << label;
+    EXPECT_EQ(stats.extracted_triples, c.stats.extracted_triples) << label;
+    EXPECT_EQ(stats.original_triples, c.stats.original_triples) << label;
+  }
+}
+
+TEST(MetaSamplerDblpTest, PinsTheSubgraphOfAGeneratedKg) {
+  rdf::TripleStore store;
+  workload::DblpOptions opts;
+  opts.num_papers = 300;
+  opts.num_authors = 150;
+  opts.num_venues = 5;
+  opts.num_affiliations = 10;
+  ASSERT_TRUE(workload::GenerateDblp(opts, &store).ok());
+  MetaSampler sampler(&store);
+  struct Case {
+    SampleDirection direction;
+    uint32_t hops;
+    uint64_t digest;
+    MetaSampleStats stats;
+  };
+  const Case cases[] = {
+      {SampleDirection::kOutgoing, 1, 5149305230583267644ull,
+       {300, 456, 3074, 4785}},
+      {SampleDirection::kBidirectional, 2, 1230559301885013343ull,
+       {300, 750, 4391, 4785}},
+  };
+  for (const Case& c : cases) {
+    MetaSampleSpec spec;
+    spec.target_type_iri = DblpSchema::Publication();
+    spec.supervision_predicate_iris = {DblpSchema::PublishedIn()};
+    spec.direction = c.direction;
+    spec.hops = c.hops;
+    MetaSampleStats stats;
+    auto kg = sampler.Extract(spec, &stats);
+    ASSERT_TRUE(kg.ok()) << kg.status();
+    // FNV-1a over the sorted term-string lines.
+    uint64_t digest = 0xcbf29ce484222325ull;
+    for (const std::string& line : TermTriples(**kg)) {
+      for (const char ch : line + "\n") {
+        digest ^= static_cast<unsigned char>(ch);
+        digest *= 0x100000001b3ull;
+      }
+    }
+    const std::string label = SampleSpecLabel(spec);
+    EXPECT_EQ(digest, c.digest) << label;
+    EXPECT_EQ(stats.seed_nodes, c.stats.seed_nodes) << label;
+    EXPECT_EQ(stats.visited_nodes, c.stats.visited_nodes) << label;
+    EXPECT_EQ(stats.extracted_triples, c.stats.extracted_triples) << label;
+    EXPECT_EQ(stats.original_triples, c.stats.original_triples) << label;
+    EXPECT_EQ((*kg)->size(), stats.extracted_triples) << label;
+  }
 }
 
 TEST(MetaSamplerDblpTest, ReductionOnRealisticKg) {

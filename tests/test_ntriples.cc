@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 namespace kgnet::rdf {
 namespace {
@@ -128,6 +129,33 @@ TEST(NTriplesTest, ReportsLineNumberOnError) {
   auto n = LoadNTriples("<a> <p> <b> .\ngarbage here\n", &store);
   ASSERT_FALSE(n.ok());
   EXPECT_NE(n.status().message().find("line 2"), std::string::npos);
+}
+
+TEST(NTriplesTest, ParseErrorStillClosesTheBulkLoadScope) {
+  // The load holds a TripleStore::BulkLoad scope; returning at the first
+  // bad line must close it, which checks the compaction trigger once: the
+  // lines before the error end up in one fresh generation, and later
+  // writes compact on the per-mutation trigger again.
+  TripleStore::Options opts;
+  opts.delta_compact_threshold = 4;
+  TripleStore store(opts);
+  auto n = LoadNTriples(
+      "<a> <p> <b1> .\n<a> <p> <b2> .\n<a> <p> <b3> .\n<a> <p> <b4> .\n"
+      "<a> <p> <b5> .\n<a> <p> <b6> .\ngarbage here\n<a> <p> <b7> .\n",
+      &store);
+  ASSERT_FALSE(n.ok());
+  EXPECT_NE(n.status().message().find("line 7"), std::string::npos);
+  TripleStore::Stats stats = store.GetStats();
+  EXPECT_EQ(stats.compactions, 1u);
+  EXPECT_EQ(stats.generation_triples, 6u);
+  EXPECT_EQ(stats.delta_ops, 0u);
+  // No scope is left open: four plain inserts reach the trigger.
+  for (int i = 0; i < 4; ++i)
+    store.InsertIris("c" + std::to_string(i), "p", "d");
+  stats = store.GetStats();
+  EXPECT_EQ(stats.compactions, 2u);
+  EXPECT_EQ(stats.delta_ops, 0u);
+  EXPECT_EQ(store.size(), 10u);
 }
 
 TEST(NTriplesTest, RoundTripsThroughSerialization) {

@@ -144,6 +144,74 @@ TEST(SnapshotStressTest, OneReaderVsWriterAndCompaction) { RunStress(1); }
 TEST(SnapshotStressTest, TwoReadersVsWriterAndCompaction) { RunStress(2); }
 TEST(SnapshotStressTest, FourReadersVsWriterAndCompaction) { RunStress(4); }
 
+TEST(SnapshotStressTest, ReaderRacesBulkLoads) {
+  // The writer alternates two bulk loads per round — one inserting every
+  // missing triple, one erasing a random half — and each scope's close
+  // runs the load's one compaction while a reader keeps opening
+  // snapshots of the growing log and of the swapped generations.
+  TripleStore::Options opts;
+  opts.delta_compact_threshold = 64;
+  TripleStore store(opts);
+  const std::vector<Triple> universe = BuildUniverse(&store, 12, 3, 10);
+  std::vector<bool> present(universe.size(), false);
+
+  std::atomic<bool> reader_started{false};
+  std::atomic<bool> writer_done{false};
+  std::thread reader([&] {
+    uint64_t last_epoch = 0;
+    do {
+      reader_started.store(true, std::memory_order_release);
+      Snapshot snap = store.OpenSnapshot();
+      EXPECT_GE(snap.epoch(), last_epoch);
+      last_epoch = snap.epoch();
+      const std::vector<Triple> rows = snap.Match(TriplePattern());
+      EXPECT_EQ(rows.size(), snap.size());
+      EXPECT_LE(rows.size(), universe.size());
+      for (int oi = 0; oi < kNumIndexOrders; ++oi) {
+        TripleCursor c =
+            snap.OpenCursor(static_cast<IndexOrder>(oi), TriplePattern());
+        size_t streamed = 0;
+        Triple t;
+        while (c.Next(&t)) ++streamed;
+        EXPECT_EQ(streamed, rows.size()) << "order " << oi;
+      }
+      EXPECT_EQ(snap.Match(TriplePattern()), rows);
+    } while (!writer_done.load(std::memory_order_acquire));
+  });
+  while (!reader_started.load(std::memory_order_acquire)) {
+  }
+
+  tensor::Rng rng(7);
+  constexpr int kRounds = 6;
+  for (int round = 0; round < kRounds; ++round) {
+    {
+      TripleStore::BulkLoad load(&store);
+      for (size_t k = 0; k < universe.size(); ++k) {
+        if (present[k]) continue;
+        EXPECT_TRUE(store.Insert(universe[k]));
+        present[k] = true;
+      }
+    }
+    {
+      TripleStore::BulkLoad load(&store);
+      for (size_t k = 0; k < universe.size(); ++k) {
+        if (rng.NextFloat() < 0.5f) continue;
+        EXPECT_TRUE(store.Erase(universe[k]));
+        present[k] = false;
+      }
+    }
+  }
+  writer_done.store(true, std::memory_order_release);
+  reader.join();
+
+  // Each of the 2 x kRounds scopes compacted exactly once.
+  EXPECT_EQ(store.GetStats().compactions, 2u * kRounds);
+  EXPECT_EQ(store.GetStats().delta_ops, 0u);
+  for (size_t k = 0; k < universe.size(); ++k)
+    EXPECT_EQ(store.Contains(universe[k]), static_cast<bool>(present[k]));
+  EXPECT_EQ(store.GetStats().live_generations, 1);
+}
+
 TEST(SnapshotStressTest, PinnedSnapshotSurvivesManyCompactionCycles) {
   // One long-lived snapshot held across many generation swaps must stay
   // bitwise identical and keep exactly one superseded generation alive.

@@ -716,6 +716,186 @@ TEST(TripleStoreSnapshotTest, WriterTriggeredCompactionKeepsLogBounded) {
   EXPECT_EQ(store.size(), 500u);
 }
 
+// ------------------------------------------------------------- BulkLoad --
+
+std::vector<Triple> Drain(TripleCursor c) {
+  std::vector<Triple> out;
+  Triple t;
+  while (c.Next(&t)) out.push_back(t);
+  return out;
+}
+
+/// What a bulk-loaded and a per-insert store must agree on: every
+/// order's full stream, the size, and the compressed bytes per order.
+/// Compacts both stores (the byte counts do).
+void ExpectSameStore(const TripleStore& bulk, const TripleStore& plain) {
+  ASSERT_EQ(bulk.size(), plain.size());
+  for (int oi = 0; oi < kNumIndexOrders; ++oi) {
+    const auto order = static_cast<IndexOrder>(oi);
+    ASSERT_EQ(bulk.has_index(order), plain.has_index(order));
+    if (!bulk.has_index(order)) continue;
+    EXPECT_EQ(Drain(bulk.OpenCursor(order, TriplePattern())),
+              Drain(plain.OpenCursor(order, TriplePattern())))
+        << IndexOrderName(order);
+  }
+  EXPECT_EQ(bulk.TotalIndexBytes(), plain.TotalIndexBytes());
+  for (int oi = 0; oi < kNumIndexOrders; ++oi) {
+    const auto order = static_cast<IndexOrder>(oi);
+    EXPECT_EQ(bulk.IndexBytes(order), plain.IndexBytes(order))
+        << IndexOrderName(order);
+  }
+  EXPECT_EQ(bulk.GetStats().num_triples, plain.GetStats().num_triples);
+}
+
+class BulkLoadOracleTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BulkLoadOracleTest, BulkLoadEqualsPerInsertLoad) {
+  // The same mutation sequence, applied to one store under (randomly
+  // nested) BulkLoad scopes and to another by plain Insert/Erase with a
+  // small trigger, so the plain store compacts many times mid-load. The
+  // small id universe makes duplicate inserts, erases of absent and
+  // present triples, and erase-then-reinsert pairs all frequent.
+  const uint64_t seed = GetParam();
+  tensor::Rng rng(seed);
+  TripleStore::Options opts;
+  opts.delta_compact_threshold = 16;
+  opts.block_size = 1 + static_cast<size_t>(seed % 5) * 7;
+  if (seed % 3 == 0)
+    opts.index_set = TripleStore::Options::IndexSet::kClassicTrio;
+  TripleStore bulk(opts), plain(opts);
+  auto random_triple = [&] {
+    return Triple(static_cast<TermId>(1 + rng.NextUint(12)),
+                  static_cast<TermId>(1 + rng.NextUint(3)),
+                  static_cast<TermId>(1 + rng.NextUint(15)));
+  };
+  // Odd seeds load over an existing generation, even seeds into an
+  // empty store.
+  if (seed % 2 == 1) {
+    for (int i = 0; i < 150; ++i) {
+      const Triple t = random_triple();
+      ASSERT_EQ(bulk.Insert(t), plain.Insert(t));
+    }
+    bulk.Compact();
+    plain.Compact();
+  }
+  const uint64_t compactions_before = bulk.GetStats().compactions;
+
+  std::vector<std::unique_ptr<TripleStore::BulkLoad>> scopes;
+  scopes.push_back(std::make_unique<TripleStore::BulkLoad>(&bulk));
+  const int kOps = 700;
+  const int probe_at = static_cast<int>(rng.NextUint(kOps));
+  for (int op = 0; op < kOps; ++op) {
+    // Nested scopes open and close at random points of the load.
+    const float r = rng.NextFloat();
+    if (r < 0.02f && scopes.size() < 4)
+      scopes.push_back(std::make_unique<TripleStore::BulkLoad>(&bulk));
+    else if (r < 0.04f && scopes.size() > 1)
+      scopes.pop_back();
+
+    const Triple t = random_triple();
+    const float kind = rng.NextFloat();
+    if (kind < 0.65f) {
+      ASSERT_EQ(bulk.Insert(t), plain.Insert(t)) << "op " << op;
+    } else if (kind < 0.9f) {
+      ASSERT_EQ(bulk.Erase(t), plain.Erase(t)) << "op " << op;
+    } else {
+      ASSERT_EQ(bulk.Erase(t), plain.Erase(t)) << "op " << op;
+      ASSERT_TRUE(bulk.Insert(t));
+      ASSERT_TRUE(plain.Insert(t));
+    }
+    if (op == probe_at) {
+      // Mid-scope, a snapshot sees exactly the mutations so far.
+      const Snapshot snap = bulk.OpenSnapshot();
+      EXPECT_EQ(snap.Match(TriplePattern()), plain.Match(TriplePattern()));
+      EXPECT_EQ(snap.size(), plain.size());
+      for (TermId s = 1; s <= 12; ++s)
+        for (TermId p = 1; p <= 3; ++p)
+          for (TermId o = 1; o <= 15; ++o)
+            ASSERT_EQ(snap.Contains(Triple(s, p, o)),
+                      plain.Contains(Triple(s, p, o)));
+    }
+  }
+  // No compaction while any scope is held.
+  EXPECT_EQ(bulk.GetStats().compactions, compactions_before);
+  EXPECT_GT(plain.GetStats().compactions, compactions_before + 1);
+  scopes.clear();
+  // Closing the outermost scope checked the trigger once.
+  EXPECT_EQ(bulk.GetStats().compactions, compactions_before + 1);
+  EXPECT_EQ(bulk.GetStats().delta_ops, 0u);
+  ExpectSameStore(bulk, plain);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BulkLoadOracleTest,
+                         ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+TEST(BulkLoadTest, SnapshotOpenedMidScopeSeesTheInsertsSoFar) {
+  TripleStore::Options opts;
+  opts.delta_compact_threshold = 8;
+  TripleStore store(opts);
+  TripleStore::BulkLoad scope(&store);
+  std::vector<Triple> inserted;
+  std::vector<Snapshot> snaps;
+  for (TermId i = 1; i <= 60; ++i) {
+    const Triple t(i % 7 + 1, i % 3 + 1, i);
+    ASSERT_TRUE(store.Insert(t));
+    inserted.push_back(t);
+    if (i % 20 == 0) snaps.push_back(store.OpenSnapshot());
+  }
+  // Each snapshot holds exactly the first 20k inserts, in every order.
+  for (size_t k = 0; k < snaps.size(); ++k) {
+    std::vector<Triple> want(inserted.begin(),
+                             inserted.begin() + 20 * (k + 1));
+    std::sort(want.begin(), want.end());
+    EXPECT_EQ(snaps[k].Match(TriplePattern()), want) << "snapshot " << k;
+    EXPECT_EQ(snaps[k].size(), want.size());
+    EXPECT_EQ(snaps[k].delta_size(), want.size());
+    for (int oi = 0; oi < kNumIndexOrders; ++oi) {
+      const auto order = static_cast<IndexOrder>(oi);
+      EXPECT_EQ(Drain(snaps[k].OpenCursor(order, TriplePattern())).size(),
+                want.size());
+    }
+  }
+  EXPECT_EQ(store.GetStats().compactions, 0u);
+}
+
+TEST(BulkLoadTest, OneScopeCompactsOnce) {
+  TripleStore::Options opts;
+  opts.delta_compact_threshold = 64;
+  const auto load = [](TripleStore* store) {
+    for (TermId i = 1; i <= 3000; ++i)
+      store->Insert(Triple(i, i % 5 + 1, i % 97 + 1));
+  };
+  TripleStore plain(opts);
+  load(&plain);
+  EXPECT_GT(plain.GetStats().compactions, 5u);
+
+  TripleStore bulk(opts);
+  {
+    TripleStore::BulkLoad outer(&bulk);
+    {
+      TripleStore::BulkLoad inner(&bulk);
+      load(&bulk);
+    }
+    // Closing a nested scope does not compact.
+    EXPECT_EQ(bulk.GetStats().compactions, 0u);
+    EXPECT_EQ(bulk.GetStats().delta_ops, 3000u);
+  }
+  EXPECT_EQ(bulk.GetStats().compactions, 1u);
+  EXPECT_EQ(bulk.GetStats().generation_triples, 3000u);
+  EXPECT_EQ(bulk.GetStats().delta_ops, 0u);
+
+  // A load below the trigger leaves its batch in the log, as plain
+  // inserts would.
+  TripleStore small(opts);
+  {
+    TripleStore::BulkLoad scope(&small);
+    for (TermId i = 1; i <= 10; ++i) small.Insert(Triple(i, 1, 1));
+  }
+  EXPECT_EQ(small.GetStats().compactions, 0u);
+  EXPECT_EQ(small.GetStats().delta_ops, 10u);
+  ExpectSameStore(bulk, plain);
+}
+
 // ------------------------------------------------------------- GetStats --
 
 TEST(TripleStoreStatsTest, StatsReportStorageStateWithoutCompacting) {
