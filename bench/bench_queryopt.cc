@@ -8,7 +8,7 @@
 // Part 2 compares the plain-SPARQL hot path per BGP shape: the streaming
 // executor (merge/hash/bind joins over sorted index cursors) against the
 // legacy materializing nested-loop evaluator, and writes the timings to
-// BENCH_queryopt.json in the working directory. Part 6 times the read
+// BENCH_queryopt.json in the working directory. Part 5 times the read
 // kinds of the perfbench read_mix workload one by one.
 #include <algorithm>
 #include <array>
@@ -16,14 +16,11 @@
 #include <cstdio>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/thread_pool.h"
 #include "core/kgnet.h"
 #include "sparql/engine.h"
-#include "sparql/exec.h"
 #include "sparql/parser.h"
 #include "tensor/rng.h"
 #include "workload/dblp_gen.h"
@@ -185,148 +182,6 @@ int RunIndexMemoryBench(kgnet::bench::ShapeChecker* shape,
   return 0;
 }
 
-struct ThreadScalingResult {
-  std::string name;
-  double serial_ms = 0;  // default config, 1 thread, serial operators
-  double t1_ms = 0;      // morsel operators forced on, 1 thread
-  double t2_ms = 0;
-  double t4_ms = 0;
-};
-
-/// Part 4: morsel-parallel streaming execution across thread counts.
-/// Result identity against the serial stream is asserted at every
-/// width; latency bars only where they are meaningful — the forced
-/// 1-thread run must not pay more than ~10% machinery overhead, and a
-/// host with >= 4 real cores must not regress at 4 threads. (Speedup
-/// itself is printed but not gated: CI containers are often 1-core.)
-int RunThreadScalingBench(kgnet::bench::ShapeChecker* shape,
-                          kgnet::rdf::TripleStore* store,
-                          std::vector<ThreadScalingResult>* out) {
-  using namespace kgnet;
-
-  const std::string px = "PREFIX dblp: <https://dblp.org/rdf/>\n";
-  struct Spec {
-    const char* name;
-    std::string query;
-  };
-  const Spec specs[] = {
-      {"star3",
-       px + "SELECT ?p ?v ?a WHERE { ?p a dblp:Publication . "
-            "?p dblp:publishedIn ?v . ?p dblp:authoredBy ?a . }"},
-      {"chain2",
-       px + "SELECT ?p ?f WHERE { ?p dblp:authoredBy ?a . "
-            "?a dblp:primaryAffiliation ?f . }"},
-  };
-
-  const int saved_threads = common::ThreadPool::num_threads();
-  const sparql::MorselConfig saved_cfg = sparql::GetMorselConfig();
-  // Thresholds low enough that the bench graph's scans and merge groups
-  // actually take the parallel paths.
-  sparql::MorselConfig forced;
-  forced.scan_min_parallel_rows = 256;
-  forced.smj_min_parallel_group = 64;
-  forced.force_parallel = true;
-
-  const unsigned cores = std::thread::hardware_concurrency();
-  std::printf("\nMORSEL-PARALLEL STREAMING ACROSS THREAD COUNTS "
-              "(%u hardware threads)\n\n", cores);
-  std::printf("%-10s %12s %12s %12s %12s %10s\n", "shape", "serial (ms)",
-              "T=1 (ms)", "T=2 (ms)", "T=4 (ms)", "T=4 spd");
-
-  for (const Spec& spec : specs) {
-    auto parsed = sparql::ParseQuery(spec.query);
-    if (!parsed.ok()) {
-      std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
-      return 1;
-    }
-    sparql::QueryEngine engine(store);
-    engine.set_exec_mode(sparql::ExecMode::kStreaming);
-
-    sparql::QueryResult last;
-    auto once = [&](const sparql::MorselConfig& cfg, int threads,
-                    double* ms) -> const sparql::QueryResult* {
-      common::ThreadPool::SetNumThreads(threads);
-      sparql::GetMorselConfig() = cfg;
-      auto t0 = std::chrono::steady_clock::now();
-      auto r = engine.Execute(*parsed);
-      auto t1 = std::chrono::steady_clock::now();
-      if (!r.ok()) {
-        std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
-        return nullptr;
-      }
-      *ms = std::chrono::duration<double, std::milli>(t1 - t0).count();
-      last = std::move(*r);
-      return &last;
-    };
-
-    // Serial reference: default config, one thread — the latched path.
-    double ms = 0;
-    const sparql::QueryResult* ref = once(sparql::MorselConfig{}, 1, &ms);
-    if (ref == nullptr) return 1;
-    const auto serial_rows = ref->rows;
-
-    ThreadScalingResult r;
-    r.name = spec.name;
-    // Serial vs forced-T1 samples are interleaved pairwise so load drift
-    // on the host hits both configurations equally.
-    std::vector<double> serial_samples, forced_samples;
-    for (int i = 0; i < 11; ++i) {
-      if (once(sparql::MorselConfig{}, 1, &ms) == nullptr) return 1;
-      serial_samples.push_back(ms);
-      const sparql::QueryResult* run = once(forced, 1, &ms);
-      if (run == nullptr) return 1;
-      forced_samples.push_back(ms);
-      if (i == 0) {
-        shape->Check(run->rows == serial_rows,
-                     std::string(spec.name) +
-                         ": identical result stream at 1 threads");
-      }
-    }
-    r.serial_ms = Median(&serial_samples);
-    r.t1_ms = Median(&forced_samples);
-
-    for (int threads : {2, 4}) {
-      std::vector<double> samples;
-      for (int i = 0; i < 6; ++i) {
-        const sparql::QueryResult* run = once(forced, threads, &ms);
-        if (run == nullptr) return 1;
-        if (i == 0) {
-          shape->Check(run->rows == serial_rows,
-                       std::string(spec.name) +
-                           ": identical result stream at " +
-                           std::to_string(threads) + " threads");
-        } else {
-          samples.push_back(ms);  // first run doubles as warmup
-        }
-      }
-      (threads == 2 ? r.t2_ms : r.t4_ms) = Median(&samples);
-    }
-    std::printf("%-10s %12.3f %12.3f %12.3f %12.3f %9.2fx\n", r.name.c_str(),
-                r.serial_ms, r.t1_ms, r.t2_ms, r.t4_ms,
-                r.t4_ms > 0 ? r.serial_ms / r.t4_ms : 0);
-
-    // Forced morsel machinery on one thread pays for its buffering
-    // (~15-20% here) — which is exactly why the default config latches
-    // it off at one thread. Bound it loosely to catch pathological
-    // regressions in the buffering itself without flaking on loaded
-    // CI hosts.
-    shape->Check(r.t1_ms <= r.serial_ms * 1.50 + 0.50,
-                 std::string(spec.name) +
-                     ": forced 1-thread morsel overhead <= 50% + 0.5 ms");
-    // With real cores behind the pool, 4 threads must not regress.
-    if (cores >= 4) {
-      shape->Check(r.t4_ms <= r.serial_ms * 1.10 + 0.05,
-                   std::string(spec.name) +
-                       ": 4-thread run does not regress vs serial");
-    }
-    out->push_back(std::move(r));
-  }
-
-  common::ThreadPool::SetNumThreads(saved_threads);
-  sparql::GetMorselConfig() = saved_cfg;
-  return 0;
-}
-
 struct MixedReadWriteResult {
   int iterations = 0;
   int batch_triples = 0;
@@ -334,7 +189,7 @@ struct MixedReadWriteResult {
   double stall_p50_ms = 0, stall_p99_ms = 0;
 };
 
-/// Part 5: reader latency under a concurrent write stream. The MVCC
+/// Part 4: reader latency under a concurrent write stream. The MVCC
 /// read path answers queries on a dirty store by merging the
 /// uncompacted delta under a snapshot; the pre-MVCC store rebuilt the
 /// permutation runs on the first read after any write. Per iteration a
@@ -430,7 +285,7 @@ struct ReadKindResult {
   size_t rows_walked = 0;
 };
 
-/// Part 6: the read kinds of perfbench's read_mix stream
+/// Part 5: the read kinds of perfbench's read_mix stream
 /// (perfbench/src/workload.cc), each timed alone. The KG is read_mix's
 /// (same generator options and seed) and every constant is the hottest
 /// one — rank 0 of perfbench's fixed popularity shuffle — so a kind's
@@ -644,28 +499,20 @@ int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
   std::vector<MemoryConfigResult> mem;
   if (RunIndexMemoryBench(shape, opts, &mem) != 0) return 1;
 
-  // Part 4: morsel-parallel streaming across thread counts (same graph).
-  std::vector<ThreadScalingResult> scaling;
-  if (RunThreadScalingBench(shape, &store, &scaling) != 0) return 1;
-
-  // Part 5: reader latency under writes, snapshot merge vs stall
+  // Part 4: reader latency under writes, snapshot merge vs stall
   // (mutates the graph, so it runs after every read-only section).
   MixedReadWriteResult mixed;
   if (RunMixedReadWriteBench(shape, &store, &mixed) != 0) return 1;
 
-  // Part 6: the perfbench read kinds, one by one (own KG).
+  // Part 5: the perfbench read kinds, one by one (own KG).
   std::vector<ReadKindResult> kinds;
   if (RunReadKindBench(&kinds) != 0) return 1;
 
   // Machine-readable output for tracking across revisions.
   FILE* json = std::fopen("BENCH_queryopt.json", "w");
   if (json != nullptr) {
-    // Thread count recorded so timing trajectories across revisions
-    // compare like with like (the flush path parallelizes on the pool).
-    std::fprintf(json,
-                 "{\n  \"triples\": %zu,\n  \"num_threads\": %d,\n"
-                 "  \"shapes\": [\n",
-                 store.size(), common::ThreadPool::num_threads());
+    std::fprintf(json, "{\n  \"triples\": %zu,\n  \"shapes\": [\n",
+                 store.size());
     for (size_t i = 0; i < results.size(); ++i) {
       const ShapeResult& r = results[i];
       std::fprintf(json,
@@ -702,17 +549,7 @@ int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
                  mixed.iterations, mixed.batch_triples, mixed.snapshot_p50_ms,
                  mixed.snapshot_p99_ms, mixed.stall_p50_ms,
                  mixed.stall_p99_ms);
-    std::fprintf(json, "  \"thread_scaling\": [\n");
-    for (size_t i = 0; i < scaling.size(); ++i) {
-      const ThreadScalingResult& r = scaling[i];
-      std::fprintf(json,
-                   "    {\"name\": \"%s\", \"serial_ms\": %.4f, "
-                   "\"forced_t1_ms\": %.4f, \"t2_ms\": %.4f, "
-                   "\"t4_ms\": %.4f}%s\n",
-                   r.name.c_str(), r.serial_ms, r.t1_ms, r.t2_ms, r.t4_ms,
-                   i + 1 < scaling.size() ? "," : "");
-    }
-    std::fprintf(json, "  ],\n  \"read_kinds\": [\n");
+    std::fprintf(json, "  \"read_kinds\": [\n");
     for (size_t i = 0; i < kinds.size(); ++i) {
       const ReadKindResult& r = kinds[i];
       std::fprintf(json,

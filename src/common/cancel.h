@@ -21,8 +21,8 @@
 //     source, then executes on the same thread).
 //   - Check() with an abandon probe installed must stay on one thread
 //     (the probe itself is not synchronized). The streaming executor
-//     polls only from the driver thread, never from morsel workers, so
-//     this holds by construction.
+//     runs each query on one thread and polls from its operators'
+//     Next(), so this holds by construction.
 #ifndef KGNET_COMMON_CANCEL_H_
 #define KGNET_COMMON_CANCEL_H_
 

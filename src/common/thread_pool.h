@@ -1,11 +1,12 @@
 // A lazily-started shared worker pool with one primitive: ParallelFor.
 //
 // Every parallel hot path in the tree (dense GEMM tiles, SpMM row
-// ranges, the six permutation-run rebuilds in TripleStore::FlushInserts,
-// the N-Triples parse phase) runs on this one pool, so the process never
-// oversubscribes the machine no matter how many layers go parallel at
-// once. Thread count comes from the KGNET_NUM_THREADS environment
-// variable, or SetNumThreads(), defaulting to hardware_concurrency().
+// ranges, the N-Triples parse phase, batched link scoring) runs on this
+// one pool, so the process never oversubscribes the machine no matter
+// how many layers go parallel at once. Index compaction and SPARQL query
+// execution are serial and never use it. Thread count comes from the
+// KGNET_NUM_THREADS environment variable, or SetNumThreads(), defaulting
+// to hardware_concurrency().
 //
 // Determinism contract: ParallelFor(begin, end, grain, fn) always cuts
 // [begin, end) into the same chunks — chunk i covers

@@ -21,7 +21,6 @@
 #ifndef KGNET_RDF_INDEX_BLOCK_H_
 #define KGNET_RDF_INDEX_BLOCK_H_
 
-#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -60,17 +59,6 @@ class RunCursor {
   /// only to reach its first row. A cursor from CompressedRun::Seek
   /// starts primed, so for it this is exactly the rows emitted.
   size_t walked() const { return walked_; }
-
-  /// A fresh cursor over `count` rows starting `offset` rows past this
-  /// cursor's current position (clamped to the cursor's end). The slice
-  /// seeks via the skip table like any new cursor; this cursor is not
-  /// advanced. Morsel-parallel scans carve one range cursor into
-  /// per-morsel slices with this.
-  RunCursor Slice(size_t offset, size_t count) const {
-    const size_t lo = pos_ + std::min(offset, end_ - pos_);
-    const size_t hi = lo + std::min(count, end_ - lo);
-    return RunCursor(run_, lo, hi);
-  }
 
  private:
   friend class CompressedRun;

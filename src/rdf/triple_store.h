@@ -202,26 +202,6 @@ class TripleCursor {
   /// pattern filter kept them or not.
   size_t walked() const { return run_.walked() + (dpos_ - dbegin_); }
 
-  /// True when the remaining range carries no delta entries, i.e. it is
-  /// exactly a generation run range. Only then is Slice() meaningful —
-  /// the morsel-parallel executor checks this before carving the range.
-  bool sliceable() const { return dpos_ >= dend_; }
-
-  /// A fresh cursor over `count` index rows starting `offset` rows past
-  /// this cursor's position (clamped), with the same pattern filter and
-  /// un-permutation. This cursor is not advanced. Offsets count index
-  /// rows, not matches: concatenating Slice(0, k), Slice(k, k), ...
-  /// yields exactly this cursor's stream, which is what the executor's
-  /// morsel-parallel scan relies on. Precondition: sliceable().
-  TripleCursor Slice(size_t offset, size_t count) const {
-    TripleCursor c;
-    c.run_ = run_.Slice(offset, count);
-    c.positions_ = positions_;
-    c.pattern_ = pattern_;
-    c.gen_ = gen_;
-    return c;
-  }
-
  private:
   friend class Snapshot;
   RunCursor run_;

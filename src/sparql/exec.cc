@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/thread_pool.h"
-
 namespace kgnet::sparql {
 
 using rdf::kNullTermId;
@@ -249,20 +247,7 @@ TriplePattern BindPattern(const CompiledPattern& cp, const Solution& sol) {
 
 // --------------------------------------------------------------- helpers --
 
-MorselConfig& GetMorselConfig() {
-  static MorselConfig cfg;
-  return cfg;
-}
-
 namespace {
-
-/// True when the morsel-parallel code paths should engage at all:
-/// either the pool is configured wider than one thread, or the config
-/// forces them (in which case ParallelFor runs inline over the same
-/// chunk bounds — the machinery is exercised, the results unchanged).
-bool ParallelEligible(const MorselConfig& cfg) {
-  return cfg.force_parallel || common::ThreadPool::num_threads() > 1;
-}
 
 /// MergeRows over `n`-slot rows held anywhere (e.g. a row arena).
 bool MergeIds(const TermId* l, const TermId* r, TermId* out, size_t n) {
@@ -315,20 +300,6 @@ void IndexScan::Open(const Solution& outer) {
   TriplePattern pattern = BindPattern(cp_, base_);
   rdf::IndexOrder order = order_ ? *order_ : snapshot_->ChooseIndex(pattern);
   snapshot_->Reopen(order, pattern, &cursor_);
-  total_rows_ = cursor_.remaining();
-  // Slice() carves the generation-run range, so morsel decode requires a
-  // delta-free range (sliceable); a dirty range streams serially via the
-  // merging cursor until the next compaction.
-  const MorselConfig& cfg = GetMorselConfig();
-  parallel_ = total_rows_ >= cfg.scan_min_parallel_rows &&
-              ParallelEligible(cfg) && cursor_.sliceable();
-  if (!parallel_) return;
-  morsel_rows_ = std::max<size_t>(1, cfg.scan_morsel_rows);
-  max_wave_ = cfg.scan_max_wave_morsels;
-  scan_pos_ = 0;
-  wave_morsels_ = 1;
-  buf_.clear();
-  buf_pos_ = 0;
 }
 
 bool IndexScan::BindRow(const Triple& t, Solution* row) const {
@@ -350,53 +321,7 @@ bool IndexScan::BindRow(const Triple& t, Solution* row) const {
   return ok;
 }
 
-void IndexScan::DecodeWave() {
-  // One wave = wave_morsels_ fixed-size morsels (fewer at the tail).
-  // Each morsel decodes a Slice of the parked range cursor on the pool
-  // into its own buffer slot; the driver then concatenates the slots in
-  // morsel order and folds the per-morsel scan counts into stats_, so
-  // both the row stream and the counters are exactly the serial ones.
-  // The wave size ramps 1, 2, 4, ... morsels so a LIMIT consuming only
-  // a few rows never pays for a deep decode-ahead.
-  const size_t grain = morsel_rows_;
-  const size_t rows = std::min(total_rows_ - scan_pos_, wave_morsels_ * grain);
-  const size_t nchunks = (rows + grain - 1) / grain;
-  std::vector<std::vector<Solution>> bufs(nchunks);
-  std::vector<size_t> scanned(nchunks, 0), walked(nchunks, 0);
-  common::ParallelFor(0, rows, grain, [&](size_t b, size_t e) {
-    const size_t ci = b / grain;
-    rdf::TripleCursor c = cursor_.Slice(scan_pos_ + b, e - b);
-    Triple t;
-    Solution out;
-    while (c.Next(&t)) {
-      ++scanned[ci];
-      if (BindRow(t, &out)) bufs[ci].push_back(std::move(out));
-    }
-    walked[ci] = c.walked();
-  });
-  buf_.clear();
-  buf_pos_ = 0;
-  for (size_t i = 0; i < nchunks; ++i) {
-    stats_->rows_scanned += scanned[i];
-    stats_->rows_walked += walked[i];
-    for (Solution& r : bufs[i]) buf_.push_back(std::move(r));
-  }
-  scan_pos_ += rows;
-  wave_morsels_ = std::min(wave_morsels_ * 2, max_wave_);
-}
-
 bool IndexScan::Next(Solution* row) {
-  if (parallel_) {
-    for (;;) {
-      if (Cancelled()) return false;
-      if (buf_pos_ < buf_.size()) {
-        *row = std::move(buf_[buf_pos_++]);
-        return true;
-      }
-      if (scan_pos_ >= total_rows_) return false;
-      DecodeWave();
-    }
-  }
   const size_t walked = cursor_.walked();
   Triple t;
   bool found = false;
@@ -424,33 +349,6 @@ void SortMergeJoin::Open(const Solution& outer) {
   group_.clear();
   gpos_ = 0;
   matching_ = false;
-  cfg_ = GetMorselConfig();
-  parallel_ = ParallelEligible(cfg_) && cfg_.smj_min_parallel_group > 0;
-  emit_.clear();
-  epos_ = 0;
-}
-
-void SortMergeJoin::MergeGroupParallel() {
-  // (current left row) x (rest of the group), merged in fixed chunks on
-  // the pool and concatenated in chunk order — the same row order (and
-  // the same inconsistent-row drops) as the one-at-a-time loop.
-  const size_t base = gpos_;
-  const size_t n = group_.size() - base;
-  const size_t grain = std::max<size_t>(1, cfg_.smj_min_parallel_group / 4);
-  const size_t nchunks = (n + grain - 1) / grain;
-  std::vector<std::vector<Solution>> bufs(nchunks);
-  common::ParallelFor(0, n, grain, [&](size_t b, size_t e) {
-    std::vector<Solution>& out = bufs[b / grain];
-    for (size_t i = b; i < e; ++i) {
-      Solution m(lrow_.size());
-      if (MergeRows(lrow_, group_[base + i], &m)) out.push_back(std::move(m));
-    }
-  });
-  emit_.clear();
-  epos_ = 0;
-  for (std::vector<Solution>& bvec : bufs)
-    for (Solution& m : bvec) emit_.push_back(std::move(m));
-  gpos_ = group_.size();
 }
 
 bool SortMergeJoin::AdvanceLeft() {
@@ -471,15 +369,7 @@ bool SortMergeJoin::Next(Solution* row) {
     if (Cancelled()) return false;
     if (matching_) {
       // Emit remaining (current left row) x (buffered right group) pairs.
-      if (epos_ < emit_.size()) {
-        *row = std::move(emit_[epos_++]);
-        return true;
-      }
       if (gpos_ < group_.size()) {
-        if (parallel_ && group_.size() - gpos_ >= cfg_.smj_min_parallel_group) {
-          MergeGroupParallel();
-          continue;  // drain emit_ (possibly empty) on the next pass
-        }
         const Solution& r = group_[gpos_++];
         row->resize(lrow_.size());
         if (MergeRows(lrow_, r, row)) return true;

@@ -10,17 +10,9 @@
 // unordered cases; UnionAll and LeftOuterJoin stream UNION and OPTIONAL
 // groups without materializing between stages.
 //
-// Morsel-driven parallelism: when more than one thread is configured
-// (see common/thread_pool.h) IndexScan decodes waves of index-range
-// morsels on the shared pool and SortMergeJoin merges large right-side
-// groups in chunks; HashJoin has one serial code path. Every parallel
-// path is latched at Open(): with one thread (and force_parallel off)
-// the exact serial code runs, and when a parallel path does engage,
-// morsel bounds and merge order are pure functions of the MorselConfig
-// — never of the thread count — so the emitted row stream is
-// bitwise-identical to the serial one at any KGNET_NUM_THREADS. LIMIT
-// short-circuiting survives because scan waves ramp up from small sizes
-// instead of materializing inputs.
+// Every operator has one serial code path and runs on the calling
+// thread. Queries run in parallel with each other (the serving worker
+// pool), not within one query.
 //
 // This header also hosts the evaluation helpers shared with the engine's
 // projection/filter code: the variable table, compiled patterns and the
@@ -154,42 +146,12 @@ rdf::TriplePattern BindPattern(const CompiledPattern& cp, const Solution& sol);
 
 /// Counters shared by every operator of one plan; surfaced to callers as
 /// QueryEngine::ExecInfo so tests can assert that LIMIT short-circuits.
-/// Updated only on the driver thread — parallel morsels count into
-/// per-morsel slots that the driver folds in after each wave — so the
-/// totals are deterministic for a fixed MorselConfig.
+/// Operators update them as they pull rows, so the totals count exactly
+/// the index rows a query consumed, at any thread-pool width.
 struct ExecStats {
   size_t rows_scanned = 0;  // matching triples pulled out of index cursors
   size_t rows_walked = 0;   // index rows those cursors consumed to do so
 };
-
-/// Tuning knobs for the executor's morsel-driven parallelism. All sizes
-/// are thread-count independent on purpose: they fix the morsel bounds
-/// and merge order, which is what keeps results
-/// bitwise-identical at any thread count. The defaults keep small
-/// queries (and every existing LIMIT short-circuit guarantee) on the
-/// serial code path; tests shrink them to drive the parallel operators
-/// over tiny graphs.
-struct MorselConfig {
-  /// Index rows per scan morsel (one ParallelFor chunk).
-  size_t scan_morsel_rows = 1024;
-  /// Minimum index range before IndexScan parallelizes at all.
-  size_t scan_min_parallel_rows = 4096;
-  /// Wave ramp cap: a scan decodes 1, 2, 4, ... up to this many morsels
-  /// ahead of consumption, so a LIMIT near the top still stops early.
-  size_t scan_max_wave_morsels = 32;
-  /// Minimum right-group size before SortMergeJoin merges a group on the
-  /// pool instead of row-at-a-time.
-  size_t smj_min_parallel_group = 256;
-  /// Engage the parallel code paths even at one configured thread
-  /// (ParallelFor then runs inline with identical chunk bounds). Lets
-  /// single-threaded tests and benchmarks exercise the morsel machinery.
-  bool force_parallel = false;
-};
-
-/// The process-wide executor parallelism knobs. Mutate only between
-/// queries (operators snapshot it at Open); the defaults are right for
-/// production use.
-MorselConfig& GetMorselConfig();
 
 /// A pull-based streaming operator.
 class Operator {
@@ -222,8 +184,8 @@ class Operator {
  protected:
   /// Cancellation poll for Next() loops: true once the token tripped,
   /// with status_ set to the Cancelled/DeadlineExceeded status. Polls
-  /// only on the driver thread (Next() is driver-only), per the
-  /// CancelToken threading contract.
+  /// only on the thread that runs the query, per the CancelToken
+  /// threading contract.
   bool Cancelled() {
     if (!cancel_.valid()) return false;
     Status s = cancel_.Check();
@@ -288,9 +250,6 @@ class IndexScan : public Operator {
   /// Binds `t` into `*row` (starting from base_); false when a repeated
   /// variable disagrees with itself.
   bool BindRow(const rdf::Triple& t, Solution* row) const;
-  /// Decodes the next wave of morsels from the index range into buf_
-  /// (parallel mode only).
-  void DecodeWave();
 
   const rdf::Snapshot* snapshot_;
   CompiledPattern cp_;
@@ -300,19 +259,6 @@ class IndexScan : public Operator {
   ExecStats* stats_;
   rdf::TripleCursor cursor_;
   Solution base_;
-  // Morsel-parallel scan state. When parallel_ (latched at Open: range
-  // >= scan_min_parallel_rows and pool configured wide, or
-  // force_parallel), cursor_ stays parked at the range start and waves
-  // of Slice() morsels decode on the pool into buf_, merged in morsel
-  // order; otherwise Next() advances cursor_ exactly as before.
-  bool parallel_ = false;
-  size_t morsel_rows_ = 1;   // MorselConfig values latched when parallel_
-  size_t max_wave_ = 1;
-  size_t total_rows_ = 0;    // index rows in the range at Open
-  size_t scan_pos_ = 0;      // index rows already decoded
-  size_t wave_morsels_ = 1;  // ramp: morsels in the next wave
-  std::vector<Solution> buf_;
-  size_t buf_pos_ = 0;
 };
 
 /// Merge join of two inputs ordered on the same variable slot. Residual
@@ -330,10 +276,6 @@ class SortMergeJoin : public Operator {
  private:
   bool AdvanceLeft();
   bool AdvanceRight();
-  /// Merges the rest of the current right group with lrow_ on the pool
-  /// (chunk-ordered, so the emitted order equals the serial one) into
-  /// emit_, consuming the group.
-  void MergeGroupParallel();
 
   std::unique_ptr<Operator> left_, right_;
   int key_;
@@ -343,12 +285,6 @@ class SortMergeJoin : public Operator {
   rdf::TermId gkey_ = rdf::kNullTermId;
   size_t gpos_ = 0;
   bool matching_ = false;
-  // Parallel group emission (latched at Open; engages per group when the
-  // group is at least smj_min_parallel_group rows).
-  bool parallel_ = false;
-  MorselConfig cfg_;
-  std::vector<Solution> emit_;
-  size_t epos_ = 0;
 };
 
 /// Hash join with a lazily-drained build side (symmetric hash join).
@@ -431,9 +367,7 @@ class BindJoin : public Operator {
 /// and so on. Every child is (re)opened with the same outer row, so a
 /// UnionAll used as the inner side of a BindJoin replays every UNION
 /// alternative once per outer row — the streaming form of the engine's
-/// dependent-union semantics. Deliberately barrier-free under the morsel
-/// executor: each child's partial waves stream through as they decode;
-/// no alternative waits for another to finish.
+/// dependent-union semantics.
 class UnionAll : public Operator {
  public:
   explicit UnionAll(std::vector<std::unique_ptr<Operator>> children)
@@ -452,9 +386,7 @@ class UnionAll : public Operator {
 /// side is re-opened once per left row with that row's bindings pushed
 /// into its seek prefixes (like BindJoin); when it yields no extension,
 /// the bare left row is emitted instead of being dropped. Preserves the
-/// left side's order. Barrier-free under the morsel executor: left-side
-/// waves stream through one row at a time — the join never waits for a
-/// full left partition before probing the right side.
+/// left side's order.
 class LeftOuterJoin : public Operator {
  public:
   LeftOuterJoin(std::unique_ptr<Operator> left,

@@ -6,7 +6,6 @@
 #include <set>
 #include <sstream>
 
-#include "common/thread_pool.h"
 #include "sparql/serializer.h"
 
 namespace kgnet::sparql {
@@ -79,18 +78,6 @@ std::string PatternLabel(const PatternState& p, const char* index_name) {
   s += ' ';
   s += SerializeNode(p.src->o);
   return s;
-}
-
-/// EXPLAIN marker for a fixed-order scan whose planned range is large
-/// enough to engage the morsel-parallel decode path under the current
-/// MorselConfig and pool width. Advisory: IndexScan re-checks the real
-/// range at Open (a BindJoin inner scan, whose range depends on the
-/// outer row, is never marked).
-std::string ParallelMark(size_t range) {
-  const MorselConfig& cfg = GetMorselConfig();
-  const bool wide =
-      cfg.force_parallel || common::ThreadPool::num_threads() > 1;
-  return wide && range >= cfg.scan_min_parallel_rows ? " [parallel]" : "";
 }
 
 /// EXPLAIN marker: this scan is a cancellation point — the execution
@@ -426,7 +413,7 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
       if (build_desc)
         run.desc = LeafNode(PlanNode::Kind::kIndexScan,
                             PatternLabel(ps, IndexOrderName(c.order)) +
-                                ParallelMark(c.range) + CancelMark(ctx),
+                                CancelMark(ctx),
                             ps.out_est);
       run.ordered = c.ordered_slot;
     }
@@ -549,7 +536,7 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
           auto rdesc =
               LeafNode(PlanNode::Kind::kIndexScan,
                        PatternLabel(ps, IndexOrderName(best.choice->order)) +
-                           ParallelMark(best.choice->range) + CancelMark(ctx),
+                           CancelMark(ctx),
                        ps.out_est);
           std::string label =
               "MergeJoin(?" + ctx->vars.name(run.ordered) + ")";
@@ -584,7 +571,7 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
           auto bdesc =
               LeafNode(PlanNode::Kind::kIndexScan,
                        PatternLabel(ps, IndexOrderName(best.choice->order)) +
-                           ParallelMark(best.choice->range) + CancelMark(ctx),
+                           CancelMark(ctx),
                        ps.out_est);
           std::string label =
               best.cross

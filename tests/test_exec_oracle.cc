@@ -13,14 +13,12 @@
 #include <algorithm>
 #include <charconv>
 #include <map>
-#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "sparql/engine.h"
-#include "sparql/exec.h"
 #include "sparql/parser.h"
 #include "tensor/rng.h"
 #include "tests/parallel_test_util.h"
@@ -29,28 +27,6 @@ namespace kgnet::sparql {
 namespace {
 
 using rdf::Term;
-
-/// Saves and restores the process-wide MorselConfig, and installs tiny
-/// thresholds (plus force_parallel) so the 15-60-triple oracle graphs
-/// actually drive the morsel-parallel scan and group merge code paths
-/// that production sizes would leave dormant.
-class TinyMorselGuard {
- public:
-  TinyMorselGuard() : saved_(GetMorselConfig()) {
-    MorselConfig& cfg = GetMorselConfig();
-    cfg.scan_morsel_rows = 3;
-    cfg.scan_min_parallel_rows = 4;
-    cfg.scan_max_wave_morsels = 4;
-    cfg.smj_min_parallel_group = 2;
-    cfg.force_parallel = true;
-  }
-  ~TinyMorselGuard() { GetMorselConfig() = saved_; }
-  TinyMorselGuard(const TinyMorselGuard&) = delete;
-  TinyMorselGuard& operator=(const TinyMorselGuard&) = delete;
-
- private:
-  MorselConfig saved_;
-};
 
 // ------------------------------------------------------ reference model --
 
@@ -519,22 +495,6 @@ void RunSeeds(uint64_t first_seed, int count, const GenOptions& opts) {
     ASSERT_TRUE(legacy.ok())
         << legacy.status() << "\nseed=" << seed << "\n" << c.sparql;
 
-    // Third pass: the same streaming plan driven through the
-    // morsel-parallel operators (tiny thresholds + force_parallel). The
-    // determinism contract says the parallel operators emit the exact
-    // serial row stream, so even LIMIT/OFFSET results — free to pick any
-    // rows — must be *identical* to the serial streaming run.
-    {
-      TinyMorselGuard morsels;
-      engine.set_exec_mode(ExecMode::kStreaming);
-      auto parallel = engine.ExecuteString(c.sparql);
-      ASSERT_TRUE(parallel.ok())
-          << parallel.status() << "\nseed=" << seed << "\n" << c.sparql;
-      ASSERT_EQ(parallel->rows, streamed->rows)
-          << "parallel operators diverged from serial\nseed=" << seed << "\n"
-          << c.sparql;
-    }
-
     std::vector<Binding> oracle =
         RefEval(c.patterns, c.filters, c.unions, c.optionals, c.facts);
     auto engine_rows = EngineRows(*streamed);
@@ -770,11 +730,11 @@ TEST(ExecOracleTest, SnapshotQueriesSurviveInterleavedMutationBatches) {
   }
 }
 
-// The store's index flush (and the N-Triples bulk load above it) runs on
-// the shared thread pool; every query result table must be identical no
-// matter how many pool threads rebuilt the permutation runs. Full result
+// Compaction and every executor operator run serially on the calling
+// thread, so no query result may depend on the pool width. Full result
 // tables (rendered rows, both executor modes) are compared across
-// thread counts on a spread of seeded graph/query cases.
+// thread counts on a spread of seeded graph/query cases, so a parallel
+// path added to either later must keep the serial row stream.
 TEST(ExecOracleTest, ResultTablesIdenticalAcrossThreadCounts) {
   kgnet::testing::ThreadCountGuard thread_guard;
   GenOptions opts;
@@ -814,57 +774,6 @@ TEST(ExecOracleTest, ResultTablesIdenticalAcrossThreadCounts) {
   const std::vector<Table> want = run(1);
   for (int threads : {2, 4})
     EXPECT_EQ(want, run(threads)) << threads << " threads";
-}
-
-// The tentpole guarantee for the morsel-driven executor: with the
-// parallel operators engaged (tiny thresholds + force_parallel), the
-// result tables — in emission order, not just as multisets — are
-// bitwise-identical at 1, 2 and 4 pool threads, and identical to the
-// plain serial streaming run. DISTINCT/LIMIT/OFFSET cases are included
-// so the modifier pipeline sees the same stream too.
-TEST(ExecOracleTest, ParallelOperatorsIdenticalAcrossThreadCounts) {
-  kgnet::testing::ThreadCountGuard thread_guard;
-  GenOptions opts;
-  opts.filters = true;
-  opts.unions = true;
-  opts.optionals = true;
-  opts.modifiers = true;
-  opts.distinct = true;
-
-  using OrderedTable = std::vector<std::vector<Term>>;
-  auto run = [&](int threads, bool parallel_ops) {
-    common::ThreadPool::SetNumThreads(threads);
-    std::unique_ptr<TinyMorselGuard> morsels;
-    if (parallel_ops) morsels = std::make_unique<TinyMorselGuard>();
-    std::vector<OrderedTable> tables;
-    for (uint64_t seed = 9100; seed < 9116; ++seed) {
-      tensor::Rng rng(seed);
-      Case c = GenerateCase(&rng, opts);
-      rdf::TripleStore store;
-      for (const RTriple& f : c.facts) {
-        auto to_term = [](const RTerm& t) {
-          return t.iri ? Term::Iri(t.lex)
-                       : Term::TypedLiteral(
-                             t.lex,
-                             "http://www.w3.org/2001/XMLSchema#integer");
-        };
-        store.Insert(to_term(f.s), to_term(f.p), to_term(f.o));
-      }
-      QueryEngine engine(&store);
-      engine.set_exec_mode(ExecMode::kStreaming);
-      auto result = engine.ExecuteString(c.sparql);
-      EXPECT_TRUE(result.ok())
-          << result.status() << "\nseed=" << seed << "\n" << c.sparql;
-      tables.push_back(result.ok() ? result->rows : OrderedTable{});
-    }
-    return tables;
-  };
-
-  const std::vector<OrderedTable> serial = run(1, /*parallel_ops=*/false);
-  for (int threads : {1, 2, 4}) {
-    EXPECT_TRUE(serial == run(threads, /*parallel_ops=*/true))
-        << "parallel executor diverged at " << threads << " threads";
-  }
 }
 
 }  // namespace

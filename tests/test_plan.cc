@@ -6,9 +6,11 @@
 #include <string>
 
 #include "common/cancel.h"
+#include "common/thread_pool.h"
 #include "rdf/term.h"
 #include "sparql/engine.h"
 #include "sparql/parser.h"
+#include "tests/parallel_test_util.h"
 
 namespace kgnet::sparql {
 namespace {
@@ -144,6 +146,29 @@ TEST_F(PlanTest, LimitShortCircuitsScanCounts) {
   // Streaming LIMIT must stop the scans well before a full evaluation.
   EXPECT_LT(lim_scanned, full_scanned / 2) << "full=" << full_scanned
                                            << " limited=" << lim_scanned;
+}
+
+TEST_F(PlanTest, LimitScanCountDoesNotDependOnPoolWidth) {
+  // Every operator pulls its rows on the calling thread, so the pool
+  // width cannot change what a LIMIT reads: LIMIT 5 over a 6000-row
+  // range takes exactly five rows out of the index cursor.
+  kgnet::testing::ThreadCountGuard guard;
+  rdf::TripleStore store;
+  for (int s = 0; s < 200; ++s)
+    for (int o = 0; o < 30; ++o)
+      store.InsertIris("s" + std::to_string(s), "p", "o" + std::to_string(o));
+  store.Compact();  // the range is one compressed run, as after a load
+  QueryEngine engine(&store);
+  auto q = ParseQuery("SELECT * WHERE { ?s <p> ?o . } LIMIT 5");
+  ASSERT_TRUE(q.ok()) << q.status();
+  for (int threads : {1, 2, 4}) {
+    common::ThreadPool::SetNumThreads(threads);
+    ExecInfo info;
+    auto r = engine.Execute(*q, &info);
+    ASSERT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(r->NumRows(), 5u) << threads << " threads";
+    EXPECT_EQ(info.rows_scanned, 5u) << threads << " threads";
+  }
 }
 
 TEST_F(PlanTest, LimitZeroReturnsNoRows) {

@@ -683,25 +683,6 @@ TEST(TripleStoreSnapshotTest, EstimatesStayExactOnADirtyStore) {
   EXPECT_EQ(store.Match(TriplePattern()), live);
 }
 
-TEST(TripleStoreSnapshotTest, CursorsAreSliceableOnlyWhenRangeIsClean) {
-  TripleStore store;
-  for (int i = 0; i < 100; ++i)
-    store.InsertIris("s" + std::to_string(i), "p", "o");
-  store.Compact();
-  Snapshot clean = store.OpenSnapshot();
-  EXPECT_TRUE(
-      clean.OpenCursor(IndexOrder::kSpo, TriplePattern()).sliceable());
-
-  store.InsertIris("zz", "p", "o");  // dirties the full-scan range
-  Snapshot dirty = store.OpenSnapshot();
-  EXPECT_EQ(dirty.delta_size(), 1u);
-  EXPECT_FALSE(
-      dirty.OpenCursor(IndexOrder::kSpo, TriplePattern()).sliceable());
-  // A bound range the delta entry does not touch stays sliceable.
-  TriplePattern s0(store.dict().FindIri("s0"), 0, 0);
-  EXPECT_TRUE(dirty.OpenCursor(IndexOrder::kSpo, s0).sliceable());
-}
-
 TEST(TripleStoreSnapshotTest, WriterTriggeredCompactionKeepsLogBounded) {
   TripleStore::Options opts;
   opts.delta_compact_threshold = 32;
