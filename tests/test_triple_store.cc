@@ -38,6 +38,19 @@ TEST(DictionaryTest, DistinguishesTermKinds) {
   EXPECT_NE(iri, blank);
 }
 
+TEST(TripleStoreInternOrderTest, FreshStoreInternsObjectThenPredicateThenSubject) {
+  TripleStore a;
+  ASSERT_TRUE(a.Insert(Term::Iri("s"), Term::Iri("p"), Term::Iri("o")));
+  EXPECT_EQ(a.dict().FindIri("o"), 1u);
+  EXPECT_EQ(a.dict().FindIri("p"), 2u);
+  EXPECT_EQ(a.dict().FindIri("s"), 3u);
+  TripleStore b;
+  ASSERT_TRUE(b.InsertIris("s", "p", "o"));
+  EXPECT_EQ(b.dict().FindIri("o"), 1u);
+  EXPECT_EQ(b.dict().FindIri("p"), 2u);
+  EXPECT_EQ(b.dict().FindIri("s"), 3u);
+}
+
 TEST(DictionaryTest, DistinguishesDatatypeAndLang) {
   Dictionary dict;
   TermId plain = dict.Intern(Term::Literal("5"));
