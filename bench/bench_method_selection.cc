@@ -99,13 +99,13 @@ int main() {
     MetaSampleSpec ms;
     ms.target_type_iri = spec.target_type_iri;
     ms.supervision_predicate_iris = {spec.label_predicate_iri};
-    auto sub = sampler.Extract(ms);
+    auto sub = sampler.ExtractTriples(ms);
     if (sub.ok()) {
       gml::TransformOptions topts;
       topts.target_type_iri = spec.target_type_iri;
       topts.label_predicate_iri = spec.label_predicate_iri;
       topts.feature_dim = 16;
-      auto graph = gml::BuildGraphData(**sub, topts);
+      auto graph = gml::BuildGraphData(sub->triples, kg.store().dict(), topts);
       if (graph.ok()) {
         auto analytic = MethodSelector::Estimate(
             gml::GmlMethod::kRgcn, GraphSummary::FromGraph(*graph),

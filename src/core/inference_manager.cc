@@ -11,14 +11,22 @@ namespace kgnet::core {
 using rdf::kNullTermId;
 using rdf::TermId;
 
+namespace {
+
+/// The dictionary a live model's graph ids belong to.
+const rdf::Dictionary& DictOf(const TrainedModel& model) {
+  return model.source_store->dict();
+}
+
+}  // namespace
+
 Result<uint32_t> InferenceManager::ResolveNodeIn(const TrainedModel& model,
                                                  const std::string& model_uri,
                                                  const std::string& node_iri) {
-  const rdf::TripleStore* enc = model.EncodingStore();
-  if (enc == nullptr)
-    return Status::Internal("model has no encoding store: " + model_uri);
-  TermId term = enc->dict().FindIri(node_iri);
-  if (term == kNullTermId)
+  if (model.source_store == nullptr)
+    return Status::Internal("model has no source store: " + model_uri);
+  TermId term = DictOf(model).FindIri(node_iri);
+  if (term == kNullTermId || !model.InTrainingKg(term))
     return Status::NotFound("node not in model's training graph: " +
                             node_iri);
   uint32_t node;
@@ -53,8 +61,7 @@ Result<std::string> InferenceManager::NodeClassImpl(
   if (pred.empty() || pred[0] < 0 ||
       static_cast<size_t>(pred[0]) >= model->graph->class_terms.size())
     return Status::NotFound("no prediction for node " + node_iri);
-  const rdf::TripleStore* enc = model->EncodingStore();
-  return enc->dict().Lookup(model->graph->class_terms[pred[0]]).lexical;
+  return DictOf(*model).Lookup(model->graph->class_terms[pred[0]]).lexical;
 }
 
 Result<std::string> InferenceManager::GetNodeClass(
@@ -103,7 +110,7 @@ Result<std::vector<Result<std::string>>> InferenceManager::GetNodeClassBatch(
     // prediction lookup), so element j of the batched call is bitwise-
     // identical to Predict(graph, {nodes[j]})[0].
     std::vector<int> preds = model->classifier->Predict(*model->graph, nodes);
-    const rdf::TripleStore* enc = model->EncodingStore();
+    const rdf::Dictionary& dict = DictOf(*model);
     for (size_t j = 0; j < nodes.size(); ++j) {
       const int cls = preds[j];
       if (cls < 0 ||
@@ -111,8 +118,7 @@ Result<std::vector<Result<std::string>>> InferenceManager::GetNodeClassBatch(
         out[slots[j]] =
             Status::NotFound("no prediction for node " + node_iris[slots[j]]);
       else
-        out[slots[j]] =
-            enc->dict().Lookup(model->graph->class_terms[cls]).lexical;
+        out[slots[j]] = dict.Lookup(model->graph->class_terms[cls]).lexical;
     }
   }
   return out;
@@ -126,7 +132,7 @@ InferenceManager::GetNodeClassDictionary(const std::string& model_uri) {
   if (model->classifier == nullptr)
     return Status::FailedPrecondition(model_uri +
                                       " is not a node classifier");
-  const rdf::TripleStore* enc = model->EncodingStore();
+  const rdf::Dictionary& dict = DictOf(*model);
   const gml::GraphData& graph = *model->graph;
   std::vector<int> preds =
       model->classifier->Predict(graph, graph.target_nodes);
@@ -136,8 +142,8 @@ InferenceManager::GetNodeClassDictionary(const std::string& model_uri) {
     if (cls < 0 || static_cast<size_t>(cls) >= graph.class_terms.size())
       continue;
     const std::string& node_iri =
-        enc->dict().Lookup(graph.node_terms[graph.target_nodes[i]]).lexical;
-    out[node_iri] = enc->dict().Lookup(graph.class_terms[cls]).lexical;
+        dict.Lookup(graph.node_terms[graph.target_nodes[i]]).lexical;
+    out[node_iri] = dict.Lookup(graph.class_terms[cls]).lexical;
   }
   return out;
 }
@@ -182,26 +188,23 @@ Result<std::vector<std::string>> InferenceManager::TopKLinksImpl(
   const gml::GraphData& graph = *model->graph;
   if (graph.task_relation == UINT32_MAX)
     return Status::FailedPrecondition("model has no task relation");
-  const rdf::TripleStore* enc = model->EncodingStore();
+  const rdf::Dictionary& dict = DictOf(*model);
 
-  // Rank candidate tails; restrict to instances of the destination type
-  // when the metadata specifies one.
-  TermId dest_type = model->info.destination_type_iri.empty()
-                         ? kNullTermId
-                         : enc->dict().FindIri(
-                               model->info.destination_type_iri);
-  TermId type_pred = enc->dict().FindIri(rdf::kRdfType);
+  // Rank candidate tails; when the metadata names a destination type, keep
+  // the graph's candidates: the nodes typed so in the KG it was trained on.
+  const bool typed = !model->info.destination_type_iri.empty();
+  std::vector<char> candidate;
+  if (typed) {
+    candidate.assign(graph.num_nodes, 0);
+    for (uint32_t c : graph.destination_candidates) candidate[c] = 1;
+  }
   std::vector<uint32_t> ranked = model->predictor->TopKTails(
-      node, graph.task_relation,
-      dest_type == kNullTermId ? k : graph.num_nodes);
+      node, graph.task_relation, typed ? graph.num_nodes : k);
   std::vector<std::string> out;
   for (uint32_t t : ranked) {
     if (out.size() >= k) break;
-    TermId term = graph.node_terms[t];
-    if (dest_type != kNullTermId &&
-        !enc->Contains(rdf::Triple(term, type_pred, dest_type)))
-      continue;
-    out.push_back(enc->dict().Lookup(term).lexical);
+    if (typed && !candidate[t]) continue;
+    out.push_back(dict.Lookup(graph.node_terms[t]).lexical);
   }
   return out;
 }
@@ -342,15 +345,14 @@ Result<std::vector<std::string>> InferenceManager::SimilarByRowImpl(
                                       " has no embedding store");
   if (row.size() != rn.model->embeddings->dim())
     return Status::Internal("embedding dimension mismatch");
-  const rdf::TripleStore* enc = rn.model->EncodingStore();
+  const rdf::Dictionary& dict = DictOf(*rn.model);
   std::vector<std::string> out;
   for (const SearchHit& hit :
        rn.model->embeddings->SearchIvf(row, k + 1)) {
     const uint32_t node = static_cast<uint32_t>(hit.id);
     if (node == rn.node) continue;  // skip self
     if (out.size() >= k) break;
-    out.push_back(
-        enc->dict().Lookup(rn.model->graph->node_terms[node]).lexical);
+    out.push_back(dict.Lookup(rn.model->graph->node_terms[node]).lexical);
   }
   return out;
 }

@@ -1,8 +1,7 @@
 #include "core/meta_sampler.h"
 
-#include <optional>
+#include <algorithm>
 #include <sstream>
-#include <unordered_set>
 
 namespace kgnet::core {
 
@@ -12,9 +11,13 @@ using rdf::Triple;
 using rdf::TriplePattern;
 using rdf::TripleStore;
 
-Result<std::unique_ptr<TripleStore>> MetaSampler::Extract(
+Result<SampledTriples> MetaSampler::ExtractTriples(
     const MetaSampleSpec& spec, MetaSampleStats* stats) const {
+  // One snapshot for the whole walk. Every id it holds was interned before
+  // it opened, so the flat per-id tables below are sized once.
+  const rdf::Snapshot kg = store_->OpenSnapshot();
   const rdf::Dictionary& dict = store_->dict();
+  const size_t num_ids = dict.size();
   TermId type_pred = dict.FindIri(rdf::kRdfType);
   TermId target_type = dict.FindIri(spec.target_type_iri);
   if (target_type == kNullTermId)
@@ -29,40 +32,38 @@ Result<std::unique_ptr<TripleStore>> MetaSampler::Extract(
     supervision.push_back(p);
   }
 
+  // Bitmaps over the KG's ids; `mark` is true when `id` was not set yet.
+  auto mark = [](std::vector<bool>& set, TermId id) {
+    if (set[id]) return false;
+    set[id] = true;
+    return true;
+  };
+  std::vector<bool> visited(num_ids);
+
   // Seeds: instances of the target type.
   std::vector<TermId> frontier;
-  std::unordered_set<TermId> visited;
-  store_->Scan(TriplePattern(kNullTermId, type_pred, target_type),
-               [&](const Triple& t) {
-                 if (visited.insert(t.s).second) frontier.push_back(t.s);
-                 return true;
-               });
+  kg.Scan(TriplePattern(kNullTermId, type_pred, target_type),
+          [&](const Triple& t) {
+            if (mark(visited, t.s)) frontier.push_back(t.s);
+            return true;
+          });
   if (frontier.empty())
     return Status::InvalidArgument("no instances of target type " +
                                    spec.target_type_iri);
   const size_t seed_count = frontier.size();
+  size_t visited_count = seed_count;
 
-  auto out = std::make_unique<TripleStore>();
-  // KG' is built in one batch: one compaction when the scope is reset
-  // below, not one per trigger window.
-  std::optional<TripleStore::BulkLoad> bulk(out.get());
-  std::unordered_set<TermId> included_nodes(visited);
-  size_t extracted = 0;
-
-  auto emit = [&](const Triple& t) {
-    if (out->Insert(dict.Lookup(t.s), dict.Lookup(t.p), dict.Lookup(t.o)))
-      ++extracted;
-  };
+  std::vector<bool> included_nodes(visited);
+  std::vector<Triple> emitted;
 
   // Supervision edges of seeds are always kept.
   for (TermId seed : frontier) {
     for (TermId p : supervision) {
-      store_->Scan(TriplePattern(seed, p, kNullTermId),
-                   [&](const Triple& t) {
-                     emit(t);
-                     included_nodes.insert(t.o);
-                     return true;
-                   });
+      kg.Scan(TriplePattern(seed, p, kNullTermId), [&](const Triple& t) {
+        emitted.push_back(t);
+        mark(included_nodes, t.o);
+        return true;
+      });
     }
   }
 
@@ -71,46 +72,88 @@ Result<std::unique_ptr<TripleStore>> MetaSampler::Extract(
     std::vector<TermId> next;
     for (TermId v : frontier) {
       // Outgoing edges (v, p, o).
-      store_->Scan(TriplePattern(v, kNullTermId, kNullTermId),
-                   [&](const Triple& t) {
-                     emit(t);
-                     const rdf::Term& obj = dict.Lookup(t.o);
-                     if (!obj.is_literal()) {
-                       included_nodes.insert(t.o);
-                       if (visited.insert(t.o).second) next.push_back(t.o);
-                     }
-                     return true;
-                   });
+      kg.Scan(TriplePattern(v, kNullTermId, kNullTermId),
+              [&](const Triple& t) {
+                emitted.push_back(t);
+                if (!dict.Lookup(t.o).is_literal()) {
+                  mark(included_nodes, t.o);
+                  if (mark(visited, t.o)) next.push_back(t.o);
+                }
+                return true;
+              });
       if (spec.direction == SampleDirection::kBidirectional) {
         // Incoming edges (s, p, v).
-        store_->Scan(TriplePattern(kNullTermId, kNullTermId, v),
-                     [&](const Triple& t) {
-                       emit(t);
-                       included_nodes.insert(t.s);
-                       if (visited.insert(t.s).second) next.push_back(t.s);
-                       return true;
-                     });
+        kg.Scan(TriplePattern(kNullTermId, kNullTermId, v),
+                [&](const Triple& t) {
+                  emitted.push_back(t);
+                  mark(included_nodes, t.s);
+                  if (mark(visited, t.s)) next.push_back(t.s);
+                  return true;
+                });
       }
     }
+    visited_count += next.size();
     frontier = std::move(next);
   }
 
   // Type triples of every included node (schema signal for the
-  // transformer).
-  for (TermId v : included_nodes) {
-    store_->Scan(TriplePattern(v, type_pred, kNullTermId),
-                 [&](const Triple& t) {
-                   emit(t);
-                   return true;
-                 });
+  // transformer), in ascending id.
+  for (size_t v = 0; v < num_ids; ++v) {
+    if (!included_nodes[v]) continue;
+    kg.Scan(TriplePattern(static_cast<TermId>(v), type_pred, kNullTermId),
+            [&](const Triple& t) {
+              emitted.push_back(t);
+              return true;
+            });
   }
 
-  bulk.reset();
+  // Rank each term by first appearance, interning object, predicate,
+  // subject in turn as TripleStore::Insert does. Sorting the ranked
+  // triples gives a KG' store's SPO order; ranks map back through `terms`.
+  SampledTriples out;
+  std::vector<TermId> rank(num_ids, kNullTermId);
+  auto rank_of = [&](TermId id) {
+    if (rank[id] == kNullTermId) {
+      out.terms.push_back(id);
+      rank[id] = static_cast<TermId>(out.terms.size());
+    }
+    return rank[id];
+  };
+  for (Triple& t : emitted) {
+    const TermId o = rank_of(t.o);
+    const TermId p = rank_of(t.p);
+    const TermId s = rank_of(t.s);
+    t = Triple(s, p, o);
+  }
+  std::sort(emitted.begin(), emitted.end());
+  emitted.erase(std::unique(emitted.begin(), emitted.end()), emitted.end());
+  for (Triple& t : emitted)
+    t = Triple(out.terms[t.s - 1], out.terms[t.p - 1], out.terms[t.o - 1]);
+  out.triples = std::move(emitted);
+
   if (stats != nullptr) {
     stats->seed_nodes = seed_count;
-    stats->visited_nodes = visited.size();
-    stats->extracted_triples = out->size();
-    stats->original_triples = store_->size();
+    stats->visited_nodes = visited_count;
+    stats->extracted_triples = out.triples.size();
+    stats->original_triples = kg.size();
+  }
+  return out;
+}
+
+Result<std::unique_ptr<TripleStore>> MetaSampler::Extract(
+    const MetaSampleSpec& spec, MetaSampleStats* stats) const {
+  KGNET_ASSIGN_OR_RETURN(SampledTriples sampled, ExtractTriples(spec, stats));
+  const rdf::Dictionary& dict = store_->dict();
+  auto out = std::make_unique<TripleStore>();
+  // Interning `terms` first gives each term its walk-order id; the whole
+  // load is one batch, so the runs are built once.
+  std::vector<TermId> local(dict.size(), kNullTermId);  // id -> KG' id
+  {
+    TripleStore::BulkLoad bulk(out.get());
+    for (TermId id : sampled.terms)
+      local[id] = out->dict().Intern(dict.Lookup(id));
+    for (const Triple& t : sampled.triples)
+      out->Insert(Triple(local[t.s], local[t.p], local[t.o]));
   }
   return out;
 }

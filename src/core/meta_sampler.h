@@ -53,20 +53,36 @@ struct MetaSampleStats {
   }
 };
 
+/// KG' in the ids of the store it was sampled from.
+struct SampledTriples {
+  /// Deduplicated, in the order a store holding only KG' scans them: SPO
+  /// over the ids such a store assigns (see `terms`).
+  std::vector<rdf::Triple> triples;
+  /// Every term the triples mention, by first appearance in the walk
+  /// (object, predicate, subject of each emitted triple): the term at
+  /// position i is the one a KG' store loaded in walk order calls i + 1.
+  std::vector<rdf::TermId> terms;
+};
+
 /// Extracts task-specific subgraphs from a knowledge graph.
 class MetaSampler {
  public:
   explicit MetaSampler(const rdf::TripleStore* store) : store_(store) {}
 
-  /// Runs the extraction; returns the subgraph as a new TripleStore
-  /// (dictionary-encoded independently).
+  /// Runs the extraction; returns KG' as triples of the source store's
+  /// ids. Nothing is copied out of the source dictionary.
+  Result<SampledTriples> ExtractTriples(
+      const MetaSampleSpec& spec, MetaSampleStats* stats = nullptr) const;
+
+  /// ExtractTriples loaded into a store of its own, with the ids a store
+  /// filled in walk order would assign.
   Result<std::unique_ptr<rdf::TripleStore>> Extract(
       const MetaSampleSpec& spec, MetaSampleStats* stats = nullptr) const;
 
   /// The SPARQL CONSTRUCT-style query text that describes this extraction
   /// (the paper calls meta-sampling "a search query against a KG"). Purely
-  /// informational: Extract() evaluates the same semantics directly on the
-  /// index for speed.
+  /// informational: ExtractTriples() evaluates the same semantics directly
+  /// on the index for speed.
   static std::string DescribeAsSparql(const MetaSampleSpec& spec);
 
  private:

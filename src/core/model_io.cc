@@ -62,10 +62,10 @@ bool ReadFloats(std::istream& is, std::vector<float>* v) {
 
 Result<ServingBundle> BuildServingBundle(const TrainedModel& model) {
   ServingBundle bundle;
-  const rdf::TripleStore* enc = model.EncodingStore();
-  if (model.graph == nullptr || enc == nullptr)
+  if (model.graph == nullptr || model.source_store == nullptr)
     return Status::FailedPrecondition(
-        "model has no graph/encoding store (already a loaded bundle?)");
+        "model has no graph/source store (already a loaded bundle?)");
+  const rdf::Dictionary& dict = model.source_store->dict();
   const gml::GraphData& graph = *model.graph;
 
   if (model.classifier != nullptr) {
@@ -76,8 +76,8 @@ Result<ServingBundle> BuildServingBundle(const TrainedModel& model) {
       if (cls < 0 || static_cast<size_t>(cls) >= graph.class_terms.size())
         continue;
       bundle.nc_predictions.emplace(
-          enc->dict().Lookup(graph.node_terms[graph.target_nodes[i]]).lexical,
-          enc->dict().Lookup(graph.class_terms[cls]).lexical);
+          dict.Lookup(graph.node_terms[graph.target_nodes[i]]).lexical,
+          dict.Lookup(graph.class_terms[cls]).lexical);
     }
     return bundle;
   }
@@ -90,7 +90,7 @@ Result<ServingBundle> BuildServingBundle(const TrainedModel& model) {
       if (emb.size() != bundle.embed_dim)
         return Status::Internal("inconsistent embedding dimensions");
       bundle.node_iris.push_back(
-          enc->dict().Lookup(graph.node_terms[v]).lexical);
+          dict.Lookup(graph.node_terms[v]).lexical);
       bundle.embeddings.insert(bundle.embeddings.end(), emb.begin(),
                                emb.end());
     }

@@ -3,6 +3,7 @@
 #ifndef KGNET_CORE_MODEL_STORE_H_
 #define KGNET_CORE_MODEL_STORE_H_
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <string>
@@ -31,25 +32,30 @@ struct ServingBundle {
 };
 
 /// A trained model plus everything needed to serve inference for it: the
-/// graph encoding it was trained on (node-id <-> IRI mapping lives there)
-/// and the sampled subgraph store when meta-sampling was used. Models
-/// restored from disk carry only `info` and `bundle`.
+/// graph encoding it was trained on, whose node/relation/class term ids are
+/// those of `source_store`'s dictionary. Models restored from disk carry
+/// only `info` and `bundle`.
 struct TrainedModel {
   ModelInfo info;
   std::shared_ptr<gml::NodeClassifier> classifier;  // NC models
   std::shared_ptr<gml::LinkPredictor> predictor;    // LP models
   std::shared_ptr<gml::GraphData> graph;
-  /// The store `graph` was encoded from (KG' when sampled, else the data
-  /// KG). Needed to translate IRIs to graph node ids.
-  std::shared_ptr<rdf::TripleStore> subgraph;
+  /// The data KG the model was trained from. Its dictionary is
+  /// append-only, so `graph`'s ids stay valid while the KG changes.
   const rdf::TripleStore* source_store = nullptr;
+  /// Sorted ids of every term of KG' when the model was trained on a
+  /// meta-sample; empty when it was trained on the whole KG.
+  std::vector<rdf::TermId> sample_terms;
   /// Entity embeddings for similarity search (LP models).
   std::shared_ptr<EmbeddingStore> embeddings;
   /// Persisted serving payload (set for models loaded from disk).
   std::shared_ptr<ServingBundle> bundle;
 
-  const rdf::TripleStore* EncodingStore() const {
-    return subgraph != nullptr ? subgraph.get() : source_store;
+  /// True when `term` belongs to the KG the model was trained on: KG'
+  /// when sampled, else the whole source KG.
+  bool InTrainingKg(rdf::TermId term) const {
+    return sample_terms.empty() ||
+           std::binary_search(sample_terms.begin(), sample_terms.end(), term);
   }
 };
 

@@ -1,5 +1,6 @@
 #include "core/training_manager.h"
 
+#include <algorithm>
 #include <utility>
 
 namespace kgnet::core {
@@ -21,9 +22,21 @@ Result<TrainOutcome> GmlTrainingManager::TrainTask(const TrainTaskSpec& spec) {
 
   TrainOutcome outcome;
 
-  // ---- 1. Meta-sampling: extract the task-specific subgraph KG'. ----
-  const rdf::TripleStore* train_store = kg_;
-  std::shared_ptr<rdf::TripleStore> subgraph;
+  // ---- 1+2. Meta-sampling and data transformation (Figure 6 "Dataset
+  // Transformer"). KG' is extracted as triples of the KG's own ids and
+  // encoded straight from them; it is never loaded into a store. ----
+  gml::TransformOptions topts;
+  topts.target_type_iri = spec.target_type_iri;
+  if (spec.task == TaskType::kNodeClassification) {
+    topts.label_predicate_iri = spec.label_predicate_iri;
+  } else {
+    topts.task_predicate_iri = spec.task_predicate_iri;
+    topts.destination_type_iri = spec.destination_type_iri;
+  }
+  topts.feature_dim = spec.config.embed_dim;
+  topts.seed = spec.config.seed;
+  std::shared_ptr<gml::GraphData> graph_ptr;
+  std::vector<rdf::TermId> sample_terms;
   if (spec.use_meta_sampling) {
     MetaSampleSpec ms;
     ms.target_type_iri = spec.target_type_iri;
@@ -36,29 +49,21 @@ Result<TrainOutcome> GmlTrainingManager::TrainTask(const TrainTaskSpec& spec) {
     }
     ms.hops = spec.hops;
     MetaSampler sampler(kg_);
-    KGNET_ASSIGN_OR_RETURN(auto extracted,
-                           sampler.Extract(ms, &outcome.sample_stats));
-    subgraph = std::shared_ptr<rdf::TripleStore>(std::move(extracted));
-    train_store = subgraph.get();
+    KGNET_ASSIGN_OR_RETURN(SampledTriples kg_prime,
+                           sampler.ExtractTriples(ms, &outcome.sample_stats));
+    KGNET_ASSIGN_OR_RETURN(
+        gml::GraphData graph,
+        gml::BuildGraphData(kg_prime.triples, kg_->dict(), topts));
+    graph_ptr = std::make_shared<gml::GraphData>(std::move(graph));
+    sample_terms = std::move(kg_prime.terms);
+    std::sort(sample_terms.begin(), sample_terms.end());
     outcome.sampler_label = SampleSpecLabel(ms);
   } else {
+    KGNET_ASSIGN_OR_RETURN(gml::GraphData graph,
+                           gml::BuildGraphData(*kg_, topts));
+    graph_ptr = std::make_shared<gml::GraphData>(std::move(graph));
     outcome.sampler_label = "full";
   }
-
-  // ---- 2. Data transformation (Figure 6 "Dataset Transformer"). ----
-  gml::TransformOptions topts;
-  topts.target_type_iri = spec.target_type_iri;
-  if (spec.task == TaskType::kNodeClassification) {
-    topts.label_predicate_iri = spec.label_predicate_iri;
-  } else {
-    topts.task_predicate_iri = spec.task_predicate_iri;
-    topts.destination_type_iri = spec.destination_type_iri;
-  }
-  topts.feature_dim = spec.config.embed_dim;
-  topts.seed = spec.config.seed;
-  KGNET_ASSIGN_OR_RETURN(gml::GraphData graph,
-                         gml::BuildGraphData(*train_store, topts));
-  auto graph_ptr = std::make_shared<gml::GraphData>(std::move(graph));
 
   // ---- 3. Budget-aware method selection. ----
   gml::TrainConfig config = spec.config;
@@ -78,8 +83,8 @@ Result<TrainOutcome> GmlTrainingManager::TrainTask(const TrainTaskSpec& spec) {
   // ---- 4. Training. ----
   auto model = std::make_shared<TrainedModel>();
   model->graph = graph_ptr;
-  model->subgraph = subgraph;
   model->source_store = kg_;
+  model->sample_terms = std::move(sample_terms);
   if (spec.task == TaskType::kNodeClassification) {
     KGNET_ASSIGN_OR_RETURN(auto classifier,
                            gml::MakeNodeClassifier(selection.method));

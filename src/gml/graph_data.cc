@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <functional>
 #include <numeric>
+#include <unordered_map>
 
 namespace kgnet::gml {
 
@@ -45,15 +46,19 @@ std::vector<tensor::CsrMatrix> GraphData::BuildRelationalAdjacencies() const {
 }
 
 bool GraphData::FindNode(rdf::TermId term, uint32_t* node) const {
-  if (node_index_.empty() && !node_terms.empty()) {
-    node_index_.reserve(node_terms.size());
-    for (size_t i = 0; i < node_terms.size(); ++i)
-      node_index_.emplace(node_terms[i], static_cast<uint32_t>(i));
-  }
-  auto it = node_index_.find(term);
-  if (it == node_index_.end()) return false;
+  auto it = std::lower_bound(node_index_.begin(), node_index_.end(),
+                             std::make_pair(term, uint32_t{0}));
+  if (it == node_index_.end() || it->first != term) return false;
   *node = it->second;
   return true;
+}
+
+void GraphData::IndexNodes() {
+  node_index_.clear();
+  node_index_.reserve(node_terms.size());
+  for (size_t i = 0; i < node_terms.size(); ++i)
+    node_index_.emplace_back(node_terms[i], static_cast<uint32_t>(i));
+  std::sort(node_index_.begin(), node_index_.end());
 }
 
 size_t GraphData::StructureBytes() const {
@@ -63,10 +68,8 @@ size_t GraphData::StructureBytes() const {
 
 namespace {
 
-/// Assigns indices 0..n-1 to folds. For kCommunity, `component` gives a
-/// community id per item; whole communities go to one fold.
+/// Assigns indices 0..n-1 to folds by one uniform shuffle.
 void SplitIndices(size_t n, double train_frac, double valid_frac, Rng* rng,
-                  SplitStrategy strategy, const std::vector<uint32_t>* component,
                   std::vector<uint32_t>* train, std::vector<uint32_t>* valid,
                   std::vector<uint32_t>* test) {
   std::vector<uint32_t> order(n);
@@ -75,27 +78,6 @@ void SplitIndices(size_t n, double train_frac, double valid_frac, Rng* rng,
 
   const size_t target_train = static_cast<size_t>(n * train_frac);
   const size_t target_valid = static_cast<size_t>(n * valid_frac);
-
-  if (strategy == SplitStrategy::kCommunity && component != nullptr) {
-    // Group by community, then fill folds greedily in shuffled community
-    // order. Keeps communities intact (graph-partition-aware splitting).
-    std::unordered_map<uint32_t, std::vector<uint32_t>> groups;
-    for (uint32_t i : order) (*groups.try_emplace((*component)[i]).first).second.push_back(i);
-    std::vector<std::vector<uint32_t>> comms;
-    comms.reserve(groups.size());
-    for (auto& [id, members] : groups) comms.push_back(std::move(members));
-    std::shuffle(comms.begin(), comms.end(), rng->generator());
-    for (auto& c : comms) {
-      if (train->size() < target_train) {
-        train->insert(train->end(), c.begin(), c.end());
-      } else if (valid->size() < target_valid) {
-        valid->insert(valid->end(), c.begin(), c.end());
-      } else {
-        test->insert(test->end(), c.begin(), c.end());
-      }
-    }
-    return;
-  }
   for (size_t i = 0; i < n; ++i) {
     if (i < target_train) {
       train->push_back(order[i]);
@@ -107,33 +89,14 @@ void SplitIndices(size_t n, double train_frac, double valid_frac, Rng* rng,
   }
 }
 
-/// Connected components over an undirected view of the edges, restricted to
-/// n nodes. Returns a component id per node.
-std::vector<uint32_t> ConnectedComponents(size_t n,
-                                          const std::vector<Edge>& edges) {
-  std::vector<uint32_t> parent(n);
-  std::iota(parent.begin(), parent.end(), 0u);
-  std::function<uint32_t(uint32_t)> find = [&](uint32_t x) {
-    while (parent[x] != x) {
-      parent[x] = parent[parent[x]];
-      x = parent[x];
-    }
-    return x;
-  };
-  for (const Edge& e : edges) {
-    uint32_t a = find(e.src), b = find(e.dst);
-    if (a != b) parent[a] = b;
-  }
-  std::vector<uint32_t> comp(n);
-  for (uint32_t v = 0; v < n; ++v) comp[v] = find(v);
-  return comp;
-}
+/// Calls its argument for each triple of one ordered pass.
+using TriplePass =
+    std::function<void(const std::function<void(const Triple&)>&)>;
 
-}  // namespace
-
-Result<GraphData> BuildGraphData(const rdf::TripleStore& store,
-                                 const TransformOptions& options) {
-  const rdf::Dictionary& dict = store.dict();
+/// The one GraphData builder, over whichever pass feeds it.
+Result<GraphData> Encode(const rdf::Dictionary& dict,
+                         const TransformOptions& options,
+                         const TriplePass& pass) {
   GraphData g;
 
   TermId type_pred = dict.FindIri(rdf::kRdfType);
@@ -155,52 +118,67 @@ Result<GraphData> BuildGraphData(const rdf::TripleStore& store,
   if (!options.task_predicate_iri.empty() && task_pred == kNullTermId)
     return Status::NotFound("task predicate not in KG: " +
                             options.task_predicate_iri);
+  // Looked up for link prediction only; reported after the task edges.
+  TermId dest_type =
+      task_pred == kNullTermId || options.destination_type_iri.empty()
+          ? kNullTermId
+          : dict.FindIri(options.destination_type_iri);
 
-  // Pass 1: assign node and relation ids. Literal objects are dropped
+  // The pass: assign node and relation ids. Literal objects are dropped
   // (paper: "removing literal data"); label/task predicate edges are
-  // excluded from message passing.
+  // excluded from message passing. Type edges stay (they carry schema
+  // signal); class nodes are regular nodes.
   std::unordered_map<TermId, uint32_t> node_of;
   std::unordered_map<TermId, uint32_t> rel_of;
   auto intern_node = [&](TermId t) -> uint32_t {
-    auto it = node_of.find(t);
-    if (it != node_of.end()) return it->second;
-    uint32_t id = static_cast<uint32_t>(g.node_terms.size());
-    node_of.emplace(t, id);
-    g.node_terms.push_back(t);
-    return id;
+    auto [it, fresh] =
+        node_of.try_emplace(t, static_cast<uint32_t>(g.node_terms.size()));
+    if (fresh) g.node_terms.push_back(t);
+    return it->second;
   };
   auto intern_rel = [&](TermId t) -> uint32_t {
-    auto it = rel_of.find(t);
-    if (it != rel_of.end()) return it->second;
-    uint32_t id = static_cast<uint32_t>(g.relation_terms.size());
-    rel_of.emplace(t, id);
-    g.relation_terms.push_back(t);
-    return id;
+    auto [it, fresh] =
+        rel_of.try_emplace(t, static_cast<uint32_t>(g.relation_terms.size()));
+    if (fresh) g.relation_terms.push_back(t);
+    return it->second;
   };
-
+  // An IRI of `options` is in the KG only if a triple of the pass mentions
+  // it, as it would be in the dictionary of a store holding just the pass.
+  const TermId wanted[] = {target_type, label_pred, task_pred, dest_type};
+  bool mentioned[] = {false, false, false, false};
+  std::vector<TermId> target_subjects;  // (s, rdf:type, target type)
+  std::vector<TermId> dest_subjects;    // (s, rdf:type, destination type)
   std::vector<Triple> label_triples;
   std::vector<Triple> task_triples;
-  store.Scan(TriplePattern(), [&](const Triple& t) {
-    if (options.drop_literals && dict.Lookup(t.o).is_literal()) return true;
+  pass([&](const Triple& t) {
+    for (int w = 0; w < 4; ++w)
+      if (t.s == wanted[w] || t.p == wanted[w] || t.o == wanted[w])
+        mentioned[w] = true;
+    if (t.p == type_pred) {
+      if (t.o == target_type) target_subjects.push_back(t.s);
+      if (t.o == dest_type) dest_subjects.push_back(t.s);
+    }
+    if (options.drop_literals && dict.Lookup(t.o).is_literal()) return;
     if (label_pred != kNullTermId && t.p == label_pred) {
       label_triples.push_back(t);
-      return true;
+      return;
     }
     if (task_pred != kNullTermId && t.p == task_pred) {
       task_triples.push_back(t);
-      return true;
+      return;
     }
-    if (t.p == type_pred) {
-      // Type edges stay in the graph (they carry schema signal) but the
-      // class nodes are regular nodes.
-      Edge e{intern_node(t.s), intern_rel(t.p), intern_node(t.o)};
-      g.edges.push_back(e);
-      return true;
-    }
-    Edge e{intern_node(t.s), intern_rel(t.p), intern_node(t.o)};
-    g.edges.push_back(e);
-    return true;
+    g.edges.push_back(Edge{intern_node(t.s), intern_rel(t.p),
+                           intern_node(t.o)});
   });
+  if (target_type != kNullTermId && !mentioned[0])
+    return Status::NotFound("target type not in KG: " +
+                            options.target_type_iri);
+  if (label_pred != kNullTermId && !mentioned[1])
+    return Status::NotFound("label predicate not in KG: " +
+                            options.label_predicate_iri);
+  if (task_pred != kNullTermId && !mentioned[2])
+    return Status::NotFound("task predicate not in KG: " +
+                            options.task_predicate_iri);
 
   g.num_nodes = g.node_terms.size();
   g.num_relations = g.relation_terms.size();
@@ -208,17 +186,19 @@ Result<GraphData> BuildGraphData(const rdf::TripleStore& store,
     return Status::InvalidArgument("empty graph after transformation");
 
   tensor::Rng rng(options.seed);
+  g.labels.assign(g.num_nodes, -1);
 
   // Node classification supervision.
   if (label_pred != kNullTermId) {
-    g.labels.assign(g.num_nodes, -1);
+    std::sort(target_subjects.begin(), target_subjects.end());
     std::unordered_map<TermId, int> class_of;
     for (const Triple& t : label_triples) {
       auto nit = node_of.find(t.s);
       if (nit == node_of.end()) continue;  // subject had no graph edges
       // Restrict to instances of the target type if one was given.
       if (target_type != kNullTermId &&
-          !store.Contains(Triple(t.s, type_pred, target_type)))
+          !std::binary_search(target_subjects.begin(), target_subjects.end(),
+                              t.s))
         continue;
       auto cit = class_of.find(t.o);
       int cls;
@@ -238,27 +218,9 @@ Result<GraphData> BuildGraphData(const rdf::TripleStore& store,
     if (g.target_nodes.empty())
       return Status::InvalidArgument(
           "no labeled target nodes found for node classification");
-
-    const std::vector<uint32_t>* comp_ptr = nullptr;
-    std::vector<uint32_t> target_comp;
-    std::vector<uint32_t> comp;
-    if (options.split == SplitStrategy::kCommunity) {
-      // Components over non-type edges: rdf:type edges hub every instance
-      // through its class node and would merge all communities.
-      std::vector<Edge> structural;
-      structural.reserve(g.edges.size());
-      for (const Edge& e : g.edges)
-        if (g.relation_terms[e.rel] != type_pred) structural.push_back(e);
-      comp = ConnectedComponents(g.num_nodes, structural);
-      target_comp.reserve(g.target_nodes.size());
-      for (uint32_t v : g.target_nodes) target_comp.push_back(comp[v]);
-      comp_ptr = &target_comp;
-    }
     SplitIndices(g.target_nodes.size(), options.train_fraction,
-                 options.valid_fraction, &rng, options.split, comp_ptr,
-                 &g.train_idx, &g.valid_idx, &g.test_idx);
-  } else {
-    g.labels.assign(g.num_nodes, -1);
+                 options.valid_fraction, &rng, &g.train_idx, &g.valid_idx,
+                 &g.test_idx);
   }
 
   // Link prediction supervision.
@@ -279,27 +241,23 @@ Result<GraphData> BuildGraphData(const rdf::TripleStore& store,
     g.task_relation = task_edges.front().rel;
     std::vector<uint32_t> tr, va, te;
     SplitIndices(task_edges.size(), options.train_fraction,
-                 options.valid_fraction, &rng, SplitStrategy::kRandom, nullptr,
-                 &tr, &va, &te);
+                 options.valid_fraction, &rng, &tr, &va, &te);
     for (uint32_t i : tr) g.train_edges.push_back(task_edges[i]);
     for (uint32_t i : va) g.valid_edges.push_back(task_edges[i]);
     for (uint32_t i : te) g.test_edges.push_back(task_edges[i]);
     // Training task edges participate in message passing; valid/test do not.
     for (const Edge& e : g.train_edges) g.edges.push_back(e);
 
-    // Destination-type candidates for ranking.
+    // Destination-type candidates for ranking, in pass order.
     if (!options.destination_type_iri.empty()) {
-      TermId dest_type = dict.FindIri(options.destination_type_iri);
-      if (dest_type == kNullTermId)
+      if (dest_type == kNullTermId || !mentioned[3])
         return Status::NotFound("destination type not in KG: " +
                                 options.destination_type_iri);
-      store.Scan(TriplePattern(kNullTermId, type_pred, dest_type),
-                 [&](const Triple& t) {
-                   auto it = node_of.find(t.s);
-                   if (it != node_of.end())
-                     g.destination_candidates.push_back(it->second);
-                   return true;
-                 });
+      for (TermId s : dest_subjects) {
+        auto it = node_of.find(s);
+        if (it != node_of.end())
+          g.destination_candidates.push_back(it->second);
+      }
     }
   }
 
@@ -307,8 +265,28 @@ Result<GraphData> BuildGraphData(const rdf::TripleStore& store,
   g.feature_dim = options.feature_dim;
   g.features = Matrix(g.num_nodes, g.feature_dim);
   g.features.XavierInit(&rng);
-
+  g.IndexNodes();
   return g;
+}
+
+}  // namespace
+
+Result<GraphData> BuildGraphData(const std::vector<rdf::Triple>& triples,
+                                 const rdf::Dictionary& dict,
+                                 const TransformOptions& options) {
+  return Encode(dict, options, [&](const auto& visit) {
+    for (const Triple& t : triples) visit(t);
+  });
+}
+
+Result<GraphData> BuildGraphData(const rdf::TripleStore& store,
+                                 const TransformOptions& options) {
+  return Encode(store.dict(), options, [&](const auto& visit) {
+    store.Scan(TriplePattern(), [&](const Triple& t) {
+      visit(t);
+      return true;
+    });
+  });
 }
 
 }  // namespace kgnet::gml

@@ -9,7 +9,7 @@
 
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -25,12 +25,6 @@ struct Edge {
   uint32_t src;
   uint32_t rel;
   uint32_t dst;
-};
-
-/// Strategies for generating splits.
-enum class SplitStrategy {
-  kRandom,     // uniform shuffle
-  kCommunity,  // connected components assigned greedily to folds
 };
 
 /// The encoded graph plus task supervision.
@@ -80,14 +74,19 @@ struct GraphData {
   std::vector<tensor::CsrMatrix> BuildRelationalAdjacencies() const;
 
   /// Node id lookup from a dictionary term; returns false if absent.
+  /// Reads only the index IndexNodes() built, so concurrent calls are safe.
   bool FindNode(rdf::TermId term, uint32_t* node) const;
+
+  /// Builds the FindNode index from `node_terms`; BuildGraphData calls it
+  /// once the nodes are final.
+  void IndexNodes();
 
   /// Total bytes of the encoded structure (edges + features), the base
   /// footprint a training pipeline must hold in memory.
   size_t StructureBytes() const;
 
  private:
-  mutable std::unordered_map<rdf::TermId, uint32_t> node_index_;
+  std::vector<std::pair<rdf::TermId, uint32_t>> node_index_;  // by term
 };
 
 /// Options controlling the transformation from triples to GraphData.
@@ -108,20 +107,29 @@ struct TransformOptions {
   /// Split fractions (remainder is test).
   double train_fraction = 0.6;
   double valid_fraction = 0.2;
-  SplitStrategy split = SplitStrategy::kRandom;
   /// Seed for features and splits.
   uint64_t seed = 13;
   /// Drop literal-valued triples (the paper's transformer does).
   bool drop_literals = true;
 };
 
-/// Encodes `store` into a GraphData according to `options`.
+/// Encodes one ordered pass of triples into a GraphData according to
+/// `options`; `dict` names their ids. Node, relation and class ids follow
+/// the order of `triples`, so the same triples in the same order give the
+/// same graph whichever dictionary numbers them. An IRI in `options` must
+/// be mentioned by some triple ("not in KG" otherwise).
 ///
 /// For node classification (label_predicate_iri set): nodes of the target
 /// type with a label edge become target_nodes; label edges are excluded from
 /// message passing.
 /// For link prediction (task_predicate_iri set): edges of the task predicate
 /// are split into train/valid/test supervision and removed from the graph.
+Result<GraphData> BuildGraphData(const std::vector<rdf::Triple>& triples,
+                                 const rdf::Dictionary& dict,
+                                 const TransformOptions& options);
+
+/// The same over every triple of `store`, in its SPO scan order (read in
+/// place, not copied).
 Result<GraphData> BuildGraphData(const rdf::TripleStore& store,
                                  const TransformOptions& options);
 

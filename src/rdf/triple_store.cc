@@ -495,14 +495,20 @@ bool TripleStore::Append(const Triple& t, bool erase) {
 
 bool TripleStore::Insert(const Triple& t) { return Append(t, false); }
 
+// Interns o, p, s in turn (GCC's argument order): ids never vary by compiler.
 bool TripleStore::Insert(const Term& s, const Term& p, const Term& o) {
-  return Insert(Triple(dict_.Intern(s), dict_.Intern(p), dict_.Intern(o)));
+  const TermId oid = dict_.Intern(o);
+  const TermId pid = dict_.Intern(p);
+  const TermId sid = dict_.Intern(s);
+  return Insert(Triple(sid, pid, oid));
 }
 
 bool TripleStore::InsertIris(std::string_view s, std::string_view p,
                              std::string_view o) {
-  return Insert(
-      Triple(dict_.InternIri(s), dict_.InternIri(p), dict_.InternIri(o)));
+  const TermId oid = dict_.InternIri(o);
+  const TermId pid = dict_.InternIri(p);
+  const TermId sid = dict_.InternIri(s);
+  return Insert(Triple(sid, pid, oid));
 }
 
 bool TripleStore::Erase(const Triple& t) { return Append(t, true); }

@@ -114,42 +114,6 @@ TEST(GraphDataTest, LpTransformSplitsTaskEdges) {
     EXPECT_EQ(mp.count({e.src, e.rel, e.dst}), 1u);
 }
 
-TEST(GraphDataTest, CommunitySplitKeepsComponentsTogether) {
-  // Two disconnected cliques of labeled nodes.
-  rdf::TripleStore store;
-  const std::string type = std::string(rdf::kRdfType);
-  for (int comp = 0; comp < 2; ++comp) {
-    for (int i = 0; i < 10; ++i) {
-      std::string node =
-          "http://n/" + std::to_string(comp) + "_" + std::to_string(i);
-      store.InsertIris(node, type, "http://T");
-      store.InsertIris(node, "http://label", "http://class" +
-                                                 std::to_string(comp));
-      if (i > 0)
-        store.InsertIris(node, "http://link",
-                         "http://n/" + std::to_string(comp) + "_" +
-                             std::to_string(i - 1));
-    }
-  }
-  TransformOptions t;
-  t.target_type_iri = "http://T";
-  t.label_predicate_iri = "http://label";
-  t.split = SplitStrategy::kCommunity;
-  t.train_fraction = 0.5;
-  t.valid_fraction = 0.25;
-  auto g = BuildGraphData(store, t);
-  ASSERT_TRUE(g.ok()) << g.status();
-  // All nodes of a component share a fold: component == label here, so
-  // every fold must be label-pure.
-  auto fold_labels = [&](const std::vector<uint32_t>& fold) {
-    std::set<int> labels;
-    for (uint32_t idx : fold) labels.insert(g->labels[g->target_nodes[idx]]);
-    return labels;
-  };
-  EXPECT_LE(fold_labels(g->train_idx).size(), 1u);
-  EXPECT_LE(fold_labels(g->valid_idx).size(), 1u);
-}
-
 TEST(GraphDataTest, GcnAdjacencyRowsNormalized) {
   rdf::TripleStore store = SmallDblp();
   auto g = BuildGraphData(store, NcOptions());

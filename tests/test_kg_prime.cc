@@ -5,6 +5,7 @@
 // answers its models serve, live and after a model_io round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -276,6 +277,70 @@ TEST(KgPrimeGraphPinTest, TrainTaskTrainsOnThePinnedGraph) {
   }
 }
 
+TEST(KgPrimeGraphPinTest, ExtractedTriplesEncodeThePinnedGraph) {
+  rdf::TripleStore kg;
+  GenerateKg(&kg);
+  for (const Job& job : Jobs()) {
+    Result<gml::GraphData> g = Status::Internal("unset");
+    if (job.spec.use_meta_sampling) {
+      MetaSampleStats stats;
+      auto sampled =
+          MetaSampler(&kg).ExtractTriples(SampleOf(job.spec), &stats);
+      ASSERT_TRUE(sampled.ok()) << sampled.status();
+      EXPECT_EQ(sampled->triples.size(), stats.extracted_triples);
+      g = gml::BuildGraphData(sampled->triples, kg.dict(), OptionsOf(job.spec));
+    } else {
+      g = gml::BuildGraphData(kg, OptionsOf(job.spec));
+    }
+    ASSERT_TRUE(g.ok()) << g.status();
+    EXPECT_EQ(PinOf(*g, &kg.dict()), job.pin) << job.label;
+  }
+}
+
+TEST(KgPrimeGraphPinTest, TrainedGraphsNameTermsInTheKgDictionary) {
+  KgNet kg;
+  GenerateKg(&kg.store());
+  for (const Job& job : Jobs()) {
+    auto out = kg.TrainTask(job.spec);
+    ASSERT_TRUE(out.ok()) << out.status();
+    auto model = kg.service().model_store().Get(out->model_uri);
+    ASSERT_TRUE(model.ok());
+    EXPECT_EQ((*model)->source_store, &kg.store());
+    EXPECT_EQ(PinOf(*(*model)->graph, &kg.store().dict()), job.pin)
+        << job.label;
+    // A sampled model keeps KG′'s term ids, sorted, and nothing else.
+    EXPECT_EQ((*model)->sample_terms.empty(), !job.spec.use_meta_sampling);
+    EXPECT_TRUE(std::is_sorted((*model)->sample_terms.begin(),
+                               (*model)->sample_terms.end()));
+  }
+}
+
+TEST(KgPrimeGraphPinTest, ExtractLoadsTheTriplesWithWalkOrderIds) {
+  rdf::TripleStore kg;
+  GenerateKg(&kg);
+  const MetaSampleSpec spec = SampleOf(Jobs()[1].spec);
+  auto sampled = MetaSampler(&kg).ExtractTriples(spec);
+  auto store = MetaSampler(&kg).Extract(spec);
+  ASSERT_TRUE(sampled.ok() && store.ok());
+  const rdf::Dictionary& sub = (*store)->dict();
+  ASSERT_EQ(sub.num_terms(), sampled->terms.size());
+  for (size_t i = 0; i < sampled->terms.size(); ++i)
+    EXPECT_EQ(sub.Lookup(static_cast<rdf::TermId>(i + 1)),
+              kg.dict().Lookup(sampled->terms[i]));
+  std::vector<rdf::Triple> scanned;
+  (*store)->Scan(rdf::TriplePattern(), [&](const rdf::Triple& t) {
+    scanned.push_back(t);
+    return true;
+  });
+  ASSERT_EQ(scanned.size(), sampled->triples.size());
+  for (size_t i = 0; i < scanned.size(); ++i) {
+    const rdf::Triple& want = sampled->triples[i];
+    EXPECT_EQ(sub.Lookup(scanned[i].s), kg.dict().Lookup(want.s));
+    EXPECT_EQ(sub.Lookup(scanned[i].p), kg.dict().Lookup(want.p));
+    EXPECT_EQ(sub.Lookup(scanned[i].o), kg.dict().Lookup(want.o));
+  }
+}
+
 // ---- inference answers ----
 
 /// Renders one answer as "value" / "a b c" / "<code>: <message>", with the
@@ -313,7 +378,8 @@ const char* const kLpIris[] = {"person/0", "person/5", "affiliation/2",
 
 std::vector<std::string> Iris(const char* const* names, size_t n) {
   std::vector<std::string> out;
-  for (size_t i = 0; i < n; ++i) out.push_back(workload::kDblpNs + std::string(names[i]));
+  for (size_t i = 0; i < n; ++i)
+    out.push_back(workload::kDblpNs + std::string(names[i]));
   return out;
 }
 

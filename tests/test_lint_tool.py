@@ -49,10 +49,17 @@ class ViolatingFixtures(unittest.TestCase):
         self.check("kl001_unordered_iteration.cc",
                    "src/sparql/fixture.cc", "KL001", 2)
 
-    def test_kl001_is_scoped_to_sparql_and_rdf(self):
-        # The same file is legal outside the query/storage hot paths.
+    def test_kl001_fires_in_gml_and_core(self):
+        # Hash-order grouping feeding the fold order of a training split.
+        self.check("kl001_gml_unordered_iteration.cc",
+                   "src/gml/fixture.cc", "KL001", 1)
+        self.check("kl001_unordered_iteration.cc",
+                   "src/core/fixture.cc", "KL001", 2)
+
+    def test_kl001_is_scoped_to_ordered_layers(self):
+        # The same file is legal outside sparql/rdf/core/gml.
         code, out = run_lint("kl001_unordered_iteration.cc",
-                             "src/gml/fixture.cc")
+                             "src/serving/fixture.cc")
         self.assertEqual(code, 0, out)
 
     def test_kl002_unseeded_random(self):

@@ -10,10 +10,11 @@ Rules
 -----
 KL001 unordered-iteration
     No iteration (range-for, .begin()/.cbegin()) over std::unordered_map
-    / std::unordered_set variables in src/sparql/ and src/rdf/. Hash
-    iteration order is libstdc++-internal: feeding it into ordered
-    output or order-sensitive accumulation silently breaks the bitwise-
-    determinism contract (docs/ARCHITECTURE.md "Threading model").
+    / std::unordered_set variables in src/sparql/, src/rdf/, src/core/
+    and src/gml/. Hash iteration order is libstdc++-internal: feeding
+    it into ordered output or order-sensitive accumulation silently
+    breaks the bitwise-determinism contract (docs/ARCHITECTURE.md
+    "Threading model").
     Audited order-independent sites go in tools/kgnet_lint_allowlist.txt.
 
 KL002 unseeded-random
@@ -89,6 +90,9 @@ LAYER_DEPS = {
     "core": {"core", "sparql", "gml", "rdf", "tensor", "common"},
     "serving": {"serving", "core", "sparql", "gml", "rdf", "tensor", "common"},
 }
+
+# KL001: the layers whose output order is part of a determinism contract.
+KL001_DIRS = ("src/sparql/", "src/rdf/", "src/core/", "src/gml/")
 
 RULES = {
     "KL001": "unordered-iteration",
@@ -242,7 +246,7 @@ def line_of(stripped, offset):
 
 
 def rule_kl001(vpath, orig_lines, stripped):
-    if not (vpath.startswith("src/sparql/") or vpath.startswith("src/rdf/")):
+    if not vpath.startswith(KL001_DIRS):
         return []
     findings = []
     names = find_unordered_decls(stripped)
