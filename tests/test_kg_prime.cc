@@ -219,7 +219,7 @@ MetaSampleSpec SampleOf(const TrainTaskSpec& spec) {
       spec.task == gml::TaskType::kNodeClassification
           ? spec.label_predicate_iri
           : spec.task_predicate_iri};
-  ms.direction = *spec.direction;
+  ms.direction = spec.direction.value_or(SampleDirection::kOutgoing);
   ms.hops = spec.hops;
   return ms;
 }
@@ -378,6 +378,7 @@ const char* const kLpIris[] = {"person/0", "person/5", "affiliation/2",
 
 std::vector<std::string> Iris(const char* const* names, size_t n) {
   std::vector<std::string> out;
+  out.reserve(n);
   for (size_t i = 0; i < n; ++i)
     out.push_back(workload::kDblpNs + std::string(names[i]));
   return out;
@@ -580,6 +581,7 @@ TEST_F(KgPrimeInferencePinTest, ConcurrentFirstCallsAgreeWithSerialOnes) {
   std::atomic<int> ready{0};
   std::vector<std::vector<std::string>> got(kThreads);
   std::vector<std::thread> threads;
+  threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       ready.fetch_add(1);
