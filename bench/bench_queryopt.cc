@@ -5,17 +5,19 @@
 // optimizer must pick the dictionary plan once the instance count
 // outgrows the break-even point.
 //
-// Part 2 compares the plain-SPARQL hot path per BGP shape: the streaming
-// executor (merge/hash/bind joins over sorted index cursors) against the
-// legacy materializing nested-loop evaluator, and writes the timings to
+// Part 2 times the plain-SPARQL hot path per BGP shape (merge/hash/bind
+// joins over sorted index cursors), checks each shape's row count
+// against a brute-force nested-loop count, and writes the timings to
 // BENCH_queryopt.json in the working directory. Part 5 times the read
 // kinds of the perfbench read_mix workload one by one.
 #include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <map>
 #include <random>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -42,19 +44,12 @@ double Median(std::vector<double>* samples) {
   return (*samples)[samples->size() / 2];
 }
 
-double PercentileMs(std::vector<double>* samples, double pct) {
-  std::sort(samples->begin(), samples->end());
-  const size_t n = samples->size();
-  size_t idx = static_cast<size_t>(pct / 100.0 * static_cast<double>(n));
-  if (idx >= n) idx = n - 1;
-  return (*samples)[idx];
-}
+using kgnet::bench::Percentile;
 
-/// Executes `query` `reps` times in `mode`; returns (median ms, rows).
+/// Executes `query` `reps` times; returns (median ms, rows).
 std::pair<double, size_t> TimeQuery(kgnet::sparql::QueryEngine* engine,
                                     const kgnet::sparql::Query& query,
-                                    kgnet::sparql::ExecMode mode, int reps) {
-  engine->set_exec_mode(mode);
+                                    int reps) {
   size_t rows = 0;
   std::vector<double> ms;
   for (int i = 0; i <= reps; ++i) {  // one warmup + reps timed
@@ -74,12 +69,47 @@ std::pair<double, size_t> TimeQuery(kgnet::sparql::QueryEngine* engine,
   return {Median(&ms), rows};
 }
 
+/// Rows of the BGP `patterns[i..]` under `bound`, by nested loops over
+/// TripleStore::Match in the written pattern order: no planner, no join
+/// operators — the reference the executor's row counts are checked on.
+size_t CountBgpRows(const kgnet::rdf::TripleStore& store,
+                    const std::vector<kgnet::sparql::PatternTriple>& patterns,
+                    size_t i,
+                    const std::map<std::string, kgnet::rdf::TermId>& bound) {
+  using kgnet::rdf::TermId;
+  if (i == patterns.size()) return 1;
+  const kgnet::sparql::PatternTriple& pt = patterns[i];
+  const kgnet::sparql::NodeRef* nodes[3] = {&pt.s, &pt.p, &pt.o};
+  TermId ids[3];
+  for (int k = 0; k < 3; ++k) {
+    const kgnet::sparql::NodeRef& n = *nodes[k];
+    if (!n.is_var) {
+      ids[k] = store.dict().Find(n.term);
+      if (ids[k] == kgnet::rdf::kNullTermId) return 0;
+    } else {
+      auto it = bound.find(n.var);
+      ids[k] = it == bound.end() ? kgnet::rdf::kNullTermId : it->second;
+    }
+  }
+  size_t rows = 0;
+  for (const kgnet::rdf::Triple& t :
+       store.Match(kgnet::rdf::TriplePattern(ids[0], ids[1], ids[2]))) {
+    const TermId got[3] = {t.s, t.p, t.o};
+    std::map<std::string, TermId> ext = bound;
+    bool consistent = true;
+    for (int k = 0; k < 3 && consistent; ++k) {
+      if (!nodes[k]->is_var) continue;
+      consistent = ext.emplace(nodes[k]->var, got[k]).first->second == got[k];
+    }
+    if (consistent) rows += CountBgpRows(store, patterns, i + 1, ext);
+  }
+  return rows;
+}
+
 struct ShapeResult {
   std::string name;
-  double old_ms = 0;
-  double new_ms = 0;
+  double ms = 0;
   size_t rows = 0;
-  double speedup() const { return new_ms > 0 ? old_ms / new_ms : 0; }
 };
 
 struct MemoryConfigResult {
@@ -140,8 +170,7 @@ int RunIndexMemoryBench(kgnet::bench::ShapeChecker* shape,
     }
 
     sparql::QueryEngine engine(&store);
-    auto [ms, rows] =
-        TimeQuery(&engine, *parsed, sparql::ExecMode::kStreaming, 5);
+    auto [ms, rows] = TimeQuery(&engine, *parsed, 5);
     (void)rows;
 
     MemoryConfigResult r;
@@ -210,7 +239,6 @@ int RunMixedReadWriteBench(kgnet::bench::ShapeChecker* shape,
     return 1;
   }
   sparql::QueryEngine engine(store);
-  engine.set_exec_mode(sparql::ExecMode::kStreaming);
 
   const rdf::Term type = rdf::Term::Iri(std::string(rdf::kRdfType));
   const rdf::Term pub = rdf::Term::Iri(workload::DblpSchema::Publication());
@@ -255,10 +283,10 @@ int RunMixedReadWriteBench(kgnet::bench::ShapeChecker* shape,
 
   out->iterations = kIters;
   out->batch_triples = kPubsPerBatch * 3;
-  out->snapshot_p50_ms = PercentileMs(&snap_ms, 50);
-  out->snapshot_p99_ms = PercentileMs(&snap_ms, 99);
-  out->stall_p50_ms = PercentileMs(&stall_ms, 50);
-  out->stall_p99_ms = PercentileMs(&stall_ms, 99);
+  out->snapshot_p50_ms = Percentile(&snap_ms, 0.50);
+  out->snapshot_p99_ms = Percentile(&snap_ms, 0.99);
+  out->stall_p50_ms = Percentile(&stall_ms, 0.50);
+  out->stall_p99_ms = Percentile(&stall_ms, 0.99);
 
   std::printf("\nMIXED READ+WRITE (%d-triple batch before every read)\n\n",
               out->batch_triples);
@@ -393,7 +421,7 @@ int RunReadKindBench(std::vector<ReadKindResult>* out) {
   return 0;
 }
 
-/// Part 2: per-shape old-vs-new executor timings on a plain DBLP KG.
+/// Part 2: per-shape executor timings on a plain DBLP KG.
 int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
   using namespace kgnet;
   namespace ws = workload;
@@ -440,10 +468,9 @@ int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
        5},
   };
 
-  std::printf("\nSTREAMING EXECUTOR vs LEGACY (plain SPARQL, %zu triples)\n\n",
+  std::printf("\nSTREAMING EXECUTOR (plain SPARQL, %zu triples)\n\n",
               store.size());
-  std::printf("%-15s %12s %12s %10s %10s\n", "shape", "legacy (ms)",
-              "stream (ms)", "speedup", "rows");
+  std::printf("%-15s %12s %10s\n", "shape", "time (ms)", "rows");
 
   std::vector<ShapeResult> results;
   for (const ShapeSpec& spec : specs) {
@@ -452,47 +479,18 @@ int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
       std::fprintf(stderr, "%s\n", parsed.status().ToString().c_str());
       return 1;
     }
-    auto [old_ms, old_rows] =
-        TimeQuery(&engine, *parsed, sparql::ExecMode::kMaterialized, spec.reps);
-    auto [new_ms, new_rows] =
-        TimeQuery(&engine, *parsed, sparql::ExecMode::kStreaming, spec.reps);
     ShapeResult r;
     r.name = spec.name;
-    r.old_ms = old_ms;
-    r.new_ms = new_ms;
-    r.rows = new_rows;
-    std::printf("%-15s %12.3f %12.3f %9.2fx %10zu\n", r.name.c_str(),
-                r.old_ms, r.new_ms, r.speedup(), r.rows);
-    shape->Check(old_rows == new_rows,
-                 std::string(spec.name) + ": row counts agree (" +
-                     std::to_string(old_rows) + " vs " +
-                     std::to_string(new_rows) + ")");
+    std::tie(r.ms, r.rows) = TimeQuery(&engine, *parsed, spec.reps);
+    size_t want = CountBgpRows(store, parsed->where.triples, 0, {});
+    if (parsed->limit >= 0)
+      want = std::min(want, static_cast<size_t>(parsed->limit));
+    std::printf("%-15s %12.3f %10zu\n", r.name.c_str(), r.ms, r.rows);
+    shape->Check(r.rows == want,
+                 std::string(spec.name) + ": row count matches nested loops (" +
+                     std::to_string(r.rows) + " vs " + std::to_string(want) +
+                     ")");
     results.push_back(std::move(r));
-  }
-
-  double best = 0;
-  bool no_regression = true;
-  for (const ShapeResult& r : results) {
-    best = std::max(best, r.speedup());
-    // 10% relative + 0.05 ms absolute slack against timer jitter.
-    if (r.new_ms > r.old_ms * 1.10 + 0.05) no_regression = false;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.2f", best);
-  shape->Check(best >= 2.0, std::string("streaming executor >= 2x on at "
-                                        "least one shape (best ") +
-                                buf + "x)");
-  shape->Check(no_regression,
-               "no shape regresses more than 10% vs the legacy executor");
-  for (const ShapeResult& r : results) {
-    if (r.name != "selective") continue;
-    // Pinned since the single-pattern fast path + planner shortcuts:
-    // the fully/near-bound shape must not lose to the legacy evaluator
-    // on planning overhead again.
-    std::snprintf(buf, sizeof(buf), "%.2f", r.speedup());
-    shape->Check(r.speedup() >= 1.0,
-                 std::string("selective shape: streaming >= legacy (got ") +
-                     buf + "x)");
   }
 
   // Part 3: memory-vs-speed across index configurations (same graph).
@@ -517,9 +515,8 @@ int RunExecutorBench(kgnet::bench::ShapeChecker* shape) {
       const ShapeResult& r = results[i];
       std::fprintf(json,
                    "    {\"name\": \"%s\", \"rows\": %zu, "
-                   "\"legacy_ms\": %.4f, \"streaming_ms\": %.4f, "
-                   "\"speedup\": %.3f}%s\n",
-                   r.name.c_str(), r.rows, r.old_ms, r.new_ms, r.speedup(),
+                   "\"streaming_ms\": %.4f}%s\n",
+                   r.name.c_str(), r.rows, r.ms,
                    i + 1 < results.size() ? "," : "");
     }
     std::fprintf(json, "  ],\n");

@@ -27,6 +27,7 @@ namespace {
 
 using kgnet::core::KgNet;
 using kgnet::core::TrainTaskSpec;
+using kgnet::bench::Percentile;
 using kgnet::serving::KgClient;
 using kgnet::serving::KgServer;
 using kgnet::serving::ServerOptions;
@@ -35,13 +36,6 @@ using Clock = std::chrono::steady_clock;
 
 double Ms(Clock::time_point a, Clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
-}
-
-double Percentile(std::vector<double>* samples, double p) {
-  if (samples->empty()) return 0.0;
-  std::sort(samples->begin(), samples->end());
-  const size_t idx = static_cast<size_t>(p * (samples->size() - 1));
-  return (*samples)[idx];
 }
 
 struct Setup {

@@ -7,6 +7,7 @@
 #ifndef KGNET_BENCH_BENCH_UTIL_H_
 #define KGNET_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -36,6 +37,14 @@ class ShapeChecker {
  private:
   std::vector<std::pair<bool, std::string>> results_;
 };
+
+/// The `q`-quantile (0 <= q <= 1) of `samples`, which it sorts: the
+/// sample at index floor(q * (n - 1)). 0 for no samples.
+inline double Percentile(std::vector<double>* samples, double q) {
+  if (samples->empty()) return 0.0;
+  std::sort(samples->begin(), samples->end());
+  return (*samples)[static_cast<size_t>(q * (samples->size() - 1))];
+}
 
 /// Formats bytes as MB with one decimal.
 inline double ToMb(size_t bytes) { return bytes / 1e6; }

@@ -18,6 +18,12 @@ const rdf::Dictionary& DictOf(const TrainedModel& model) {
   return model.source_store->dict();
 }
 
+/// Whether `node` is a target node of `graph` — one a node classifier
+/// answers for, as its saved bundle does. Only target nodes carry labels.
+bool IsTargetNode(const gml::GraphData& graph, uint32_t node) {
+  return node < graph.labels.size() && graph.labels[node] >= 0;
+}
+
 }  // namespace
 
 Result<uint32_t> InferenceManager::ResolveNodeIn(const TrainedModel& model,
@@ -57,6 +63,8 @@ Result<std::string> InferenceManager::NodeClassImpl(
   if (model->classifier == nullptr)
     return Status::FailedPrecondition(model_uri +
                                       " is not a node classifier");
+  if (!IsTargetNode(*model->graph, node))
+    return Status::NotFound("no prediction for node " + node_iri);
   std::vector<int> pred = model->classifier->Predict(*model->graph, {node});
   if (pred.empty() || pred[0] < 0 ||
       static_cast<size_t>(pred[0]) >= model->graph->class_terms.size())
@@ -100,6 +108,10 @@ Result<std::vector<Result<std::string>>> InferenceManager::GetNodeClassBatch(
     if (model->classifier == nullptr) {
       out[i] = Status::FailedPrecondition(model_uri +
                                           " is not a node classifier");
+      continue;
+    }
+    if (!IsTargetNode(*model->graph, *rn)) {
+      out[i] = Status::NotFound("no prediction for node " + node_iris[i]);
       continue;
     }
     nodes.push_back(*rn);

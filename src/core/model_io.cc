@@ -1,5 +1,6 @@
 #include "core/model_io.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdint>
@@ -261,10 +262,15 @@ Result<size_t> LoadModelStore(const std::string& dir, ModelStore* store,
   std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec))
     return Status::NotFound("not a directory: " + dir);
+  // Sorted, so the KgMeta registration order does not follow the
+  // filesystem's directory order.
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec))
+    if (entry.path().extension() == ".kgm") paths.push_back(entry.path());
+  std::sort(paths.begin(), paths.end());
   size_t loaded = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
-    if (entry.path().extension() != ".kgm") continue;
-    KGNET_ASSIGN_OR_RETURN(auto model, LoadTrainedModel(entry.path().string()));
+  for (const auto& path : paths) {
+    KGNET_ASSIGN_OR_RETURN(auto model, LoadTrainedModel(path.string()));
     const std::string uri = model->info.uri;
     store->Put(std::move(model));
     // Re-register metadata unless already present.

@@ -8,8 +8,13 @@
 //     node IRIs, the task-relation translation vector and the candidate
 //     rows of the destination type.
 // Bundles restore through the ModelStore and serve through the
-// InferenceManager exactly like freshly trained models; the format is a
-// simple framed little-endian binary ("KGNM1").
+// InferenceManager. A node-classifier bundle answers exactly the target
+// nodes the live model answers, with the same classes. A link-predictor
+// bundle does not rank exactly like the live model: it scores with a
+// translation vector estimated as the mean (tail - head) of the training
+// edges in place of the model's own scorer, which is exact only for
+// TransE, so its top-k lists can differ. The format is a simple framed
+// little-endian binary ("KGNM1").
 #ifndef KGNET_CORE_MODEL_IO_H_
 #define KGNET_CORE_MODEL_IO_H_
 

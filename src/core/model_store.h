@@ -7,7 +7,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -90,6 +89,7 @@ class ModelStore {
                : Status::NotFound("no trained model stored for " + uri);
   }
 
+  /// Every stored URI, in ascending order.
   std::vector<std::string> ListUris() const {
     common::MutexLock lock(&mu_);
     std::vector<std::string> out;
@@ -105,7 +105,9 @@ class ModelStore {
 
  private:
   mutable common::Mutex mu_;
-  std::unordered_map<std::string, std::shared_ptr<TrainedModel>> models_
+  // Ordered by URI, so ListUris() — and the bundles SaveModelStore
+  // writes — come out in one order on every run.
+  std::map<std::string, std::shared_ptr<TrainedModel>> models_
       KGNET_GUARDED_BY(mu_);
 };
 

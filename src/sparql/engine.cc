@@ -1,9 +1,7 @@
 #include "sparql/engine.h"
 
 #include <algorithm>
-#include <set>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "sparql/exec.h"
@@ -19,210 +17,6 @@ using rdf::Term;
 using rdf::TermId;
 using rdf::Triple;
 using rdf::TriplePattern;
-
-/// Legacy evaluator: the BGP of `gp` (with eager FILTER application)
-/// starting from `seeds`, by greedy indexed nested-loop joins with fully
-/// materialized intermediates. Kept verbatim as the reference
-/// implementation behind ExecMode::kMaterialized.
-Status EvalPatternsLegacy(const GraphPattern& gp, EvalContext* ctx,
-                          std::vector<Solution> seeds,
-                          std::vector<Solution>* out) {
-  std::vector<CompiledPattern> patterns;
-  patterns.reserve(gp.triples.size());
-  for (const auto& pt : gp.triples)
-    patterns.push_back(CompilePattern(pt, ctx));
-
-  // Pre-resolve filter variable slots.
-  struct CompiledFilter {
-    ExprPtr expr;
-    std::vector<int> slots;
-    bool applied = false;
-  };
-  std::vector<CompiledFilter> filters;
-  for (const auto& f : gp.filters) {
-    CompiledFilter cf;
-    cf.expr = f;
-    std::set<std::string> names;
-    CollectExprVars(f, &names);
-    for (const auto& n : names) cf.slots.push_back(ctx->vars.SlotOf(n));
-    filters.push_back(std::move(cf));
-  }
-
-  // Resize seed solutions to the full variable count.
-  const size_t nvars = ctx->vars.size();
-  for (auto& s : seeds) s.resize(nvars, kNullTermId);
-
-  std::vector<bool> used(patterns.size(), false);
-
-  // Recursive greedy join.
-  struct Rec {
-    EvalContext* ctx;
-    const std::vector<CompiledPattern>& patterns;
-    std::vector<CompiledFilter>& filters;
-    std::vector<bool>& used;
-    std::vector<Solution>* out;
-    Status status = Status::OK();
-
-    bool FiltersPass(Solution& sol, std::vector<bool>& applied) {
-      for (size_t i = 0; i < filters.size(); ++i) {
-        if (applied[i]) continue;
-        bool ready = true;
-        for (int slot : filters[i].slots) {
-          if (sol[slot] == kNullTermId) {
-            ready = false;
-            break;
-          }
-        }
-        if (!ready) continue;
-        auto v = EvalExpr(filters[i].expr, ctx, sol);
-        if (!v.ok()) {
-          status = v.status();
-          return false;
-        }
-        applied[i] = true;
-        if (!EffectiveBool(*v)) return false;
-      }
-      return true;
-    }
-
-    void Run(Solution& sol, std::vector<bool>& applied, size_t remaining) {
-      if (!status.ok()) return;
-      if (remaining == 0) {
-        out->push_back(sol);
-        return;
-      }
-      // Pick the cheapest unused pattern under the current bindings.
-      int best = -1;
-      size_t best_card = SIZE_MAX;
-      for (size_t i = 0; i < patterns.size(); ++i) {
-        if (used[i]) continue;
-        TriplePattern bound = BindPattern(patterns[i], sol);
-        size_t card = ctx->snapshot.EstimateCardinality(bound);
-        if (card < best_card) {
-          best_card = card;
-          best = static_cast<int>(i);
-        }
-      }
-      const CompiledPattern& cp = patterns[best];
-      used[best] = true;
-      TriplePattern bound = BindPattern(cp, sol);
-      ctx->snapshot.Scan(bound, [&](const Triple& t) {
-        // Cancellation poll: the legacy evaluator's only long-running
-        // loop is this scan callback.
-        Status cs = ctx->cancel.Check();
-        if (!cs.ok()) {
-          status = std::move(cs);
-          return false;
-        }
-        // Bind free positions; check join consistency for repeated vars.
-        TermId olds = cp.s_slot >= 0 ? sol[cp.s_slot] : kNullTermId;
-        TermId oldp = cp.p_slot >= 0 ? sol[cp.p_slot] : kNullTermId;
-        TermId oldo = cp.o_slot >= 0 ? sol[cp.o_slot] : kNullTermId;
-        if (cp.s_slot >= 0) sol[cp.s_slot] = t.s;
-        if (cp.p_slot >= 0) sol[cp.p_slot] = t.p;
-        if (cp.o_slot >= 0) sol[cp.o_slot] = t.o;
-        // Repeated-variable consistency (e.g. ?x <cites> ?x): after all
-        // assignments, every position must still see its own value.
-        bool consistent = (cp.s_slot < 0 || sol[cp.s_slot] == t.s) &&
-                          (cp.p_slot < 0 || sol[cp.p_slot] == t.p) &&
-                          (cp.o_slot < 0 || sol[cp.o_slot] == t.o);
-        if (consistent) {
-          std::vector<bool> applied_copy = applied;
-          if (FiltersPass(sol, applied_copy)) {
-            Run(sol, applied_copy, remaining - 1);
-          }
-        }
-        if (cp.s_slot >= 0) sol[cp.s_slot] = olds;
-        if (cp.p_slot >= 0) sol[cp.p_slot] = oldp;
-        if (cp.o_slot >= 0) sol[cp.o_slot] = oldo;
-        return status.ok();
-      });
-      used[best] = false;
-    }
-  };
-
-  Rec rec{ctx, patterns, filters, used, out};
-  for (auto& seed : seeds) {
-    std::vector<bool> applied(filters.size(), false);
-    if (patterns.empty()) {
-      // Filters may still apply to seed bindings.
-      std::vector<bool> ac = applied;
-      if (rec.FiltersPass(seed, ac)) out->push_back(seed);
-    } else {
-      rec.Run(seed, applied, patterns.size());
-    }
-    if (!rec.status.ok()) return rec.status;
-  }
-  return Status::OK();
-}
-
-/// Streaming evaluator: plans the BGP with the cost-based planner and
-/// drains the operator tree into `out`. Nobody renders this plan, so the
-/// description tree is skipped.
-Status EvalPatternsStreaming(const GraphPattern& gp, EvalContext* ctx,
-                             const std::vector<Solution>& seeds,
-                             std::vector<Solution>* out, ExecStats* stats) {
-  Plan plan =
-      PlanBasicGraphPattern(gp, ctx, &seeds, stats, /*build_desc=*/false);
-  plan.exec->Open(Solution(plan.width, kNullTermId));
-  Solution row(plan.width, kNullTermId);
-  while (plan.exec->Next(&row)) out->push_back(row);
-  return plan.exec->status();
-}
-
-Status EvalPatterns(const GraphPattern& gp, EvalContext* ctx,
-                    std::vector<Solution> seeds, std::vector<Solution>* out,
-                    bool streaming, ExecStats* stats) {
-  if (streaming) return EvalPatternsStreaming(gp, ctx, seeds, out, stats);
-  return EvalPatternsLegacy(gp, ctx, std::move(seeds), out);
-}
-
-/// Evaluates a full group pattern: BGP + filters, then UNION chains, then
-/// OPTIONAL left-joins. Returns the solution set (each padded to the
-/// current variable-table size).
-Status EvalGroup(const GraphPattern& gp, EvalContext* ctx,
-                 std::vector<Solution> seeds, std::vector<Solution>* out,
-                 bool streaming, ExecStats* stats) {
-  std::vector<Solution> sols;
-  KGNET_RETURN_IF_ERROR(
-      EvalPatterns(gp, ctx, std::move(seeds), &sols, streaming, stats));
-
-  // UNION chains: each group multiplies the solution set by its matching
-  // alternatives.
-  for (const auto& alternatives : gp.unions) {
-    std::vector<Solution> merged;
-    for (const GraphPattern& alt : alternatives) {
-      std::vector<Solution> branch;
-      KGNET_RETURN_IF_ERROR(
-          EvalGroup(alt, ctx, sols, &branch, streaming, stats));
-      merged.insert(merged.end(), branch.begin(), branch.end());
-    }
-    sols = std::move(merged);
-  }
-
-  // OPTIONAL groups: left join — keep the original solution when the
-  // optional pattern has no match.
-  for (const GraphPattern& opt : gp.optionals) {
-    std::vector<Solution> joined;
-    for (auto& sol : sols) {
-      std::vector<Solution> ext;
-      KGNET_RETURN_IF_ERROR(
-          EvalGroup(opt, ctx, {sol}, &ext, streaming, stats));
-      if (ext.empty()) {
-        joined.push_back(std::move(sol));
-      } else {
-        joined.insert(joined.end(), ext.begin(), ext.end());
-      }
-    }
-    sols = std::move(joined);
-  }
-
-  // Nested evaluation may have grown the variable table.
-  const size_t nvars = ctx->vars.size();
-  for (auto& s : sols) s.resize(nvars, kNullTermId);
-  out->insert(out->end(), sols.begin(), sols.end());
-  return Status::OK();
-}
 
 /// Binds the free positions of `cp` from `t` into `sol`; false when a
 /// repeated variable (e.g. ?x <p> ?x) sees two different ids.
@@ -428,11 +222,11 @@ Status DrainSelectRows(const Query& query, EvalContext* ctx,
 /// Single-pattern fast path: a streaming SELECT/ASK whose WHERE clause
 /// is one triple pattern — fully or near bound in practice — and no
 /// FILTER/UNION/OPTIONAL/sub-SELECT needs no operator tree: the answer
-/// is exactly one index range. For such queries the planner's work
-/// (per-index range probes, operator and description allocation) costs
-/// more than the scan itself — BENCH_queryopt's `selective` shape lost
-/// to the legacy evaluator on planning overhead alone — so Execute()
-/// answers them straight from a TripleStore cursor. Semantics are
+/// is exactly one index range. The planned tree would reach the same
+/// range through more work than the scan itself on a point lookup: the
+/// planner probes the range of every permutation index to cost the scan
+/// choices, then allocates the scan and seed operators. So Execute()
+/// answers such queries straight from a TripleStore cursor. Semantics are
 /// identical to the operator tree: repeated-variable consistency,
 /// DISTINCT-before-OFFSET, LIMIT, and projection all mirror the
 /// streaming path (the differential oracle suite covers this path for
@@ -620,17 +414,27 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
     info->snapshot_delta = snapshot.delta_size();
   }
   ExecStats stats;
-  const bool streaming = mode_ == ExecMode::kStreaming;
 
   // 0. Single-pattern fast path (see ExecuteSinglePattern). Skipped when
   // the caller asked for an ExecInfo so plan introspection and the
   // rows_scanned counter still reflect the full operator tree.
-  if (streaming && info == nullptr &&
+  if (info == nullptr &&
       (query.kind == QueryKind::kSelect || query.kind == QueryKind::kAsk) &&
       query.where.triples.size() == 1 && query.where.subselects.empty() &&
       query.where.filters.empty() && query.where.unions.empty() &&
       query.where.optionals.empty()) {
     return ExecuteSinglePattern(query, &ctx);
+  }
+
+  QueryResult result;
+  if (query.kind == QueryKind::kInsertData) {
+    for (const auto& pt : query.update_template) {
+      if (pt.s.is_var || pt.p.is_var || pt.o.is_var)
+        return Status::InvalidArgument("INSERT DATA requires ground triples");
+      if (store_->Insert(pt.s.term, pt.p.term, pt.o.term))
+        ++result.num_inserted;
+    }
+    return result;
   }
 
   // 1. Evaluate sub-SELECTs; seed the outer BGP with their solutions.
@@ -678,134 +482,74 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
     if (pt.o.is_var) ctx.vars.SlotOf(pt.o.var);
   }
 
-  // 2a. Streaming fast path: SELECT/ASK pulls rows out of the operator
-  // tree one at a time — UNION and OPTIONAL groups included, via the
-  // streaming UnionAll/LeftOuterJoin operators — so LIMIT (and ASK's
-  // first hit) stop the underlying scans early instead of materializing
-  // everything.
-  if (streaming &&
-      (query.kind == QueryKind::kSelect || query.kind == QueryKind::kAsk)) {
-    // The description tree is only built when the caller wants it.
-    Plan plan = PlanGroupPattern(query.where, &ctx, &seeds, &stats,
-                                 /*build_desc=*/info != nullptr);
+  // 2. Every query kind pulls rows out of one operator tree — UNION and
+  // OPTIONAL groups included, via the streaming UnionAll/LeftOuterJoin
+  // operators — so LIMIT (and ASK's first hit) stop the underlying scans
+  // early instead of materializing everything.
+  // The description tree is only built when the caller wants it.
+  Plan plan = PlanGroupPattern(query.where, &ctx, &seeds, &stats,
+                               /*build_desc=*/info != nullptr);
+  if (info != nullptr) {
+    // DescribePlan consumes the description tree; render it up front.
+    info->plan = DescribePlan(std::move(plan.desc), query);
+  }
+  plan.exec->Open(Solution(plan.width, kNullTermId));
+  Solution sol(plan.width, kNullTermId);
+  auto report = [&] {
     if (info != nullptr) {
-      // DescribePlan consumes the description tree; render it up front.
-      info->plan = DescribePlan(std::move(plan.desc), query);
+      info->rows_scanned = stats.rows_scanned;
+      info->rows_walked = stats.rows_walked;
+      info->cancel_checks = ctx.cancel.checks();
     }
-    QueryResult result;
-    plan.exec->Open(Solution(plan.width, kNullTermId));
-    Solution sol(plan.width, kNullTermId);
+  };
 
-    if (query.kind == QueryKind::kAsk) {
-      result.ask_result = plan.exec->Next(&sol);
-      KGNET_RETURN_IF_ERROR(plan.exec->status());
-      if (info != nullptr) {
-        info->rows_scanned = stats.rows_scanned;
-        info->rows_walked = stats.rows_walked;
-        info->cancel_checks = ctx.cancel.checks();
-      }
-      return result;
-    }
+  if (query.kind == QueryKind::kAsk) {
+    result.ask_result = plan.exec->Next(&sol);
+    KGNET_RETURN_IF_ERROR(plan.exec->status());
+    report();
+    return result;
+  }
 
+  if (query.kind == QueryKind::kSelect) {
     std::vector<SelectItem> items = ProjectionItems(query, ctx);
     for (const auto& it : items) result.columns.push_back(it.alias);
     KGNET_RETURN_IF_ERROR(DrainSelectRows(
         query, &ctx, items, [&](Solution* s) { return plan.exec->Next(s); },
         &sol, &result));
     KGNET_RETURN_IF_ERROR(plan.exec->status());
-    if (info != nullptr) {
-      info->rows_scanned = stats.rows_scanned;
-      info->rows_walked = stats.rows_walked;
-      info->cancel_checks = ctx.cancel.checks();
-    }
+    report();
     return result;
   }
 
-  // 2b. Materialized path: updates (which need the full solution set
-  // before mutating the store) or the legacy executor. Each inner BGP
-  // still streams when in streaming mode.
+  // 3. INSERT/DELETE WHERE: the whole solution set is drained before the
+  // store mutates, so the WHERE clause never observes its own update.
   std::vector<Solution> solutions;
-  KGNET_RETURN_IF_ERROR(EvalGroup(query.where, &ctx, std::move(seeds),
-                                  &solutions, streaming, &stats));
-  for (auto& s : solutions) s.resize(ctx.vars.size(), kNullTermId);
-  if (info != nullptr) {
-    info->rows_scanned = stats.rows_scanned;
-    info->rows_walked = stats.rows_walked;
-    info->cancel_checks = ctx.cancel.checks();
-  }
+  while (plan.exec->Next(&sol)) solutions.push_back(sol);
+  KGNET_RETURN_IF_ERROR(plan.exec->status());
+  report();
 
-  QueryResult result;
-
-  switch (query.kind) {
-    case QueryKind::kAsk: {
-      result.ask_result = !solutions.empty();
-      return result;
+  const bool inserting = query.kind == QueryKind::kInsertWhere;
+  std::vector<Triple> batch;
+  for (const auto& s : solutions) {
+    for (const auto& pt : query.update_template) {
+      auto resolve = [&](const NodeRef& n) -> TermId {
+        if (!n.is_var) return store_->dict().Intern(n.term);
+        int slot = ctx.vars.Find(n.var);
+        return slot < 0 ? kNullTermId : s[slot];
+      };
+      Triple t(resolve(pt.s), resolve(pt.p), resolve(pt.o));
+      if (t.s == kNullTermId || t.p == kNullTermId || t.o == kNullTermId)
+        return Status::InvalidArgument(
+            "update template variable not bound by WHERE clause");
+      batch.push_back(t);
     }
-    case QueryKind::kInsertData: {
-      for (const auto& pt : query.update_template) {
-        if (pt.s.is_var || pt.p.is_var || pt.o.is_var)
-          return Status::InvalidArgument(
-              "INSERT DATA requires ground triples");
-        if (store_->Insert(pt.s.term, pt.p.term, pt.o.term))
-          ++result.num_inserted;
-      }
-      return result;
-    }
-    case QueryKind::kInsertWhere:
-    case QueryKind::kDeleteWhere: {
-      const bool inserting = query.kind == QueryKind::kInsertWhere;
-      std::vector<Triple> batch;
-      for (const auto& sol : solutions) {
-        for (const auto& pt : query.update_template) {
-          auto resolve = [&](const NodeRef& n) -> TermId {
-            if (!n.is_var) return store_->dict().Intern(n.term);
-            int slot = ctx.vars.Find(n.var);
-            return slot < 0 ? kNullTermId : sol[slot];
-          };
-          Triple t(resolve(pt.s), resolve(pt.p), resolve(pt.o));
-          if (t.s == kNullTermId || t.p == kNullTermId || t.o == kNullTermId)
-            return Status::InvalidArgument(
-                "update template variable not bound by WHERE clause");
-          batch.push_back(t);
-        }
-      }
-      for (const Triple& t : batch) {
-        if (inserting) {
-          if (store_->Insert(t)) ++result.num_inserted;
-        } else {
-          if (store_->Erase(t)) ++result.num_deleted;
-        }
-      }
-      return result;
-    }
-    case QueryKind::kSelect:
-      break;
   }
-
-  // 3. Projection.
-  std::vector<SelectItem> items = ProjectionItems(query, ctx);
-  for (const auto& it : items) result.columns.push_back(it.alias);
-
-  const std::vector<int> slots = ProjectionSlots(items, ctx);
-  std::unordered_set<std::string> seen;
-  for (const auto& sol : solutions) {
-    KGNET_ASSIGN_OR_RETURN(std::vector<Term> row,
-                           ProjectRow(items, slots, &ctx, sol));
-    if (query.distinct) {
-      std::string key = RowKey(row);
-      if (!seen.insert(key).second) continue;
+  for (const Triple& t : batch) {
+    if (inserting) {
+      if (store_->Insert(t)) ++result.num_inserted;
+    } else {
+      if (store_->Erase(t)) ++result.num_deleted;
     }
-    result.rows.push_back(std::move(row));
-  }
-
-  // 4. OFFSET / LIMIT.
-  if (query.offset > 0) {
-    size_t off = std::min<size_t>(query.offset, result.rows.size());
-    result.rows.erase(result.rows.begin(), result.rows.begin() + off);
-  }
-  if (query.limit >= 0 &&
-      result.rows.size() > static_cast<size_t>(query.limit)) {
-    result.rows.resize(query.limit);
   }
   return result;
 }

@@ -35,24 +35,12 @@ struct QueryResult {
   std::string ToTable() const;
 };
 
-/// How Execute() evaluates basic graph patterns.
-enum class ExecMode {
-  /// Volcano-style streaming operator tree from the cost-based planner
-  /// (sparql/plan.h): merge/hash/bind joins over sorted index cursors,
-  /// LIMIT stops the scans early. The default.
-  kStreaming,
-  /// The legacy evaluator: greedy indexed nested-loop joins with fully
-  /// materialized intermediates. Kept as a reference implementation for
-  /// differential tests and old-vs-new benchmarks.
-  kMaterialized,
-};
-
 /// Per-query execution report: the EXPLAIN-style plan plus runtime
 /// counters (tests assert that LIMIT short-circuits rows_scanned).
 struct ExecInfo {
-  /// Rendered operator tree of the WHERE clause. Only populated on the
-  /// streaming SELECT/ASK path (UNION/OPTIONAL included); empty in
-  /// kMaterialized mode and for updates.
+  /// Rendered operator tree of the WHERE clause (UNION/OPTIONAL
+  /// included) that the query drained. Empty for INSERT DATA, which has
+  /// no WHERE clause.
   std::string plan;
   /// Matching triples pulled out of index cursors across the whole query.
   size_t rows_scanned = 0;
@@ -80,9 +68,11 @@ struct ExecInfo {
 /// indexes, SortMergeJoin when both inputs stream in the same
 /// shared-variable order, BindJoin for selective outers, a lazily-built
 /// symmetric HashJoin as the fallback). FILTERs apply at the lowest
-/// operator where every variable they mention is bound; SELECT/ASK
-/// results stream — UNION and OPTIONAL groups included, via UnionAll and
-/// LeftOuterJoin operators — so LIMIT queries stop scanning early.
+/// operator where every variable they mention is bound. Every query kind
+/// drains that one tree — UNION and OPTIONAL groups included, via UnionAll
+/// and LeftOuterJoin operators. SELECT/ASK results stream, so LIMIT
+/// queries stop scanning early; INSERT/DELETE WHERE collect the whole
+/// solution set before they touch the store.
 ///
 /// Single-triple-pattern SELECT/ASK queries (no FILTER/UNION/OPTIONAL/
 /// sub-SELECT) skip the operator tree entirely and answer from one
@@ -124,16 +114,12 @@ class QueryEngine {
   /// bound used by the SPARQL-ML optimizer).
   size_t EstimateWhereCardinality(const Query& query) const;
 
-  ExecMode exec_mode() const { return mode_; }
-  void set_exec_mode(ExecMode mode) { mode_ = mode; }
-
   UdfRegistry& udfs() { return udfs_; }
   rdf::TripleStore* store() { return store_; }
 
  private:
   rdf::TripleStore* store_;
   UdfRegistry udfs_;
-  ExecMode mode_ = ExecMode::kStreaming;
 };
 
 }  // namespace kgnet::sparql

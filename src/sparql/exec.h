@@ -409,8 +409,7 @@ class LeftOuterJoin : public Operator {
 /// variables are statically bound. Filters the plan cannot prove bound
 /// (e.g. variables bound in only some seed rows) attach at the top in
 /// lenient mode: they are evaluated only on rows that do bind all their
-/// variables and pass otherwise, matching the legacy evaluator's
-/// apply-when-ready semantics.
+/// variables and pass otherwise.
 class FilterOp : public Operator {
  public:
   struct Condition {

@@ -165,6 +165,22 @@ std::string RenderPlanTree(const PlanNode& root) {
   return os.str();
 }
 
+namespace {
+
+/// Compiles the BGP + FILTERs of `gp` into a streaming plan.
+///
+/// `seeds` supplies starting solutions (sub-SELECT rows); nullptr starts
+/// from one all-unbound row. New variables are registered in ctx->vars;
+/// every IndexScan reports into `stats`. Filters whose variables the plan
+/// cannot prove bound attach at the top in lenient mode (evaluated only
+/// on rows binding all their variables). `build_desc` is
+/// PlanGroupPattern's.
+///
+/// `outer_bound`, when given, flags the slots every outer row binds (the
+/// plan is then the inner side of an OPTIONAL or UNION, opened once per
+/// outer row). Patterns sharing such a slot scan in auto-index mode
+/// (`IndexScan[auto]`), seeking on the outer value at every open —
+/// sideways information passing, as in RDF-3X.
 Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
                            const std::vector<Solution>* seeds,
                            ExecStats* stats, bool build_desc,
@@ -598,8 +614,7 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
 
   // Filters the plan could not prove bound (e.g. variables bound only in
   // some seed rows) attach at the top in lenient mode: evaluated only on
-  // rows that bind all their variables, passing otherwise. This matches
-  // the legacy evaluator's apply-when-ready semantics.
+  // rows that bind all their variables, passing otherwise.
   {
     std::vector<FilterOp::Condition> lenient;
     for (CompiledFilter& cf : filters) {
@@ -628,16 +643,13 @@ Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
   return plan;
 }
 
-namespace {
-
 size_t SatAdd(size_t a, size_t b) {
   return a > kMaxEst - std::min(b, kMaxEst) ? kMaxEst : a + b;
 }
 
-/// Registers every variable the group tree mentions, in the same order
-/// the materialized evaluator would encounter them (patterns, filters,
-/// union alternatives, optionals — depth first), so SELECT * column
-/// order and solution widths match across executor modes.
+/// Registers every variable the group tree mentions — patterns, filters,
+/// union alternatives, optionals, depth first — which fixes the SELECT *
+/// column order and the one solution width all sub-plans share.
 void RegisterGroupVars(const GraphPattern& gp, EvalContext* ctx) {
   for (const auto& pt : gp.triples) {
     if (pt.s.is_var) ctx->vars.SlotOf(pt.s.var);
@@ -663,8 +675,8 @@ Plan BuildGroupPlan(const GraphPattern& gp, EvalContext* ctx,
 
   // UNION chains: the running plan drives every alternative per row; a
   // row multiplies by its matching alternatives (and drops when none
-  // match), so a BindJoin over a UnionAll of the branch plans reproduces
-  // the materialized semantics while streaming. Each branch is planned
+  // match), so a BindJoin over a UnionAll of the branch plans gives the
+  // dependent-union semantics while streaming. Each branch is planned
   // with the slots the running plan binds in every row, so it seeks on
   // them; afterwards a slot is certainly bound if every branch binds it.
   for (const auto& alternatives : gp.unions) {

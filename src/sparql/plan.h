@@ -81,50 +81,33 @@ struct Plan {
   }
 };
 
-/// Compiles the BGP + FILTERs of `gp` into a streaming plan.
-///
-/// `seeds` supplies starting solutions (sub-SELECT rows or an OPTIONAL's
-/// outer row); pass nullptr — or a single all-unbound row — to start from
-/// scratch. The seed vector must outlive the returned plan. New variables
-/// are registered in ctx->vars; every IndexScan reports into `stats`.
-/// Filters whose variables the plan cannot prove bound attach at the top
-/// in lenient mode (evaluated only on rows binding all their variables),
-/// matching the legacy evaluator's apply-when-ready semantics.
-///
-/// `build_desc` controls whether the EXPLAIN description tree (labels,
-/// PlanNode allocations) is built alongside the operators; executions
-/// that never render a plan pass false and skip that string work — it
-/// is measurable on sub-millisecond selective queries. With false,
-/// Plan::desc is null and ToString() returns "".
-///
-/// `outer_bound`, when given, flags the slots every outer row binds (the
-/// plan is then the inner side of an OPTIONAL or UNION, opened once per
-/// outer row). Patterns sharing such a slot scan in auto-index mode
-/// (`IndexScan[auto]`), seeking on the outer value at every open —
-/// sideways information passing, as in RDF-3X.
-Plan PlanBasicGraphPattern(const GraphPattern& gp, EvalContext* ctx,
-                           const std::vector<Solution>* seeds,
-                           ExecStats* stats, bool build_desc = true,
-                           const std::vector<char>* outer_bound = nullptr);
-
 /// Compiles a *full* group pattern — BGP + FILTERs, then UNION chains,
 /// then OPTIONAL groups, recursively — into one streaming plan, so those
 /// groups no longer materialize between stages:
 ///
 ///   Union(n)         the outer plan drives a UnionAll of the branch
 ///                    plans, re-opened once per outer row (dependent
-///                    union, matching the legacy evaluator's semantics);
+///                    union: an outer row multiplies by its matching
+///                    alternatives and drops when none match);
 ///   LeftJoin(optional)  streams the optional group per outer row,
 ///                    emitting the bare outer row when nothing matches.
 ///
 /// Both inner groups are planned with the slots the outer plan binds in
-/// every row (see PlanBasicGraphPattern's `outer_bound`), so a scan that
-/// shares one seeks per open rather than filtering a fixed index range.
+/// every row, so a scan that shares one seeks per open (`IndexScan[auto]`,
+/// sideways information passing as in RDF-3X) rather than filtering a
+/// fixed index range.
 ///
 /// Every variable of the whole group tree is registered in ctx->vars up
 /// front so all sub-plans share one final solution width. Nested
-/// sub-SELECTs inside UNION/OPTIONAL groups are ignored, exactly like the
-/// materialized evaluator (only top-level sub-SELECTs seed the query).
+/// sub-SELECTs inside UNION/OPTIONAL groups are ignored: only top-level
+/// sub-SELECTs seed the query (through `seeds`, which must outlive the
+/// returned plan; nullptr starts from one all-unbound row).
+///
+/// `build_desc` controls whether the EXPLAIN description tree (labels,
+/// PlanNode allocations) is built alongside the operators; executions
+/// that never render a plan pass false and skip that string work — it
+/// is measurable on sub-millisecond selective queries. With false,
+/// Plan::desc is null and ToString() returns "".
 Plan PlanGroupPattern(const GraphPattern& gp, EvalContext* ctx,
                       const std::vector<Solution>* seeds, ExecStats* stats,
                       bool build_desc = true);

@@ -457,13 +457,13 @@ TEST_F(KgPrimeInferencePinTest, LiveModelsAnswerThePinnedTable) {
               {
           "class dblp:publication/0 -> dblp:venue/2",
           "class dblp:publication/7 -> dblp:venue/2",
-          "class dblp:person/3 -> dblp:venue/3",
+          "class dblp:person/3 -> NotFound: no prediction for node dblp:person/3",
           "class dblp:publishedIn -> NotFound: node not in encoded graph: dblp:publishedIn",
           "class dblp:editor/0 -> NotFound: node not in model's training graph: dblp:editor/0",
           "class dblp:nope/0 -> NotFound: node not in model's training graph: dblp:nope/0",
           "class batch dblp:publication/0 -> dblp:venue/2",
           "class batch dblp:publication/7 -> dblp:venue/2",
-          "class batch dblp:person/3 -> dblp:venue/3",
+          "class batch dblp:person/3 -> NotFound: no prediction for node dblp:person/3",
           "class batch dblp:publishedIn -> NotFound: node not in encoded graph: dblp:publishedIn",
           "class batch dblp:editor/0 -> NotFound: node not in model's training graph: dblp:editor/0",
           "class batch dblp:nope/0 -> NotFound: node not in model's training graph: dblp:nope/0",

@@ -56,6 +56,11 @@ class ViolatingFixtures(unittest.TestCase):
         self.check("kl001_unordered_iteration.cc",
                    "src/core/fixture.cc", "KL001", 2)
 
+    def test_kl001_sees_annotated_declarations(self):
+        # A KGNET_GUARDED_BY(...) between the member name and ';'.
+        self.check("kl001_annotated_unordered_iteration.cc",
+                   "src/core/fixture.cc", "KL001", 1)
+
     def test_kl001_is_scoped_to_ordered_layers(self):
         # The same file is legal outside sparql/rdf/core/gml.
         code, out = run_lint("kl001_unordered_iteration.cc",

@@ -853,6 +853,7 @@ TEST(TransportTest, SignalStormMidRoundTripDoesNotCorruptFrames) {
   sa.sa_flags = 0;  // no SA_RESTART: reads really see EINTR
   sigemptyset(&sa.sa_mask);
   ASSERT_EQ(sigaction(SIGUSR1, &sa, &old_sa), 0);
+  g_usr1_seen.store(0);
 
   KgNet kg;
   for (int i = 0; i < 50; ++i)
@@ -873,7 +874,17 @@ TEST(TransportTest, SignalStormMidRoundTripDoesNotCorruptFrames) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });
-  for (int i = 0; i < 30; ++i) {
+  // At least 30 round trips, and on until a few signals have landed
+  // during them: on a loaded host 30 can finish before the pummel
+  // thread's first pthread_kill. The deadline only bounds a storm that
+  // never lands, which the EXPECT_GT below then reports.
+  constexpr int kMinSignals = 10;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  for (int i = 0;
+       i < 30 || (g_usr1_seen.load() < kMinSignals &&
+                  std::chrono::steady_clock::now() < deadline);
+       ++i) {
     auto raw = client.Call(BuildQueryRequest(11, q));
     ASSERT_TRUE(raw.ok()) << raw.status() << " (iteration " << i << ")";
     ASSERT_EQ(*raw, expected) << "iteration " << i;

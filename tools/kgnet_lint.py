@@ -235,7 +235,10 @@ def find_unordered_decls(stripped):
         if i >= n:
             continue
         tail = stripped[i + 1:i + 120]
-        dm = re.match(r"\s*[&*]?\s*([A-Za-z_]\w*)\s*[;,={(\[]", tail)
+        # The name may carry a thread-safety annotation before its end:
+        #   std::unordered_map<K, V> models_ KGNET_GUARDED_BY(mu_);
+        dm = re.match(r"\s*[&*]?\s*([A-Za-z_]\w*)\s*"
+                      r"(?:KGNET_\w+\s*\([^()]*\)\s*)?[;,={(\[]", tail)
         if dm and dm.group(1) not in ("const", "static", "mutable"):
             names.add(dm.group(1))
     return names
