@@ -17,7 +17,6 @@
 #include "bench/bench_util.h"
 #include "common/fault_injection.h"
 #include "core/kgnet.h"
-#include "core/model_io.h"
 #include "serving/client.h"
 #include "serving/protocol.h"
 #include "serving/server.h"
@@ -42,7 +41,6 @@ struct Setup {
   KgNet kg;
   std::string nc_uri;
   std::string lp_uri;
-  std::string lp_bundle_uri;  // bundle-served copy: GEMM batch path
   std::vector<std::string> papers;
   std::vector<std::string> people;
 };
@@ -79,21 +77,6 @@ bool Build(Setup* s) {
   auto lp_out = s->kg.TrainTask(lp);
   if (!lp_out.ok()) return false;
   s->lp_uri = lp_out->model_uri;
-
-  // A bundle-served copy of the LP model: serving from the persisted
-  // payload scores batches through the GEMM-shaped kernel.
-  auto& store = s->kg.service().model_store();
-  auto model = store.Get(s->lp_uri);
-  if (!model.ok()) return false;
-  auto bundle = kgnet::core::BuildServingBundle(**model);
-  if (!bundle.ok()) return false;
-  auto served = std::make_shared<kgnet::core::TrainedModel>();
-  served->info = (*model)->info;
-  served->info.uri = s->lp_uri + "-bundle";
-  served->bundle =
-      std::make_shared<kgnet::core::ServingBundle>(std::move(*bundle));
-  store.Put(served);
-  s->lp_bundle_uri = served->info.uri;
 
   for (int i = 0; i < 40; ++i)
     s->papers.push_back("https://dblp.org/rdf/publication/" +
@@ -179,7 +162,7 @@ int main() {
       expect_class.push_back(im.GetNodeClass(setup.nc_uri, n).value_or("?"));
     for (const std::string& n : setup.people)
       expect_links.push_back(
-          im.GetTopKLinks(setup.lp_bundle_uri, n, 3).value_or({}));
+          im.GetTopKLinks(setup.lp_uri, n, 3).value_or({}));
     unbatched_calls = im.http_calls();
 
     ServerOptions options;
@@ -203,7 +186,7 @@ int main() {
           if (!r.ok() || *r != expect_class[i]) ok = false;
         }
         for (size_t i = c; i < setup.people.size(); i += kClients) {
-          auto r = client.TopKLinks(setup.lp_bundle_uri, setup.people[i], 3);
+          auto r = client.TopKLinks(setup.lp_uri, setup.people[i], 3);
           if (!r.ok() || *r != expect_links[i]) ok = false;
         }
       });

@@ -7,12 +7,19 @@
 // the query-optimizer benchmarks reproduce the Figure 11 vs Figure 12
 // trade-off faithfully.
 //
+// Every model answers from its serving bundle (core/model_store.h), the
+// same one whether it was trained in this process or loaded from disk
+// (core/model_io.h), so each verb has one body. A model of the wrong task
+// is FailedPrecondition on every verb; an IRI the bundle does not hold is
+// NotFound, with one text for the class verbs and one for the link and
+// similarity verbs.
+//
 // The *Batch methods are the serving-path counterparts: one API call
-// answers a whole batch of nodes against the same model (one forward /
-// one score-kernel invocation), and per-node results are guaranteed to
-// be bitwise-identical to a serial loop of the single-node calls. The
-// serving layer's InferBatcher (src/serving/infer_batcher.h) collects
-// concurrent network requests into these calls.
+// answers a whole batch of nodes against the same model (one score-kernel
+// invocation), and per-node results are guaranteed to be bitwise-identical
+// to a serial loop of the single-node calls. The serving layer's
+// InferBatcher (src/serving/infer_batcher.h) collects concurrent network
+// requests into these calls.
 //
 // Thread safety: all methods may be called concurrently (the serving
 // front end does); the call counters are mutex-guarded and models are
@@ -40,9 +47,11 @@ class InferenceManager {
   Result<std::string> GetNodeClass(const std::string& model_uri,
                                    const std::string& node_iri);
 
-  /// Predicted class IRIs for a batch of nodes (one API call, one model
-  /// forward). Element i is the exact value — or the exact error —
-  /// GetNodeClass(model_uri, node_iris[i]) would have produced.
+  /// Predicted class IRIs for a batch of nodes (one API call). Element i
+  /// is the exact value — or the exact error — GetNodeClass(model_uri,
+  /// node_iris[i]) would have produced; an unknown model or one of the
+  /// wrong task fails the whole call with the error every element would
+  /// carry.
   Result<std::vector<Result<std::string>>> GetNodeClassBatch(
       const std::string& model_uri, const std::vector<std::string>& node_iris);
 
@@ -51,27 +60,30 @@ class InferenceManager {
   Result<std::map<std::string, std::string>> GetNodeClassDictionary(
       const std::string& model_uri);
 
-  /// Top-k predicted destination IRIs for one source node (one API call).
+  /// Top-k predicted destination IRIs for one source node (one API call):
+  /// the destination candidates ranked by the model's own score, highest
+  /// first, ties broken by ascending row.
   Result<std::vector<std::string>> GetTopKLinks(const std::string& model_uri,
                                                 const std::string& node_iri,
                                                 size_t k);
 
-  /// Top-k links for a batch of source nodes (one API call). For
-  /// bundle-served models the whole batch is scored through one
-  /// GEMM-shaped kernel (|batch| x |candidates| score matrix, computed
-  /// on the shared thread pool with fixed chunking); each row uses the
-  /// identical per-cell scoring as the single-node path, so element i is
-  /// bitwise-identical to GetTopKLinks(model_uri, node_iris[i], k) at
-  /// any thread count.
+  /// Top-k links for a batch of source nodes (one API call). The whole
+  /// batch is scored through one GEMM-shaped kernel (|batch| x
+  /// |candidates| score matrix, computed on the shared thread pool with
+  /// fixed chunking); each cell is the single-node path's score and each
+  /// row goes through the same ranker, so element i is bitwise-identical
+  /// to GetTopKLinks(model_uri, node_iris[i], k) at any thread count.
   Result<std::vector<Result<std::vector<std::string>>>> GetTopKLinksBatch(
       const std::string& model_uri, const std::vector<std::string>& node_iris,
       size_t k);
 
-  /// Top-k most similar entities by embedding distance (one API call).
+  /// Top-k most similar entities by cosine distance between embedding
+  /// rows, a flat scan over every other row of the bundle, closest first,
+  /// ties broken by ascending row (one API call).
   Result<std::vector<std::string>> GetSimilarEntities(
       const std::string& model_uri, const std::string& node_iri, size_t k);
 
-  /// The embedding row Search would use for `node_iri` — a helper for
+  /// The embedding row a similarity search uses for `node_iri` — a helper for
   /// serving-side row caches, NOT an API call (no counter bump). The
   /// returned vector is bitwise-stable for a given (model, node) until
   /// the model is replaced.
@@ -107,33 +119,10 @@ class InferenceManager {
   }
 
  private:
-  struct ResolvedNode {
-    std::shared_ptr<TrainedModel> model;
-    uint32_t node = 0;
-  };
-  Result<ResolvedNode> Resolve(const std::string& model_uri,
-                               const std::string& node_iri);
-  /// Resolve against an already-fetched model, so a batch touches the
-  /// ModelStore exactly once and every element sees the same model.
-  Result<uint32_t> ResolveNodeIn(const TrainedModel& model,
-                                 const std::string& model_uri,
-                                 const std::string& node_iri);
-  /// GetNodeClass body minus the call accounting.
-  Result<std::string> NodeClassImpl(const std::shared_ptr<TrainedModel>& model,
-                                    const std::string& model_uri,
-                                    const std::string& node_iri);
-  /// GetTopKLinks body minus the call accounting.
-  Result<std::vector<std::string>> TopKLinksImpl(
-      const std::shared_ptr<TrainedModel>& model, const std::string& model_uri,
-      const std::string& node_iri, size_t k);
-  /// GetSimilarByRow minus the call accounting (shared by the counted
-  /// entry points).
-  Result<std::vector<std::string>> SimilarByRowImpl(
-      const std::string& model_uri, const std::string& node_iri,
-      const std::vector<float>& row, size_t k);
-  /// GetEmbeddingRow body (uncounted).
-  Result<std::vector<float>> EmbeddingRowImpl(const std::string& model_uri,
-                                              const std::string& node_iri);
+  /// The model under `model_uri`, if its task serves the verb family
+  /// (`class_verb`: the class verbs; else the link and similarity verbs).
+  Result<std::shared_ptr<const TrainedModel>> Fetch(
+      const std::string& model_uri, bool class_verb) const;
   void CountCall() {
     common::MutexLock lock(&counters_mu_);
     ++http_calls_;

@@ -2,12 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <functional>
+#include <iterator>
 
 #include "rdf/ntriples.h"
 
@@ -15,9 +15,11 @@ namespace kgnet::core {
 
 namespace {
 
-constexpr char kMagic[5] = {'K', 'G', 'N', 'M', '1'};
+constexpr char kMagic[5] = {'K', 'G', 'N', 'M', '2'};
+constexpr char kRetiredMagic[5] = {'K', 'G', 'N', 'M', '1'};
+constexpr uint32_t kNoRow = UINT32_MAX;
 
-// ---- framed little-endian writers/readers ----
+// ---- framed little-endian writers ----
 
 void WriteU64(std::ostream& os, uint64_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -29,95 +31,156 @@ void WriteStr(std::ostream& os, const std::string& s) {
   WriteU64(os, s.size());
   os.write(s.data(), static_cast<std::streamsize>(s.size()));
 }
+void WriteStrs(std::ostream& os, const std::vector<std::string>& v) {
+  WriteU64(os, v.size());
+  for (const std::string& s : v) WriteStr(os, s);
+}
 void WriteFloats(std::ostream& os, const std::vector<float>& v) {
   WriteU64(os, v.size());
   os.write(reinterpret_cast<const char*>(v.data()),
            static_cast<std::streamsize>(v.size() * sizeof(float)));
 }
 
-bool ReadU64(std::istream& is, uint64_t* v) {
-  return static_cast<bool>(
-      is.read(reinterpret_cast<char*>(v), sizeof(*v)));
+/// Reads the framed values back out of a file's bytes. Every count and
+/// length is checked against the bytes left before anything is allocated.
+class Reader {
+ public:
+  explicit Reader(std::string_view bytes) : rest_(bytes) {}
+
+  bool U64(uint64_t* v) { return Raw(v, sizeof(*v)); }
+  bool F64(double* v) { return Raw(v, sizeof(*v)); }
+  bool Str(std::string* s) {
+    uint64_t n = 0;
+    if (!U64(&n) || n > rest_.size()) return false;
+    s->assign(rest_.data(), n);
+    rest_.remove_prefix(n);
+    return true;
+  }
+  bool Strs(std::vector<std::string>* v) {
+    uint64_t n = 0;
+    if (!Count(&n)) return false;
+    v->resize(n);
+    for (std::string& s : *v)
+      if (!Str(&s)) return false;
+    return true;
+  }
+  bool Floats(std::vector<float>* v) {
+    uint64_t n = 0;
+    if (!U64(&n) || n > rest_.size() / sizeof(float)) return false;
+    v->resize(n);
+    return Raw(v->data(), n * sizeof(float));
+  }
+  /// A count of items written as at least one u64 each.
+  bool Count(uint64_t* n) {
+    return U64(n) && *n <= rest_.size() / sizeof(uint64_t);
+  }
+
+ private:
+  bool Raw(void* out, size_t n) {
+    if (n > rest_.size()) return false;
+    if (n > 0) std::memcpy(out, rest_.data(), n);
+    rest_.remove_prefix(n);
+    return true;
+  }
+
+  std::string_view rest_;
+};
+
+/// A bundle with one row per node of `graph`.
+ServingBundle NodeRows(const gml::GraphData& graph,
+                       const rdf::Dictionary& dict) {
+  ServingBundle bundle;
+  bundle.node_iris.reserve(graph.num_nodes);
+  for (rdf::TermId term : graph.node_terms)
+    bundle.node_iris.push_back(dict.Lookup(term).lexical);
+  return bundle;
 }
-bool ReadF64(std::istream& is, double* v) {
-  return static_cast<bool>(
-      is.read(reinterpret_cast<char*>(v), sizeof(*v)));
-}
-bool ReadStr(std::istream& is, std::string* s) {
-  uint64_t n = 0;
-  if (!ReadU64(is, &n) || n > (1ull << 32)) return false;
-  s->resize(n);
-  return static_cast<bool>(
-      is.read(s->data(), static_cast<std::streamsize>(n)));
-}
-bool ReadFloats(std::istream& is, std::vector<float>* v) {
-  uint64_t n = 0;
-  if (!ReadU64(is, &n) || n > (1ull << 32)) return false;
-  v->resize(n);
-  return static_cast<bool>(
-      is.read(reinterpret_cast<char*>(v->data()),
-              static_cast<std::streamsize>(n * sizeof(float))));
+
+/// Why a bundle read from disk cannot be served, or "" when it can. The
+/// indexes it holds were range-checked as they were read.
+std::string Invalid(const ModelInfo& info, const ServingBundle& b) {
+  const size_t rows = b.node_iris.size();
+  if (rows >= kNoRow) return "too many rows";
+  const bool nc = info.task == gml::TaskType::kNodeClassification;
+  if (b.row_class.size() != (nc ? rows : 0)) return "class table size";
+  if (b.relation_row.size() != b.embed_dim) return "relation row size";
+  // Both factors are bounded by the file's size, so this cannot overflow.
+  if (b.entity_rows.size() != rows * b.embed_dim)
+    return "embedding table size";
+  return "";
 }
 
 }  // namespace
 
-Result<ServingBundle> BuildServingBundle(const TrainedModel& model) {
-  ServingBundle bundle;
-  if (model.graph == nullptr || model.source_store == nullptr)
-    return Status::FailedPrecondition(
-        "model has no graph/source store (already a loaded bundle?)");
-  const rdf::Dictionary& dict = model.source_store->dict();
-  const gml::GraphData& graph = *model.graph;
-
-  if (model.classifier != nullptr) {
-    std::vector<int> preds =
-        model.classifier->Predict(graph, graph.target_nodes);
-    for (size_t i = 0; i < graph.target_nodes.size(); ++i) {
-      const int cls = preds[i];
-      if (cls < 0 || static_cast<size_t>(cls) >= graph.class_terms.size())
-        continue;
-      bundle.nc_predictions.emplace(
-          dict.Lookup(graph.node_terms[graph.target_nodes[i]]).lexical,
-          dict.Lookup(graph.class_terms[cls]).lexical);
-    }
-    return bundle;
+void ServingBundle::IndexRows() {
+  size_t cap = 1;
+  while (cap < 2 * node_iris.size()) cap <<= 1;
+  slots_.assign(cap, kNoRow);
+  const std::hash<std::string_view> hash;
+  for (uint32_t row = 0; row < node_iris.size(); ++row) {
+    size_t at = hash(node_iris[row]) & (cap - 1);
+    while (slots_[at] != kNoRow && node_iris[slots_[at]] != node_iris[row])
+      at = (at + 1) & (cap - 1);
+    if (slots_[at] == kNoRow) slots_[at] = row;
   }
+}
 
-  if (model.predictor != nullptr) {
-    bundle.node_iris.reserve(graph.num_nodes);
-    for (uint32_t v = 0; v < graph.num_nodes; ++v) {
-      std::vector<float> emb = model.predictor->EntityEmbedding(v);
-      if (bundle.embed_dim == 0) bundle.embed_dim = emb.size();
-      if (emb.size() != bundle.embed_dim)
-        return Status::Internal("inconsistent embedding dimensions");
-      bundle.node_iris.push_back(
-          dict.Lookup(graph.node_terms[v]).lexical);
-      bundle.embeddings.insert(bundle.embeddings.end(), emb.begin(),
-                               emb.end());
+bool ServingBundle::FindRow(std::string_view iri, uint32_t* row) const {
+  if (slots_.empty()) return false;
+  const size_t mask = slots_.size() - 1;
+  for (size_t at = std::hash<std::string_view>()(iri) & mask;
+       slots_[at] != kNoRow; at = (at + 1) & mask) {
+    if (node_iris[slots_[at]] == iri) {
+      *row = slots_[at];
+      return true;
     }
-    // Approximate the task-relation vector from training edges: the mean
-    // of (tail - head) in embedding space — exact for TransE, a serviceable
-    // translation estimate for the other scorers.
-    if (!graph.train_edges.empty() && bundle.embed_dim > 0) {
-      bundle.task_relation.assign(bundle.embed_dim, 0.0f);
-      for (const gml::Edge& e : graph.train_edges) {
-        const float* h = &bundle.embeddings[e.src * bundle.embed_dim];
-        const float* t = &bundle.embeddings[e.dst * bundle.embed_dim];
-        for (size_t k = 0; k < bundle.embed_dim; ++k)
-          bundle.task_relation[k] += t[k] - h[k];
-      }
-      const float inv = 1.0f / static_cast<float>(graph.train_edges.size());
-      for (float& x : bundle.task_relation) x *= inv;
-    }
-    bundle.destination_rows = graph.destination_candidates;
-    return bundle;
   }
-  if (model.bundle != nullptr) return *model.bundle;  // already a bundle
-  return Status::FailedPrecondition("model has no servable artifact");
+  return false;
+}
+
+Result<ServingBundle> BuildServingBundle(gml::NodeClassifier& classifier,
+                                         const gml::GraphData& graph,
+                                         const rdf::Dictionary& dict) {
+  ServingBundle bundle = NodeRows(graph, dict);
+  for (rdf::TermId term : graph.class_terms)
+    bundle.class_iris.push_back(dict.Lookup(term).lexical);
+  bundle.row_class.assign(graph.num_nodes, -1);
+  const std::vector<int> preds = classifier.Predict(graph, graph.target_nodes);
+  for (size_t i = 0; i < graph.target_nodes.size(); ++i)
+    if (preds[i] >= 0 &&
+        static_cast<size_t>(preds[i]) < bundle.class_iris.size())
+      bundle.row_class[graph.target_nodes[i]] = preds[i];
+  bundle.IndexRows();
+  return bundle;
+}
+
+Result<ServingBundle> BuildServingBundle(const gml::LinkPredictor& predictor,
+                                         const gml::GraphData& graph,
+                                         const rdf::Dictionary& dict) {
+  if (graph.task_relation == UINT32_MAX)
+    return Status::FailedPrecondition("graph has no task relation");
+  ServingBundle bundle = NodeRows(graph, dict);
+  bundle.score = predictor.score_kind();
+  bundle.relation_row = predictor.RelationEmbedding(graph.task_relation);
+  bundle.embed_dim = bundle.relation_row.size();
+  bundle.entity_rows.reserve(graph.num_nodes * bundle.embed_dim);
+  for (uint32_t v = 0; v < graph.num_nodes; ++v) {
+    const std::vector<float> row = predictor.EntityEmbedding(v);
+    if (row.size() != bundle.embed_dim)
+      return Status::Internal("inconsistent embedding dimensions");
+    bundle.entity_rows.insert(bundle.entity_rows.end(), row.begin(), row.end());
+  }
+  bundle.destination_rows = graph.destination_candidates;
+  if (bundle.destination_rows.empty()) {
+    bundle.destination_rows.resize(graph.num_nodes);
+    for (uint32_t v = 0; v < graph.num_nodes; ++v)
+      bundle.destination_rows[v] = v;
+  }
+  bundle.IndexRows();
+  return bundle;
 }
 
 Status SaveTrainedModel(const TrainedModel& model, const std::string& path) {
-  KGNET_ASSIGN_OR_RETURN(ServingBundle bundle, BuildServingBundle(model));
   std::ofstream os(path, std::ios::binary | std::ios::trunc);
   if (!os) return Status::Internal("cannot open for writing: " + path);
   os.write(kMagic, sizeof(kMagic));
@@ -139,19 +202,17 @@ Status SaveTrainedModel(const TrainedModel& model, const std::string& path) {
   WriteF64(os, info.train_seconds);
   WriteU64(os, info.train_memory_bytes);
 
-  WriteU64(os, bundle.nc_predictions.size());
-  for (const auto& [node, cls] : bundle.nc_predictions) {
-    WriteStr(os, node);
-    WriteStr(os, cls);
-  }
-  WriteU64(os, bundle.node_iris.size());
-  for (const auto& iri : bundle.node_iris) WriteStr(os, iri);
+  const ServingBundle& bundle = model.bundle;
+  WriteStrs(os, bundle.node_iris);
+  WriteStrs(os, bundle.class_iris);
+  WriteU64(os, bundle.row_class.size());
+  for (int32_t c : bundle.row_class) WriteU64(os, static_cast<uint64_t>(c + 1));
+  WriteU64(os, static_cast<uint64_t>(bundle.score));
   WriteU64(os, bundle.embed_dim);
-  WriteFloats(os, bundle.embeddings);
-  WriteFloats(os, bundle.task_relation);
+  WriteFloats(os, bundle.entity_rows);
+  WriteFloats(os, bundle.relation_row);
   WriteU64(os, bundle.destination_rows.size());
-  for (uint32_t row : bundle.destination_rows)
-    WriteU64(os, row);
+  for (uint32_t row : bundle.destination_rows) WriteU64(os, row);
   if (!os) return Status::Internal("write failed: " + path);
   return Status::OK();
 }
@@ -160,75 +221,74 @@ Result<std::shared_ptr<TrainedModel>> LoadTrainedModel(
     const std::string& path) {
   std::ifstream is(path, std::ios::binary);
   if (!is) return Status::NotFound("cannot open: " + path);
-  char magic[sizeof(kMagic)];
-  if (!is.read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-    return Status::ParseError("not a KGNet model bundle: " + path);
+  const std::string bytes((std::istreambuf_iterator<char>(is)),
+                          std::istreambuf_iterator<char>());
+  Result<std::shared_ptr<TrainedModel>> model = ParseTrainedModel(bytes);
+  if (!model.ok())
+    return Status::ParseError(model.status().message() + ": " + path);
+  return model;
+}
+
+Result<std::shared_ptr<TrainedModel>> ParseTrainedModel(
+    std::string_view bytes) {
+  if (bytes.substr(0, sizeof(kRetiredMagic)) ==
+      std::string_view(kRetiredMagic, sizeof(kRetiredMagic)))
+    return Status::ParseError(
+        "unsupported model bundle version KGNM1 (this build reads KGNM2)");
+  if (bytes.substr(0, sizeof(kMagic)) !=
+      std::string_view(kMagic, sizeof(kMagic)))
+    return Status::ParseError("not a KGNet model bundle");
+  Reader in(bytes.substr(sizeof(kMagic)));
 
   auto model = std::make_shared<TrainedModel>();
   ModelInfo& info = model->info;
   uint64_t task = 0, cardinality = 0, mem = 0;
-  double acc = 0, mrr = 0, infer = 0, secs = 0;
-  if (!ReadStr(is, &info.uri) || !ReadU64(is, &task) ||
-      !ReadStr(is, &info.method) || !ReadStr(is, &info.target_type_iri) ||
-      !ReadStr(is, &info.label_predicate_iri) ||
-      !ReadStr(is, &info.source_type_iri) ||
-      !ReadStr(is, &info.destination_type_iri) ||
-      !ReadStr(is, &info.task_predicate_iri) ||
-      !ReadStr(is, &info.sampler_label) || !ReadF64(is, &acc) ||
-      !ReadF64(is, &mrr) || !ReadF64(is, &infer) ||
-      !ReadU64(is, &cardinality) || !ReadF64(is, &secs) ||
-      !ReadU64(is, &mem))
-    return Status::ParseError("truncated model bundle: " + path);
+  if (!in.Str(&info.uri) || !in.U64(&task) || !in.Str(&info.method) ||
+      !in.Str(&info.target_type_iri) || !in.Str(&info.label_predicate_iri) ||
+      !in.Str(&info.source_type_iri) ||
+      !in.Str(&info.destination_type_iri) ||
+      !in.Str(&info.task_predicate_iri) || !in.Str(&info.sampler_label) ||
+      !in.F64(&info.accuracy) || !in.F64(&info.mrr) ||
+      !in.F64(&info.inference_us) || !in.U64(&cardinality) ||
+      !in.F64(&info.train_seconds) || !in.U64(&mem))
+    return Status::ParseError("truncated model record");
+  if (task > static_cast<uint64_t>(gml::TaskType::kEntitySimilarity))
+    return Status::ParseError("unknown task type");
   info.task = static_cast<gml::TaskType>(task);
-  info.accuracy = acc;
-  info.mrr = mrr;
-  info.inference_us = infer;
   info.cardinality = cardinality;
-  info.train_seconds = secs;
   info.train_memory_bytes = mem;
 
-  auto bundle = std::make_shared<ServingBundle>();
-  uint64_t n = 0;
-  if (!ReadU64(is, &n)) return Status::ParseError("truncated bundle");
-  for (uint64_t i = 0; i < n; ++i) {
-    std::string node, cls;
-    if (!ReadStr(is, &node) || !ReadStr(is, &cls))
-      return Status::ParseError("truncated prediction table");
-    bundle->nc_predictions.emplace(std::move(node), std::move(cls));
-  }
-  if (!ReadU64(is, &n)) return Status::ParseError("truncated bundle");
-  bundle->node_iris.resize(n);
-  for (auto& iri : bundle->node_iris)
-    if (!ReadStr(is, &iri)) return Status::ParseError("truncated iri table");
-  uint64_t dim = 0;
-  if (!ReadU64(is, &dim) || !ReadFloats(is, &bundle->embeddings) ||
-      !ReadFloats(is, &bundle->task_relation))
-    return Status::ParseError("truncated embeddings");
-  bundle->embed_dim = dim;
-  if (bundle->embeddings.size() != bundle->node_iris.size() * dim)
-    return Status::ParseError("embedding table size mismatch");
-  if (!ReadU64(is, &n)) return Status::ParseError("truncated bundle");
-  bundle->destination_rows.resize(n);
-  for (auto& row : bundle->destination_rows) {
+  ServingBundle& b = model->bundle;
+  uint64_t n = 0, score = 0, dim = 0;
+  if (!in.Strs(&b.node_iris) || !in.Strs(&b.class_iris) || !in.Count(&n))
+    return Status::ParseError("truncated iri tables");
+  b.row_class.resize(n);
+  for (int32_t& c : b.row_class) {
     uint64_t v = 0;
-    if (!ReadU64(is, &v)) return Status::ParseError("truncated candidates");
+    if (!in.U64(&v)) return Status::ParseError("truncated class table");
+    if (v > b.class_iris.size())
+      return Status::ParseError("class index out of range");
+    c = static_cast<int32_t>(v) - 1;
+  }
+  if (!in.U64(&score) || !in.U64(&dim) || !in.Floats(&b.entity_rows) ||
+      !in.Floats(&b.relation_row) || !in.Count(&n))
+    return Status::ParseError("truncated embeddings");
+  if (score > static_cast<uint64_t>(gml::KgeScore::kRotatE))
+    return Status::ParseError("unknown score kind");
+  b.score = static_cast<gml::KgeScore>(score);
+  b.embed_dim = dim;
+  b.destination_rows.resize(n);
+  for (uint32_t& row : b.destination_rows) {
+    uint64_t v = 0;
+    if (!in.U64(&v)) return Status::ParseError("truncated candidates");
+    if (v >= b.node_iris.size())
+      return Status::ParseError("destination row out of range");
     row = static_cast<uint32_t>(v);
   }
-  model->bundle = std::move(bundle);
-
-  // Rebuild the similarity index for LP/ES bundles.
-  if (model->bundle->embed_dim > 0 && !model->bundle->node_iris.empty()) {
-    auto store = std::make_shared<EmbeddingStore>(model->bundle->embed_dim);
-    for (size_t row = 0; row < model->bundle->node_iris.size(); ++row) {
-      std::vector<float> v(
-          model->bundle->embeddings.begin() + row * model->bundle->embed_dim,
-          model->bundle->embeddings.begin() +
-              (row + 1) * model->bundle->embed_dim);
-      (void)store->Add(row, v);
-    }
-    model->embeddings = std::move(store);
-  }
+  const std::string invalid = Invalid(info, b);
+  if (!invalid.empty())
+    return Status::ParseError("inconsistent model bundle: " + invalid);
+  b.IndexRows();
   return model;
 }
 
@@ -286,16 +346,3 @@ Result<size_t> LoadModelStore(const std::string& dir, ModelStore* store,
 
 }  // namespace kgnet::core
 
-namespace kgnet::core {
-// ServingBundle-based scoring helper used by the inference manager.
-float ServingScore(const ServingBundle& b, size_t src_row, size_t dst_row) {
-  float s = 0.0f;
-  const float* h = &b.embeddings[src_row * b.embed_dim];
-  const float* t = &b.embeddings[dst_row * b.embed_dim];
-  for (size_t k = 0; k < b.embed_dim; ++k) {
-    const float r = k < b.task_relation.size() ? b.task_relation[k] : 0.0f;
-    s -= std::fabs(h[k] + r - t[k]);
-  }
-  return s;
-}
-}  // namespace kgnet::core

@@ -3,59 +3,64 @@
 #ifndef KGNET_CORE_MODEL_STORE_H_
 #define KGNET_CORE_MODEL_STORE_H_
 
-#include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "core/embedding_store.h"
 #include "core/kgmeta.h"
-#include "gml/model.h"
+#include "gml/kge.h"
 
 namespace kgnet::core {
 
-/// The self-contained inference payload a model can be persisted and
-/// served from (see core/model_io.h). NC models carry their prediction
-/// dictionary; LP/ES models carry aligned entity embeddings, the task
-/// relation vector and the destination-candidate rows.
+/// What a registered model answers from (paper Figure 6, "Model Saving"
+/// and "Model Loader"): the same for a model fresh from training and for
+/// one read back from disk (core/model_io.h). Row i is node i of the graph
+/// the model was trained on.
 struct ServingBundle {
-  std::map<std::string, std::string> nc_predictions;
   std::vector<std::string> node_iris;
+
+  // ---- node classifiers ----
+  /// The class IRIs, in the graph's class order.
+  std::vector<std::string> class_iris;
+  /// Per row, the predicted class (an index into class_iris), or -1 where
+  /// the model predicts none (a node that is not a target).
+  std::vector<int32_t> row_class;
+
+  // ---- link predictors: the model's own scorer ----
+  gml::KgeScore score = gml::KgeScore::kTransE;
   size_t embed_dim = 0;
-  std::vector<float> embeddings;  // node_iris.size() x embed_dim
-  std::vector<float> task_relation;
+  std::vector<float> entity_rows;   // node_iris.size() x embed_dim
+  std::vector<float> relation_row;  // embed_dim floats
+  /// The rows a predicted link may point to.
   std::vector<uint32_t> destination_rows;
+
+  /// Builds the IRI -> row index once node_iris is final.
+  void IndexRows();
+  /// The row holding `iri` (the lowest, should two rows share it); false
+  /// when the bundle holds no such IRI.
+  bool FindRow(std::string_view iri, uint32_t* row) const;
+  /// The model's score of the task edge (row src, row dst).
+  float Score(uint32_t src, uint32_t dst) const {
+    return gml::KgeScoreRows(score, entity_rows.data() + src * embed_dim,
+                             relation_row.data(),
+                             entity_rows.data() + dst * embed_dim, embed_dim);
+  }
+
+ private:
+  /// Open-addressing hash table of rows (UINT32_MAX: empty), sized to a
+  /// power of two at least twice the row count.
+  std::vector<uint32_t> slots_;
 };
 
-/// A trained model plus everything needed to serve inference for it: the
-/// graph encoding it was trained on, whose node/relation/class term ids are
-/// those of `source_store`'s dictionary. Models restored from disk carry
-/// only `info` and `bundle`.
+/// A registered model: its KGMeta record and its serving bundle.
 struct TrainedModel {
   ModelInfo info;
-  std::shared_ptr<gml::NodeClassifier> classifier;  // NC models
-  std::shared_ptr<gml::LinkPredictor> predictor;    // LP models
-  std::shared_ptr<gml::GraphData> graph;
-  /// The data KG the model was trained from. Its dictionary is
-  /// append-only, so `graph`'s ids stay valid while the KG changes.
-  const rdf::TripleStore* source_store = nullptr;
-  /// Sorted ids of every term of KG' when the model was trained on a
-  /// meta-sample; empty when it was trained on the whole KG.
-  std::vector<rdf::TermId> sample_terms;
-  /// Entity embeddings for similarity search (LP models).
-  std::shared_ptr<EmbeddingStore> embeddings;
-  /// Persisted serving payload (set for models loaded from disk).
-  std::shared_ptr<ServingBundle> bundle;
-
-  /// True when `term` belongs to the KG the model was trained on: KG'
-  /// when sampled, else the whole source KG.
-  bool InTrainingKg(rdf::TermId term) const {
-    return sample_terms.empty() ||
-           std::binary_search(sample_terms.begin(), sample_terms.end(), term);
-  }
+  ServingBundle bundle;
 };
 
 /// Maps model URIs to trained artifacts.

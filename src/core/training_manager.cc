@@ -1,7 +1,8 @@
 #include "core/training_manager.h"
 
-#include <algorithm>
 #include <utility>
+
+#include "core/model_io.h"
 
 namespace kgnet::core {
 
@@ -35,8 +36,7 @@ Result<TrainOutcome> GmlTrainingManager::TrainTask(const TrainTaskSpec& spec) {
   }
   topts.feature_dim = spec.config.embed_dim;
   topts.seed = spec.config.seed;
-  std::shared_ptr<gml::GraphData> graph_ptr;
-  std::vector<rdf::TermId> sample_terms;
+  gml::GraphData graph;
   if (spec.use_meta_sampling) {
     MetaSampleSpec ms;
     ms.target_type_iri = spec.target_type_iri;
@@ -52,23 +52,17 @@ Result<TrainOutcome> GmlTrainingManager::TrainTask(const TrainTaskSpec& spec) {
     KGNET_ASSIGN_OR_RETURN(SampledTriples kg_prime,
                            sampler.ExtractTriples(ms, &outcome.sample_stats));
     KGNET_ASSIGN_OR_RETURN(
-        gml::GraphData graph,
-        gml::BuildGraphData(kg_prime.triples, kg_->dict(), topts));
-    graph_ptr = std::make_shared<gml::GraphData>(std::move(graph));
-    sample_terms = std::move(kg_prime.terms);
-    std::sort(sample_terms.begin(), sample_terms.end());
+        graph, gml::BuildGraphData(kg_prime.triples, kg_->dict(), topts));
     outcome.sampler_label = SampleSpecLabel(ms);
   } else {
-    KGNET_ASSIGN_OR_RETURN(gml::GraphData graph,
-                           gml::BuildGraphData(*kg_, topts));
-    graph_ptr = std::make_shared<gml::GraphData>(std::move(graph));
+    KGNET_ASSIGN_OR_RETURN(graph, gml::BuildGraphData(*kg_, topts));
     outcome.sampler_label = "full";
   }
 
   // ---- 3. Budget-aware method selection. ----
   gml::TrainConfig config = spec.config;
   if (spec.budget.max_seconds > 0) config.max_seconds = spec.budget.max_seconds;
-  GraphSummary summary = GraphSummary::FromGraph(*graph_ptr);
+  GraphSummary summary = GraphSummary::FromGraph(graph);
   KGNET_ASSIGN_OR_RETURN(
       Selection selection,
       MethodSelector::Select(spec.task, summary, config, spec.budget));
@@ -80,36 +74,21 @@ Result<TrainOutcome> GmlTrainingManager::TrainTask(const TrainTaskSpec& spec) {
   }
   outcome.selection = selection;
 
-  // ---- 4. Training. ----
+  // ---- 4. Training, then the serving bundle the model answers from;
+  // the graph and the trained parameters are dropped with this frame. ----
   auto model = std::make_shared<TrainedModel>();
-  model->graph = graph_ptr;
-  model->source_store = kg_;
-  model->sample_terms = std::move(sample_terms);
   if (spec.task == TaskType::kNodeClassification) {
     KGNET_ASSIGN_OR_RETURN(auto classifier,
                            gml::MakeNodeClassifier(selection.method));
-    KGNET_RETURN_IF_ERROR(
-        classifier->Train(*graph_ptr, config, &outcome.report));
-    model->classifier = std::shared_ptr<gml::NodeClassifier>(
-        std::move(classifier));
+    KGNET_RETURN_IF_ERROR(classifier->Train(graph, config, &outcome.report));
+    KGNET_ASSIGN_OR_RETURN(model->bundle,
+                           BuildServingBundle(*classifier, graph, kg_->dict()));
   } else {
     KGNET_ASSIGN_OR_RETURN(auto predictor,
                            gml::MakeLinkPredictor(selection.method));
-    KGNET_RETURN_IF_ERROR(
-        predictor->Train(*graph_ptr, config, &outcome.report));
-    model->predictor =
-        std::shared_ptr<gml::LinkPredictor>(std::move(predictor));
-    // Populate the embedding store for similarity search; the dimension
-    // comes from the first embedding (complex models may round it up).
-    std::shared_ptr<EmbeddingStore> store;
-    for (uint32_t v = 0; v < graph_ptr->num_nodes; ++v) {
-      std::vector<float> emb = model->predictor->EntityEmbedding(v);
-      if (emb.empty()) continue;
-      if (store == nullptr)
-        store = std::make_shared<EmbeddingStore>(emb.size());
-      (void)store->Add(v, emb);
-    }
-    if (store != nullptr && store->size() > 0) model->embeddings = store;
+    KGNET_RETURN_IF_ERROR(predictor->Train(graph, config, &outcome.report));
+    KGNET_ASSIGN_OR_RETURN(model->bundle,
+                           BuildServingBundle(*predictor, graph, kg_->dict()));
   }
 
   // ---- 5. Metadata collection into KGMeta. ----
@@ -131,14 +110,14 @@ Result<TrainOutcome> GmlTrainingManager::TrainTask(const TrainTaskSpec& spec) {
   if (spec.task == TaskType::kNodeClassification) {
     info.target_type_iri = spec.target_type_iri;
     info.label_predicate_iri = spec.label_predicate_iri;
-    info.cardinality = graph_ptr->target_nodes.size();
+    info.cardinality = graph.target_nodes.size();
   } else {
     info.source_type_iri = spec.target_type_iri;
     info.destination_type_iri = spec.destination_type_iri;
     info.task_predicate_iri = spec.task_predicate_iri;
-    info.cardinality = graph_ptr->train_edges.size() +
-                       graph_ptr->valid_edges.size() +
-                       graph_ptr->test_edges.size();
+    info.cardinality = graph.train_edges.size() +
+                       graph.valid_edges.size() +
+                       graph.test_edges.size();
   }
   model->info = info;
   KGNET_RETURN_IF_ERROR(kgmeta_->RegisterModel(info));

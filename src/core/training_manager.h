@@ -3,8 +3,8 @@
 // One TrainTask() call performs: meta-sampling (task-specific subgraph
 // extraction), data transformation (GraphData encoding, splits, Xavier
 // features), budget-aware method selection, training with the time budget
-// enforced, metadata collection into KGMeta, and artifact registration in
-// the ModelStore (including entity embeddings for LP models).
+// enforced, metadata collection into KGMeta, and registration of the
+// model's serving bundle in the ModelStore.
 #ifndef KGNET_CORE_TRAINING_MANAGER_H_
 #define KGNET_CORE_TRAINING_MANAGER_H_
 

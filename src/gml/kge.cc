@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 #include "gml/metrics.h"
@@ -20,10 +21,10 @@ float Sigmoid(float x) { return 1.0f / (1.0f + std::exp(-x)); }
 
 }  // namespace
 
-float KgeModel::ScoreWithGrad(const float* h, const float* r, const float* t,
-                              float* gh, float* gr, float* gt) const {
-  const size_t d = dim_;
-  switch (score_) {
+float KgeScoreRows(KgeScore kind, const float* h, const float* r,
+                   const float* t, size_t d, float* gh, float* gr,
+                   float* gt) {
+  switch (kind) {
     case KgeScore::kTransE: {
       float s = 0.0f;
       for (size_t i = 0; i < d; ++i) {
@@ -169,8 +170,8 @@ Status KgeModel::Train(const GraphData& graph, const TrainConfig& config,
           float* hv = entities_.Row(h);
           float* rv = relations_.Row(e.rel);
           float* tv = entities_.Row(t);
-          const float s =
-              ScoreWithGrad(hv, rv, tv, gh.data(), gr.data(), gt.data());
+          const float s = KgeScoreRows(score_, hv, rv, tv, dim_, gh.data(),
+                                       gr.data(), gt.data());
           // Logistic loss: L = softplus(-target * s).
           const float sigma = Sigmoid(-target * s);
           const float dL_ds = -target * sigma;
@@ -236,31 +237,35 @@ Status KgeModel::Train(const GraphData& graph, const TrainConfig& config,
 }
 
 float KgeModel::Score(uint32_t src, uint32_t rel, uint32_t dst) const {
-  return ScoreWithGrad(entities_.Row(src), relations_.Row(rel),
-                       entities_.Row(dst), nullptr, nullptr, nullptr);
-}
-
-std::vector<uint32_t> KgeModel::TopKTails(uint32_t src, uint32_t rel,
-                                          size_t k) const {
-  std::vector<std::pair<float, uint32_t>> scored;
-  scored.reserve(entities_.rows());
-  for (uint32_t t = 0; t < entities_.rows(); ++t)
-    scored.emplace_back(Score(src, rel, t), t);
-  const size_t kk = std::min(k, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + kk, scored.end(),
-                    [](const auto& a, const auto& b) {
-                      return a.first > b.first;
-                    });
-  std::vector<uint32_t> out;
-  out.reserve(kk);
-  for (size_t i = 0; i < kk; ++i) out.push_back(scored[i].second);
-  return out;
+  return KgeScoreRows(score_, entities_.Row(src), relations_.Row(rel),
+                      entities_.Row(dst), dim_);
 }
 
 std::vector<float> KgeModel::EntityEmbedding(uint32_t node) const {
   if (node >= entities_.rows()) return {};
   return std::vector<float>(entities_.Row(node),
                             entities_.Row(node) + dim_);
+}
+
+std::vector<float> KgeModel::RelationEmbedding(uint32_t rel) const {
+  if (rel >= relations_.rows()) return {};
+  return std::vector<float>(relations_.Row(rel), relations_.Row(rel) + dim_);
+}
+
+std::vector<uint32_t> TopKByScore(
+    std::vector<std::pair<float, uint32_t>> scored, size_t k) {
+  for (auto& [score, row] : scored)
+    if (std::isnan(score)) score = -std::numeric_limits<float>::infinity();
+  const size_t kk = std::min(k, scored.size());
+  std::partial_sort(scored.begin(), scored.begin() + kk, scored.end(),
+                    [](const auto& a, const auto& b) {
+                      return a.first > b.first ||
+                             (a.first == b.first && a.second < b.second);
+                    });
+  std::vector<uint32_t> out;
+  out.reserve(kk);
+  for (size_t i = 0; i < kk; ++i) out.push_back(scored[i].second);
+  return out;
 }
 
 std::vector<size_t> RankTestEdges(const LinkPredictor& model,

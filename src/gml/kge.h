@@ -3,6 +3,7 @@
 #ifndef KGNET_GML_KGE_H_
 #define KGNET_GML_KGE_H_
 
+#include <utility>
 #include <vector>
 
 #include "gml/model.h"
@@ -10,13 +11,20 @@
 
 namespace kgnet::gml {
 
-/// Scoring functions implemented by KgeModel.
-enum class KgeScore {
-  kTransE,    // -||h + r - t||_1
-  kDistMult,  // <h, r, t>
-  kComplEx,   // Re(<h, r, conj(t)>), dims split (real | imag)
-  kRotatE,    // -||h ∘ e^{iθ_r} - t||_2, dims split (real | imag)
-};
+/// The score of the edge whose head, relation and tail embedding rows are
+/// `h`, `r` and `t` (`dim` floats each) under `kind`; higher is better.
+/// When `gh` is set, also writes the score's gradient wrt h, r and t into
+/// `gh`, `gr` and `gt`. Every link predictor scores through this one
+/// function, and so does a served model (core/model_io.h).
+float KgeScoreRows(KgeScore kind, const float* h, const float* r,
+                   const float* t, size_t dim, float* gh = nullptr,
+                   float* gr = nullptr, float* gt = nullptr);
+
+/// The rows of the `k` highest-scored (score, row) pairs of `scored`,
+/// highest first, ties broken by ascending row; a NaN score ranks with
+/// -infinity. The one ranker behind link prediction and similarity search.
+std::vector<uint32_t> TopKByScore(
+    std::vector<std::pair<float, uint32_t>> scored, size_t k);
 
 /// Shallow KGE link predictor with entity and relation embedding tables.
 ///
@@ -34,18 +42,13 @@ class KgeModel : public LinkPredictor {
 
   float Score(uint32_t src, uint32_t rel, uint32_t dst) const override;
 
-  std::vector<uint32_t> TopKTails(uint32_t src, uint32_t rel,
-                                  size_t k) const override;
+  KgeScore score_kind() const override { return score_; }
 
   std::vector<float> EntityEmbedding(uint32_t node) const override;
 
-  KgeScore score_kind() const { return score_; }
+  std::vector<float> RelationEmbedding(uint32_t rel) const override;
 
  private:
-  /// Gradient of the score wrt h, r, t; returns the score.
-  float ScoreWithGrad(const float* h, const float* r, const float* t,
-                      float* gh, float* gr, float* gt) const;
-
   KgeScore score_;
   size_t dim_ = 0;
   tensor::Matrix entities_;   // num_nodes x dim

@@ -28,6 +28,15 @@ enum class GmlMethod {
   kRotatE,       // rotational KGE
 };
 
+/// The scoring functions of the link predictors. KgeModel implements all
+/// four; MorsE scores TransE-style over its derived entity embeddings.
+enum class KgeScore {
+  kTransE,    // -||h + r - t||_1
+  kDistMult,  // <h, r, t>
+  kComplEx,   // Re(<h, r, conj(t)>), dims split (real | imag)
+  kRotatE,    // -||h ∘ e^{iθ_r} - t||_2, dims split (real | imag)
+};
+
 /// The GML task types KGNet supports.
 enum class TaskType {
   kNodeClassification,
@@ -117,15 +126,19 @@ class LinkPredictor {
   virtual Status Train(const GraphData& graph, const TrainConfig& config,
                        TrainReport* report) = 0;
 
-  /// Plausibility score of edge (src, rel, dst); higher is better.
+  /// Plausibility score of edge (src, rel, dst); higher is better. Equal
+  /// to KgeScoreRows(score_kind(), EntityEmbedding(src),
+  /// RelationEmbedding(rel), EntityEmbedding(dst), dim), bit for bit.
   virtual float Score(uint32_t src, uint32_t rel, uint32_t dst) const = 0;
 
-  /// Top-k most plausible tails for (src, rel, ?).
-  virtual std::vector<uint32_t> TopKTails(uint32_t src, uint32_t rel,
-                                          size_t k) const = 0;
+  /// The scoring function Score applies to the embedding rows.
+  virtual KgeScore score_kind() const = 0;
 
-  /// Entity embedding (for the embedding store); empty if unsupported.
+  /// Entity embedding row of `node`.
   virtual std::vector<float> EntityEmbedding(uint32_t node) const = 0;
+
+  /// Relation embedding row of `rel`, as Score reads it.
+  virtual std::vector<float> RelationEmbedding(uint32_t rel) const = 0;
 };
 
 /// Factory: creates an untrained classifier for `method`

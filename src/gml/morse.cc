@@ -318,29 +318,8 @@ float MorseModel::Score(uint32_t src, uint32_t rel, uint32_t dst) const {
     ComputeEntityEmbedding(src, eh.data());
     ComputeEntityEmbedding(dst, et.data());
   }
-  const float* rv = rel_scoring_.Row(rel);
-  float s = 0.0f;
-  for (size_t k = 0; k < d; ++k)
-    s -= std::fabs(eh[k] + rv[k] - et[k]);
-  return s;
-}
-
-std::vector<uint32_t> MorseModel::TopKTails(uint32_t src, uint32_t rel,
-                                            size_t k) const {
-  std::vector<std::pair<float, uint32_t>> scored;
-  const size_t n = entity_cache_.rows() > 0 ? entity_cache_.rows()
-                                            : incident_.size();
-  scored.reserve(n);
-  for (uint32_t t = 0; t < n; ++t)
-    scored.emplace_back(Score(src, rel, t), t);
-  const size_t kk = std::min(k, scored.size());
-  std::partial_sort(
-      scored.begin(), scored.begin() + kk, scored.end(),
-      [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::vector<uint32_t> out;
-  out.reserve(kk);
-  for (size_t i = 0; i < kk; ++i) out.push_back(scored[i].second);
-  return out;
+  return KgeScoreRows(KgeScore::kTransE, eh.data(), rel_scoring_.Row(rel),
+                      et.data(), d);
 }
 
 std::vector<float> MorseModel::EntityEmbedding(uint32_t node) const {
@@ -353,6 +332,12 @@ std::vector<float> MorseModel::EntityEmbedding(uint32_t node) const {
     ComputeEntityEmbedding(node, out.data());
   }
   return out;
+}
+
+std::vector<float> MorseModel::RelationEmbedding(uint32_t rel) const {
+  if (rel >= rel_scoring_.rows()) return {};
+  return std::vector<float>(rel_scoring_.Row(rel),
+                            rel_scoring_.Row(rel) + dim_);
 }
 
 }  // namespace kgnet::gml

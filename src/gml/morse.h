@@ -25,10 +25,11 @@ class MorseModel : public LinkPredictor {
 
   float Score(uint32_t src, uint32_t rel, uint32_t dst) const override;
 
-  std::vector<uint32_t> TopKTails(uint32_t src, uint32_t rel,
-                                  size_t k) const override;
+  KgeScore score_kind() const override { return KgeScore::kTransE; }
 
   std::vector<float> EntityEmbedding(uint32_t node) const override;
+
+  std::vector<float> RelationEmbedding(uint32_t rel) const override;
 
  private:
   /// Recomputes the derived entity embedding of `v` into `out`.

@@ -1,15 +1,10 @@
-// Unit tests for KGMeta, the embedding store, the method selector and the
-// JSON parser.
+// Unit tests for KGMeta, the method selector and the JSON parser.
 #include <gtest/gtest.h>
 
-#include <cmath>
-
-#include "core/embedding_store.h"
 #include "core/json.h"
 #include "core/kgmeta.h"
 #include "core/method_selector.h"
 #include "sparql/engine.h"
-#include "tensor/rng.h"
 
 namespace kgnet::core {
 namespace {
@@ -116,80 +111,6 @@ TEST(KgMetaTest, KgMetaIsQueryableViaSparql) {
   EXPECT_TRUE(r->rows[0][1].AsDouble(&acc));
   EXPECT_NEAR(acc, 0.77, 1e-9);
 }
-
-// ------------------------------------------------------- EmbeddingStore --
-
-TEST(EmbeddingStoreTest, FlatSearchExact) {
-  EmbeddingStore store(2, Metric::kL2);
-  ASSERT_TRUE(store.Add(10, {0, 0}).ok());
-  ASSERT_TRUE(store.Add(11, {1, 0}).ok());
-  ASSERT_TRUE(store.Add(12, {5, 5}).ok());
-  auto hits = store.SearchFlat({0.4f, 0}, 2);
-  ASSERT_EQ(hits.size(), 2u);
-  EXPECT_EQ(hits[0].id, 10u);
-  EXPECT_EQ(hits[1].id, 11u);
-}
-
-TEST(EmbeddingStoreTest, CosineIgnoresMagnitude) {
-  EmbeddingStore store(2, Metric::kCosine);
-  ASSERT_TRUE(store.Add(1, {10, 0}).ok());
-  ASSERT_TRUE(store.Add(2, {0, 0.1f}).ok());
-  auto hits = store.SearchFlat({1, 0.01f}, 1);
-  ASSERT_EQ(hits.size(), 1u);
-  EXPECT_EQ(hits[0].id, 1u);
-}
-
-TEST(EmbeddingStoreTest, DimensionMismatchRejected) {
-  EmbeddingStore store(3);
-  EXPECT_FALSE(store.Add(1, {1, 2}).ok());
-  EXPECT_TRUE(store.SearchFlat({1, 2}, 1).empty());
-}
-
-TEST(EmbeddingStoreTest, RemoveInvalidatesIvf) {
-  EmbeddingStore store(2);
-  for (uint64_t i = 0; i < 10; ++i)
-    ASSERT_TRUE(store.Add(i, {static_cast<float>(i), 1}).ok());
-  ASSERT_TRUE(store.BuildIvf(2).ok());
-  EXPECT_TRUE(store.HasIvf());
-  ASSERT_TRUE(store.Remove(3).ok());
-  EXPECT_FALSE(store.HasIvf());
-  EXPECT_EQ(store.size(), 9u);
-  EXPECT_FALSE(store.Remove(3).ok());
-}
-
-class IvfRecallTest : public ::testing::TestWithParam<size_t> {};
-
-TEST_P(IvfRecallTest, IvfRecallIncreasesWithNprobe) {
-  const size_t nprobe = GetParam();
-  tensor::Rng rng(21);
-  EmbeddingStore store(8, Metric::kL2);
-  // 10 well-separated clusters.
-  for (uint64_t i = 0; i < 500; ++i) {
-    std::vector<float> v(8);
-    const float center = static_cast<float>(i % 10) * 20.0f;
-    for (auto& x : v) x = center + rng.NextGaussian();
-    ASSERT_TRUE(store.Add(i, v).ok());
-  }
-  ASSERT_TRUE(store.BuildIvf(10).ok());
-
-  size_t agree = 0;
-  const size_t trials = 40;
-  for (size_t t = 0; t < trials; ++t) {
-    std::vector<float> q(8);
-    const float center = static_cast<float>(t % 10) * 20.0f;
-    for (auto& x : q) x = center + rng.NextGaussian();
-    auto exact = store.SearchFlat(q, 1);
-    auto approx = store.SearchIvf(q, 1, nprobe);
-    ASSERT_FALSE(exact.empty());
-    if (!approx.empty() && approx[0].id == exact[0].id) ++agree;
-  }
-  // With clearly separated clusters even nprobe=1 should mostly agree;
-  // recall must be monotone-ish in nprobe, here simply high.
-  EXPECT_GE(agree, trials * 7 / 10) << "nprobe=" << nprobe;
-}
-
-INSTANTIATE_TEST_SUITE_P(Nprobe, IvfRecallTest,
-                         ::testing::Values(1, 2, 4, 10));
 
 // -------------------------------------------------------- MethodSelector --
 

@@ -313,7 +313,10 @@ TEST_P(LinkPredictorTest, BeatsRandomRanking) {
     const Edge& e = g.test_edges.front();
     const float s = (*model)->Score(e.src, e.rel, e.dst);
     EXPECT_TRUE(std::isfinite(s));
-    std::vector<uint32_t> top = (*model)->TopKTails(e.src, e.rel, 5);
+    std::vector<std::pair<float, uint32_t>> scored;
+    for (uint32_t t = 0; t < g.num_nodes; ++t)
+      scored.emplace_back((*model)->Score(e.src, e.rel, t), t);
+    std::vector<uint32_t> top = TopKByScore(std::move(scored), 5);
     EXPECT_EQ(top.size(), 5u);
   }
 }

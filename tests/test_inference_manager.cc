@@ -157,5 +157,57 @@ TEST_F(InferenceManagerTest, SimulatedLatencyAccumulates) {
   manager().set_per_call_latency_us(0.0);
 }
 
+// ---- similarity search over a hand-built bundle ----
+
+/// A link-prediction model "urn:rows" whose bundle holds `rows`, row i
+/// under the IRI "urn:n<i>".
+std::shared_ptr<TrainedModel> RowsModel(
+    const std::vector<std::vector<float>>& rows) {
+  auto model = std::make_shared<TrainedModel>();
+  model->info.uri = "urn:rows";
+  model->info.task = gml::TaskType::kLinkPrediction;
+  ServingBundle& b = model->bundle;
+  b.embed_dim = rows.front().size();
+  b.relation_row.assign(b.embed_dim, 0.0f);
+  for (uint32_t i = 0; i < rows.size(); ++i) {
+    b.node_iris.push_back("urn:n" + std::to_string(i));
+    b.entity_rows.insert(b.entity_rows.end(), rows[i].begin(), rows[i].end());
+    b.destination_rows.push_back(i);
+  }
+  b.IndexRows();
+  return model;
+}
+
+TEST(ServingBundleSimilarityTest, FlatScanIsExactAndBreaksTiesByRow) {
+  ModelStore store;
+  store.Put(RowsModel({{1, 0}, {0, 1}, {1, 0}, {0.9f, 0.1f}, {1, 0}, {-1, 0}}));
+  InferenceManager im(&store);
+  auto sims = im.GetSimilarEntities("urn:rows", "urn:n2", 5);
+  ASSERT_TRUE(sims.ok()) << sims.status();
+  // n0 and n4 equal n2 (distance 0, ascending row), then n3, n1, n5.
+  EXPECT_EQ(*sims, (std::vector<std::string>{"urn:n0", "urn:n4", "urn:n3",
+                                             "urn:n1", "urn:n5"}));
+}
+
+TEST(ServingBundleSimilarityTest, CosineIgnoresMagnitude) {
+  ModelStore store;
+  store.Put(RowsModel({{1, 0.01f}, {10, 0}, {0, 0.1f}}));
+  InferenceManager im(&store);
+  auto sims = im.GetSimilarEntities("urn:rows", "urn:n0", 1);
+  ASSERT_TRUE(sims.ok()) << sims.status();
+  EXPECT_EQ(*sims, std::vector<std::string>{"urn:n1"});
+}
+
+TEST(ServingBundleSimilarityTest, DimensionMismatchRejected) {
+  ModelStore store;
+  store.Put(RowsModel({{1, 0, 0}, {0, 1, 0}}));
+  InferenceManager im(&store);
+  EXPECT_EQ(im.GetSimilarByRow("urn:rows", "urn:n0", {1, 2}, 1).status().code(),
+            StatusCode::kInternal);
+  auto row = im.GetEmbeddingRow("urn:rows", "urn:n0");
+  ASSERT_TRUE(row.ok());
+  EXPECT_TRUE(im.GetSimilarByRow("urn:rows", "urn:n0", *row, 1).ok());
+}
+
 }  // namespace
 }  // namespace kgnet::core

@@ -1,8 +1,9 @@
 // Pins of what training on a sampled subgraph KG′ produces, written
 // against the public API so that any change to how KG′ is held must
 // reproduce them exactly: the GraphData each job encodes (node, relation
-// and class IRIs, edges, labels, splits, candidates, features) and the
-// answers its models serve, live and after a model_io round trip.
+// and class IRIs, edges, labels, splits, candidates, features), the
+// bundles its models serve from, and the answers they serve: one table for
+// a model fresh from training and for its saved-and-loaded copy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -239,12 +240,6 @@ gml::TransformOptions OptionsOf(const TrainTaskSpec& spec) {
   return t;
 }
 
-/// The sizes and id-level parts of a pin, without the IRI digests.
-GraphPin Structure(GraphPin p) {
-  p.node_iris = p.relation_iris = p.class_iris = 0;
-  return p;
-}
-
 TEST(KgPrimeGraphPinTest, ExtractedStoreEncodesThePinnedGraph) {
   rdf::TripleStore kg;
   GenerateKg(&kg);
@@ -263,6 +258,15 @@ TEST(KgPrimeGraphPinTest, ExtractedStoreEncodesThePinnedGraph) {
   }
 }
 
+/// The digest PinOf gives a graph's candidates, over a bundle's
+/// destination rows: the two are equal for a typed LP model, and both empty
+/// for an NC model.
+uint64_t CandidatesDigest(const ServingBundle& b) {
+  Fnv f;
+  DigestIds(b.destination_rows, &f);
+  return f.value();
+}
+
 TEST(KgPrimeGraphPinTest, TrainTaskTrainsOnThePinnedGraph) {
   KgNet kg;
   GenerateKg(&kg.store());
@@ -271,9 +275,10 @@ TEST(KgPrimeGraphPinTest, TrainTaskTrainsOnThePinnedGraph) {
     ASSERT_TRUE(out.ok()) << out.status();
     auto model = kg.service().model_store().Get(out->model_uri);
     ASSERT_TRUE(model.ok());
-    ASSERT_NE((*model)->graph, nullptr);
-    EXPECT_EQ(PinOf(*(*model)->graph, nullptr), Structure(job.pin))
-        << job.label;
+    const ServingBundle& b = (*model)->bundle;
+    EXPECT_EQ(b.node_iris.size(), job.pin.nodes) << job.label;
+    EXPECT_EQ(b.class_iris.size(), job.pin.classes) << job.label;
+    EXPECT_EQ(CandidatesDigest(b), job.pin.candidates) << job.label;
   }
 }
 
@@ -297,6 +302,16 @@ TEST(KgPrimeGraphPinTest, ExtractedTriplesEncodeThePinnedGraph) {
   }
 }
 
+/// The graph TrainTask encodes for `spec`, built here from the extracted
+/// triples (ExtractedTriplesEncodeThePinnedGraph pins it).
+Result<gml::GraphData> GraphOf(const rdf::TripleStore& kg,
+                               const TrainTaskSpec& spec) {
+  if (!spec.use_meta_sampling) return gml::BuildGraphData(kg, OptionsOf(spec));
+  KGNET_ASSIGN_OR_RETURN(SampledTriples sampled,
+                         MetaSampler(&kg).ExtractTriples(SampleOf(spec)));
+  return gml::BuildGraphData(sampled.triples, kg.dict(), OptionsOf(spec));
+}
+
 TEST(KgPrimeGraphPinTest, TrainedGraphsNameTermsInTheKgDictionary) {
   KgNet kg;
   GenerateKg(&kg.store());
@@ -305,13 +320,19 @@ TEST(KgPrimeGraphPinTest, TrainedGraphsNameTermsInTheKgDictionary) {
     ASSERT_TRUE(out.ok()) << out.status();
     auto model = kg.service().model_store().Get(out->model_uri);
     ASSERT_TRUE(model.ok());
-    EXPECT_EQ((*model)->source_store, &kg.store());
-    EXPECT_EQ(PinOf(*(*model)->graph, &kg.store().dict()), job.pin)
+    const ServingBundle& b = (*model)->bundle;
+    Fnv nodes, classes;
+    for (const std::string& iri : b.node_iris) nodes.Str(iri);
+    for (const std::string& iri : b.class_iris) classes.Str(iri);
+    EXPECT_EQ(nodes.value(), job.pin.node_iris) << job.label;
+    EXPECT_EQ(classes.value(), job.pin.class_iris) << job.label;
+    // An NC bundle predicts a class for every target node and no other.
+    auto g = GraphOf(kg.store(), job.spec);
+    ASSERT_TRUE(g.ok()) << g.status();
+    const auto predicted = std::count_if(
+        b.row_class.begin(), b.row_class.end(), [](int32_t c) { return c >= 0; });
+    EXPECT_EQ(static_cast<size_t>(predicted), g->target_nodes.size())
         << job.label;
-    // A sampled model keeps KG′'s term ids, sorted, and nothing else.
-    EXPECT_EQ((*model)->sample_terms.empty(), !job.spec.use_meta_sampling);
-    EXPECT_TRUE(std::is_sorted((*model)->sample_terms.begin(),
-                               (*model)->sample_terms.end()));
   }
 }
 
@@ -452,42 +473,46 @@ void ExpectTable(const std::vector<std::string>& got,
   if (::testing::Test::HasFailure()) std::printf("%s", dump.c_str());
 }
 
+/// The one table every model answers with, fresh from training or loaded.
+std::vector<std::string> PinnedTable() {
+  return {
+      "class dblp:publication/0 -> dblp:venue/2",
+      "class dblp:publication/7 -> dblp:venue/2",
+      "class dblp:person/3 -> NotFound: no prediction for node dblp:person/3",
+      "class dblp:publishedIn -> NotFound: no prediction for node dblp:publishedIn",
+      "class dblp:editor/0 -> NotFound: no prediction for node dblp:editor/0",
+      "class dblp:nope/0 -> NotFound: no prediction for node dblp:nope/0",
+      "class batch dblp:publication/0 -> dblp:venue/2",
+      "class batch dblp:publication/7 -> dblp:venue/2",
+      "class batch dblp:person/3 -> NotFound: no prediction for node dblp:person/3",
+      "class batch dblp:publishedIn -> NotFound: no prediction for node dblp:publishedIn",
+      "class batch dblp:editor/0 -> NotFound: no prediction for node dblp:editor/0",
+      "class batch dblp:nope/0 -> NotFound: no prediction for node dblp:nope/0",
+      "class dictionary -> 120 entries, digest 2479149089145519521",
+      "class of lp model -> FailedPrecondition: https://www.kgnet.com/model/lp-2 serves LinkPrediction, not NodeClassification",
+      "links dblp:person/0 -> dblp:affiliation/6 dblp:affiliation/5 dblp:affiliation/3",
+      "links dblp:person/5 -> dblp:affiliation/5 dblp:affiliation/2 dblp:affiliation/3",
+      "links dblp:affiliation/2 -> dblp:affiliation/2 dblp:affiliation/6 dblp:affiliation/1",
+      "links dblp:primaryAffiliation -> NotFound: node not in model bundle: dblp:primaryAffiliation",
+      "links dblp:venue/0 -> NotFound: node not in model bundle: dblp:venue/0",
+      "links dblp:nope/0 -> NotFound: node not in model bundle: dblp:nope/0",
+      "links batch dblp:person/0 -> dblp:affiliation/6 dblp:affiliation/5 dblp:affiliation/3",
+      "links batch dblp:person/5 -> dblp:affiliation/5 dblp:affiliation/2 dblp:affiliation/3",
+      "links batch dblp:affiliation/2 -> dblp:affiliation/2 dblp:affiliation/6 dblp:affiliation/1",
+      "links batch dblp:primaryAffiliation -> NotFound: node not in model bundle: dblp:primaryAffiliation",
+      "links batch dblp:venue/0 -> NotFound: node not in model bundle: dblp:venue/0",
+      "links batch dblp:nope/0 -> NotFound: node not in model bundle: dblp:nope/0",
+      "links of nc model -> FailedPrecondition: https://www.kgnet.com/model/nc-1 serves NodeClassification, not LinkPrediction",
+      "similar dblp:person/0 -> dblp:person/12 dblp:person/48 dblp:person/36",
+      "similar dblp:person/5 -> dblp:person/57 dblp:person/1 dblp:person/6",
+      "similar dblp:affiliation/2 -> dblp:affiliation/3 dblp:affiliation/6 dblp:affiliation/5",
+      "similar dblp:primaryAffiliation -> NotFound: node not in model bundle: dblp:primaryAffiliation",
+      "similar dblp:venue/0 -> NotFound: node not in model bundle: dblp:venue/0",
+      "similar dblp:nope/0 -> NotFound: node not in model bundle: dblp:nope/0"};
+}
+
 TEST_F(KgPrimeInferencePinTest, LiveModelsAnswerThePinnedTable) {
-  ExpectTable(AnswerTable(manager(), nc_uri_, lp_uri_),
-              {
-          "class dblp:publication/0 -> dblp:venue/2",
-          "class dblp:publication/7 -> dblp:venue/2",
-          "class dblp:person/3 -> NotFound: no prediction for node dblp:person/3",
-          "class dblp:publishedIn -> NotFound: node not in encoded graph: dblp:publishedIn",
-          "class dblp:editor/0 -> NotFound: node not in model's training graph: dblp:editor/0",
-          "class dblp:nope/0 -> NotFound: node not in model's training graph: dblp:nope/0",
-          "class batch dblp:publication/0 -> dblp:venue/2",
-          "class batch dblp:publication/7 -> dblp:venue/2",
-          "class batch dblp:person/3 -> NotFound: no prediction for node dblp:person/3",
-          "class batch dblp:publishedIn -> NotFound: node not in encoded graph: dblp:publishedIn",
-          "class batch dblp:editor/0 -> NotFound: node not in model's training graph: dblp:editor/0",
-          "class batch dblp:nope/0 -> NotFound: node not in model's training graph: dblp:nope/0",
-          "class dictionary -> 120 entries, digest 2479149089145519521",
-          "class of lp model -> FailedPrecondition: https://www.kgnet.com/model/lp-2 is not a node classifier",
-          "links dblp:person/0 -> dblp:affiliation/6 dblp:affiliation/5 dblp:affiliation/3",
-          "links dblp:person/5 -> dblp:affiliation/5 dblp:affiliation/2 dblp:affiliation/3",
-          "links dblp:affiliation/2 -> dblp:affiliation/2 dblp:affiliation/6 dblp:affiliation/1",
-          "links dblp:primaryAffiliation -> NotFound: node not in encoded graph: dblp:primaryAffiliation",
-          "links dblp:venue/0 -> NotFound: node not in model's training graph: dblp:venue/0",
-          "links dblp:nope/0 -> NotFound: node not in model's training graph: dblp:nope/0",
-          "links batch dblp:person/0 -> dblp:affiliation/6 dblp:affiliation/5 dblp:affiliation/3",
-          "links batch dblp:person/5 -> dblp:affiliation/5 dblp:affiliation/2 dblp:affiliation/3",
-          "links batch dblp:affiliation/2 -> dblp:affiliation/2 dblp:affiliation/6 dblp:affiliation/1",
-          "links batch dblp:primaryAffiliation -> NotFound: node not in encoded graph: dblp:primaryAffiliation",
-          "links batch dblp:venue/0 -> NotFound: node not in model's training graph: dblp:venue/0",
-          "links batch dblp:nope/0 -> NotFound: node not in model's training graph: dblp:nope/0",
-          "links of nc model -> FailedPrecondition: https://www.kgnet.com/model/nc-1 is not a link predictor",
-          "similar dblp:person/0 -> dblp:person/12 dblp:person/48 dblp:person/36",
-          "similar dblp:person/5 -> dblp:person/57 dblp:person/1 dblp:person/6",
-          "similar dblp:affiliation/2 -> dblp:affiliation/3 dblp:affiliation/6 dblp:affiliation/5",
-          "similar dblp:primaryAffiliation -> NotFound: node not in encoded graph: dblp:primaryAffiliation",
-          "similar dblp:venue/0 -> NotFound: node not in model's training graph: dblp:venue/0",
-          "similar dblp:nope/0 -> NotFound: node not in model's training graph: dblp:nope/0"});
+  ExpectTable(AnswerTable(manager(), nc_uri_, lp_uri_), PinnedTable());
 }
 
 TEST_F(KgPrimeInferencePinTest, SavedAndLoadedModelsAnswerThePinnedTable) {
@@ -507,41 +532,7 @@ TEST_F(KgPrimeInferencePinTest, SavedAndLoadedModelsAnswerThePinnedTable) {
   }
   std::filesystem::remove_all(dir);
   InferenceManager im(&loaded);
-  ExpectTable(AnswerTable(im, nc_uri_, lp_uri_),
-              {
-          "class dblp:publication/0 -> dblp:venue/2",
-          "class dblp:publication/7 -> dblp:venue/2",
-          "class dblp:person/3 -> NotFound: no prediction for node dblp:person/3",
-          "class dblp:publishedIn -> NotFound: no prediction for node dblp:publishedIn",
-          "class dblp:editor/0 -> NotFound: no prediction for node dblp:editor/0",
-          "class dblp:nope/0 -> NotFound: no prediction for node dblp:nope/0",
-          "class batch dblp:publication/0 -> dblp:venue/2",
-          "class batch dblp:publication/7 -> dblp:venue/2",
-          "class batch dblp:person/3 -> NotFound: no prediction for node dblp:person/3",
-          "class batch dblp:publishedIn -> NotFound: no prediction for node dblp:publishedIn",
-          "class batch dblp:editor/0 -> NotFound: no prediction for node dblp:editor/0",
-          "class batch dblp:nope/0 -> NotFound: no prediction for node dblp:nope/0",
-          "class dictionary -> 120 entries, digest 2479149089145519521",
-          "class of lp model -> NotFound: no prediction for node dblp:person/0",
-          "links dblp:person/0 -> dblp:affiliation/6 dblp:affiliation/5 dblp:affiliation/3",
-          "links dblp:person/5 -> dblp:affiliation/5 dblp:affiliation/3 dblp:affiliation/4",
-          "links dblp:affiliation/2 -> dblp:affiliation/2 dblp:affiliation/6 dblp:affiliation/7",
-          "links dblp:primaryAffiliation -> NotFound: node not in model bundle: dblp:primaryAffiliation",
-          "links dblp:venue/0 -> NotFound: node not in model bundle: dblp:venue/0",
-          "links dblp:nope/0 -> NotFound: node not in model bundle: dblp:nope/0",
-          "links batch dblp:person/0 -> dblp:affiliation/6 dblp:affiliation/5 dblp:affiliation/3",
-          "links batch dblp:person/5 -> dblp:affiliation/5 dblp:affiliation/3 dblp:affiliation/4",
-          "links batch dblp:affiliation/2 -> dblp:affiliation/2 dblp:affiliation/6 dblp:affiliation/7",
-          "links batch dblp:primaryAffiliation -> NotFound: node not in model bundle: dblp:primaryAffiliation",
-          "links batch dblp:venue/0 -> NotFound: node not in model bundle: dblp:venue/0",
-          "links batch dblp:nope/0 -> NotFound: node not in model bundle: dblp:nope/0",
-          "links of nc model -> FailedPrecondition: https://www.kgnet.com/model/nc-1 is not a link predictor",
-          "similar dblp:person/0 -> dblp:person/12 dblp:person/48 dblp:person/36",
-          "similar dblp:person/5 -> dblp:person/57 dblp:person/1 dblp:person/6",
-          "similar dblp:affiliation/2 -> dblp:affiliation/3 dblp:affiliation/6 dblp:affiliation/5",
-          "similar dblp:primaryAffiliation -> NotFound: node not in model bundle: dblp:primaryAffiliation",
-          "similar dblp:venue/0 -> NotFound: node not in model bundle: dblp:venue/0",
-          "similar dblp:nope/0 -> NotFound: node not in model bundle: dblp:nope/0"});
+  ExpectTable(AnswerTable(im, nc_uri_, lp_uri_), PinnedTable());
 }
 
 TEST_F(KgPrimeInferencePinTest, NewTermsInTheKgDoNotChangeSampledAnswers) {
@@ -564,9 +555,9 @@ TEST_F(KgPrimeInferencePinTest, NewTermsInTheKgDoNotChangeSampledAnswers) {
   }
   EXPECT_EQ(AnswerTable(manager(), nc_uri_, lp_uri_), before);
   EXPECT_EQ(Render(manager().GetNodeClass(nc_uri_, fresh)),
-            "NotFound: node not in model's training graph: dblp:publication/new");
+            "NotFound: no prediction for node dblp:publication/new");
   EXPECT_EQ(Render(manager().GetTopKLinks(lp_uri_, fresh_person, 3)),
-            "NotFound: node not in model's training graph: dblp:person/new");
+            "NotFound: node not in model bundle: dblp:person/new");
 }
 
 TEST_F(KgPrimeInferencePinTest, ConcurrentFirstCallsAgreeWithSerialOnes) {
@@ -605,6 +596,86 @@ TEST_F(KgPrimeInferencePinTest, ConcurrentFirstCallsAgreeWithSerialOnes) {
                 Render(manager().GetTopKLinks(lp->model_uri, lp_iris[at], 3)));
     }
   }
+}
+
+// ---- link prediction: one ranking on every path ----
+
+/// Hits@10 of `top10` (one list per graph node) over `g`'s test edges.
+double HitsAt10(const gml::GraphData& g, const rdf::Dictionary& dict,
+                const std::vector<std::vector<std::string>>& top10) {
+  size_t hits = 0;
+  for (const gml::Edge& e : g.test_edges) {
+    const std::vector<std::string>& list = top10[e.src];
+    if (std::find(list.begin(), list.end(),
+                  dict.Lookup(g.node_terms[e.dst]).lexical) != list.end())
+      ++hits;
+  }
+  return g.test_edges.empty()
+             ? 0.0
+             : static_cast<double>(hits) / static_cast<double>(g.test_edges.size());
+}
+
+TEST(KgPrimeLinkRankingTest, EveryMethodRanksLikeItsPredictorLiveAndLoaded) {
+  KgNet kg;
+  GenerateKg(&kg.store());
+  const rdf::Dictionary& dict = kg.store().dict();
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("kgnet_kg_prime_rank_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  for (gml::GmlMethod method :
+       {gml::GmlMethod::kTransE, gml::GmlMethod::kDistMult,
+        gml::GmlMethod::kComplEx, gml::GmlMethod::kRotatE,
+        gml::GmlMethod::kMorse}) {
+    const char* name = gml::GmlMethodName(method);
+    TrainTaskSpec spec = LpSpec();
+    spec.direction = SampleDirection::kBidirectional;
+    spec.forced_method = method;
+    auto out = kg.TrainTask(spec);
+    ASSERT_TRUE(out.ok()) << name << ": " << out.status();
+    auto model = kg.service().model_store().Get(out->model_uri);
+    ASSERT_TRUE(model.ok());
+    const std::string path = (dir / "lp.kgm").string();
+    ASSERT_TRUE(SaveTrainedModel(**model, path).ok());
+    auto back = LoadTrainedModel(path);
+    ASSERT_TRUE(back.ok()) << back.status();
+    ModelStore loaded;
+    loaded.Put(*back);
+    InferenceManager loaded_im(&loaded);
+
+    // The reference: the same method trained on the same graph with the
+    // same config, its candidates ranked by its own Score.
+    auto g = GraphOf(kg.store(), spec);
+    ASSERT_TRUE(g.ok()) << g.status();
+    auto reference = gml::MakeLinkPredictor(method);
+    ASSERT_TRUE(reference.ok());
+    gml::TrainReport report;
+    ASSERT_TRUE((*reference)->Train(*g, spec.config, &report).ok());
+
+    std::vector<std::vector<std::string>> live(g->num_nodes),
+        from_disk(g->num_nodes), want(g->num_nodes);
+    for (uint32_t src = 0; src < g->num_nodes; ++src) {
+      const std::string iri = dict.Lookup(g->node_terms[src]).lexical;
+      std::vector<std::pair<float, uint32_t>> scored;
+      for (uint32_t dst : g->destination_candidates)
+        scored.emplace_back((*reference)->Score(src, g->task_relation, dst),
+                            dst);
+      for (uint32_t dst : gml::TopKByScore(std::move(scored), 10))
+        want[src].push_back(dict.Lookup(g->node_terms[dst]).lexical);
+      auto a = kg.service().inference_manager().GetTopKLinks(
+          out->model_uri, iri, 10);
+      auto b = loaded_im.GetTopKLinks(out->model_uri, iri, 10);
+      ASSERT_TRUE(a.ok() && b.ok()) << name << " " << iri;
+      live[src] = *a;
+      from_disk[src] = *b;
+      EXPECT_EQ(live[src], want[src]) << name << " registered, " << iri;
+      EXPECT_EQ(from_disk[src], want[src]) << name << " loaded, " << iri;
+    }
+    const double hits = HitsAt10(*g, dict, want);
+    EXPECT_EQ(HitsAt10(*g, dict, live), hits) << name;
+    EXPECT_EQ(HitsAt10(*g, dict, from_disk), hits) << name;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

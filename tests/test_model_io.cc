@@ -1,14 +1,21 @@
-// Model persistence: save/load round trips for NC and LP models, and
-// serving parity between live models and loaded bundles.
+// Model persistence: save/load round trips for NC and LP models, serving
+// parity between registered models and their loaded copies, and a seeded
+// corruption sweep over saved bundles.
 #include "core/model_io.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <unistd.h>
 
 #include "core/kgnet.h"
+#include "tensor/rng.h"
 #include "workload/dblp_gen.h"
 
 namespace kgnet::core {
@@ -70,9 +77,40 @@ class ModelIoTest : public ::testing::Test {
 TEST_F(ModelIoTest, NcBundleCoversAllTargets) {
   auto model = kg_.service().model_store().Get(nc_uri_);
   ASSERT_TRUE(model.ok());
-  auto bundle = BuildServingBundle(**model);
-  ASSERT_TRUE(bundle.ok()) << bundle.status();
-  EXPECT_EQ(bundle->nc_predictions.size(), 80u);
+  const ServingBundle& bundle = (*model)->bundle;
+  ASSERT_EQ(bundle.row_class.size(), bundle.node_iris.size());
+  EXPECT_EQ(std::count_if(bundle.row_class.begin(), bundle.row_class.end(),
+                          [](int32_t c) { return c >= 0; }),
+            80);
+}
+
+/// The bit patterns of `v`, so that equal means bitwise-equal.
+std::vector<uint32_t> Bits(const std::vector<float>& v) {
+  std::vector<uint32_t> out(v.size());
+  for (size_t i = 0; i < v.size(); ++i)
+    std::memcpy(&out[i], &v[i], sizeof(float));
+  return out;
+}
+
+TEST_F(ModelIoTest, LoadedBundlesEqualTheRegisteredOnes) {
+  for (const std::string& uri : {nc_uri_, lp_uri_}) {
+    auto model = kg_.service().model_store().Get(uri);
+    ASSERT_TRUE(model.ok());
+    const std::string path = (dir_ / "m.kgm").string();
+    ASSERT_TRUE(SaveTrainedModel(**model, path).ok());
+    auto loaded = LoadTrainedModel(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status();
+    const ServingBundle& a = (*model)->bundle;
+    const ServingBundle& b = (*loaded)->bundle;
+    EXPECT_EQ(a.node_iris, b.node_iris) << uri;
+    EXPECT_EQ(a.class_iris, b.class_iris) << uri;
+    EXPECT_EQ(a.row_class, b.row_class) << uri;
+    EXPECT_EQ(a.score, b.score) << uri;
+    EXPECT_EQ(a.embed_dim, b.embed_dim) << uri;
+    EXPECT_EQ(Bits(a.entity_rows), Bits(b.entity_rows)) << uri;
+    EXPECT_EQ(Bits(a.relation_row), Bits(b.relation_row)) << uri;
+    EXPECT_EQ(a.destination_rows, b.destination_rows) << uri;
+  }
 }
 
 TEST_F(ModelIoTest, SaveLoadRoundTripPreservesInfo) {
@@ -92,7 +130,7 @@ TEST_F(ModelIoTest, SaveLoadRoundTripPreservesInfo) {
   EXPECT_EQ(a.sampler_label, b.sampler_label);
   EXPECT_DOUBLE_EQ(a.accuracy, b.accuracy);
   EXPECT_EQ(a.cardinality, b.cardinality);
-  ASSERT_NE((*loaded)->bundle, nullptr);
+  EXPECT_EQ((*loaded)->bundle.node_iris, (*model)->bundle.node_iris);
 }
 
 TEST_F(ModelIoTest, LoadedNcModelServesIdenticalPredictions) {
@@ -176,6 +214,93 @@ TEST_F(ModelIoTest, LoadRejectsGarbage) {
                 .status()
                 .code(),
             StatusCode::kNotFound);
+}
+
+TEST_F(ModelIoTest, LoadRejectsTheRetiredFormat) {
+  const std::string path = (dir_ / "old.kgm").string();
+  {
+    std::ofstream os(path, std::ios::binary);
+    os << "KGNM1" << std::string(64, '\0');
+  }
+  auto loaded = LoadTrainedModel(path);
+  ASSERT_EQ(loaded.status().code(), StatusCode::kParseError);
+  EXPECT_NE(loaded.status().message().find("unsupported model bundle "
+                                           "version KGNM1"),
+            std::string::npos)
+      << loaded.status();
+}
+
+/// Calls every verb on `model` for a few IRIs it holds and one it does
+/// not; each call must return (its answer is not checked).
+void CallEveryVerb(const std::shared_ptr<TrainedModel>& model) {
+  ModelStore store;
+  store.Put(model);
+  InferenceManager im(&store);
+  const std::string& uri = model->info.uri;
+  std::vector<std::string> iris = {"https://dblp.org/rdf/no-such-node"};
+  for (size_t i = 0; i < model->bundle.node_iris.size() && i < 3; ++i)
+    iris.push_back(model->bundle.node_iris[i]);
+  (void)im.GetNodeClassBatch(uri, iris);
+  (void)im.GetNodeClassDictionary(uri);
+  (void)im.GetTopKLinksBatch(uri, iris, 3);
+  for (const std::string& iri : iris) {
+    (void)im.GetNodeClass(uri, iri);
+    (void)im.GetTopKLinks(uri, iri, 3);
+    (void)im.GetSimilarEntities(uri, iri, 3);
+    auto row = im.GetEmbeddingRow(uri, iri);
+    if (row.ok()) (void)im.GetSimilarByRow(uri, iri, *row, 3);
+  }
+}
+
+/// Loads `bytes`: a ParseError, or a model whose every call returns.
+::testing::AssertionResult LoadsCleanly(const std::string& bytes) {
+  auto model = ParseTrainedModel(bytes);
+  if (!model.ok()) {
+    if (model.status().code() == StatusCode::kParseError)
+      return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure() << model.status();
+  }
+  CallEveryVerb(*model);
+  return ::testing::AssertionSuccess();
+}
+
+TEST_F(ModelIoTest, CorruptBundlesFailWithParseErrorOrServe) {
+  for (const std::string& uri : {nc_uri_, lp_uri_}) {
+    auto model = kg_.service().model_store().Get(uri);
+    ASSERT_TRUE(model.ok());
+    const std::string path = (dir_ / "m.kgm").string();
+    ASSERT_TRUE(SaveTrainedModel(**model, path).ok());
+    std::ifstream is(path, std::ios::binary);
+    const std::string saved((std::istreambuf_iterator<char>(is)),
+                            std::istreambuf_iterator<char>());
+    ASSERT_TRUE(ParseTrainedModel(saved).ok());
+
+    // Every truncation prefix.
+    for (size_t n = 0; n < saved.size(); ++n) {
+      auto cut = ParseTrainedModel(std::string_view(saved).substr(0, n));
+      ASSERT_EQ(cut.status().code(), StatusCode::kParseError)
+          << uri << " cut at " << n;
+    }
+    // Seeded bit flips.
+    tensor::Rng rng(0x6b676e6dull);
+    for (int i = 0; i < 300; ++i) {
+      std::string flipped = saved;
+      const size_t at = rng.NextUint(flipped.size());
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << rng.NextUint(8)));
+      ASSERT_TRUE(LoadsCleanly(flipped)) << uri << " flip at " << at;
+    }
+    // Lying counts and lengths: a huge u64 written at every offset, once
+    // with the rest of the file behind it and once as the file's end.
+    for (uint64_t lie : {uint64_t{1} << 40, ~uint64_t{0}}) {
+      for (size_t at = 0; at + sizeof(lie) <= saved.size(); ++at) {
+        std::string lying = saved;
+        std::memcpy(lying.data() + at, &lie, sizeof(lie));
+        ASSERT_TRUE(LoadsCleanly(lying)) << uri << " lie at " << at;
+        ASSERT_TRUE(LoadsCleanly(lying.substr(0, at + sizeof(lie))))
+            << uri << " lie ending the file at " << at;
+      }
+    }
+  }
 }
 
 TEST_F(ModelIoTest, SparqlMlWorksAgainstLoadedModels) {

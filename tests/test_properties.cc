@@ -93,7 +93,10 @@ TEST_F(KgeScorePropertyTest, TopKIsSortedByScore) {
   gml::KgeModel model(gml::KgeScore::kTransE);
   TrainBriefly(&model, &g);
   const uint32_t rel = g.task_relation;
-  std::vector<uint32_t> top = model.TopKTails(0, rel, 10);
+  std::vector<std::pair<float, uint32_t>> scored;
+  for (uint32_t t = 0; t < g.num_nodes; ++t)
+    scored.emplace_back(model.Score(0, rel, t), t);
+  std::vector<uint32_t> top = gml::TopKByScore(std::move(scored), 10);
   ASSERT_EQ(top.size(), 10u);
   for (size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(model.Score(0, rel, top[i - 1]),

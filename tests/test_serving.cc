@@ -28,7 +28,6 @@
 
 #include "common/thread_pool.h"
 #include "core/kgnet.h"
-#include "core/model_io.h"
 #include "tests/parallel_test_util.h"
 #include "tests/serving_test_util.h"
 #include "workload/dblp_gen.h"
@@ -449,11 +448,10 @@ TEST(ServingEnvTest, ApplyServerEnvKeepsBaseOnGarbage) {
 // --------------------------------------- batching / caching identity --
 
 /// Trains the tiny NC + LP models once per binary (the same fast specs
-/// as test_inference_manager), plus a bundle-served LP copy so the
-/// batched GEMM scoring kernel is exercised too.
+/// as test_inference_manager).
 struct MlSetup {
   KgNet kg;
-  std::string nc_uri, lp_uri, lp_bundle_uri;
+  std::string nc_uri, lp_uri;
   std::vector<std::string> papers, people;
   bool ok = false;
 
@@ -489,19 +487,6 @@ struct MlSetup {
     auto lp_out = kg.TrainTask(lp);
     if (!lp_out.ok()) return;
     lp_uri = lp_out->model_uri;
-
-    auto& store = kg.service().model_store();
-    auto model = store.Get(lp_uri);
-    if (!model.ok()) return;
-    auto bundle = core::BuildServingBundle(**model);
-    if (!bundle.ok()) return;
-    auto served = std::make_shared<core::TrainedModel>();
-    served->info = (*model)->info;
-    served->info.uri = lp_uri + "-bundle";
-    served->bundle =
-        std::make_shared<core::ServingBundle>(std::move(*bundle));
-    store.Put(served);
-    lp_bundle_uri = served->info.uri;
 
     for (int i = 0; i < 16; ++i)
       papers.push_back("https://dblp.org/rdf/publication/" +
@@ -571,33 +556,31 @@ TEST(ServingBatchIdentityTest, BatchedLinksIdenticalAcrossThreadCounts) {
   MlSetup* ml = GetMlSetup();
   ASSERT_TRUE(ml->ok);
   core::InferenceManager& im = ml->kg.service().inference_manager();
-  for (const std::string& uri : {ml->lp_uri, ml->lp_bundle_uri}) {
-    std::vector<std::string> want;
-    for (const std::string& n : ml->people)
-      want.push_back(Outcome(im.GetTopKLinks(uri, n, 3)));
+  std::vector<std::string> want;
+  for (const std::string& n : ml->people)
+    want.push_back(Outcome(im.GetTopKLinks(ml->lp_uri, n, 3)));
 
-    kgnet::testing::ThreadCountGuard thread_guard;
-    for (int threads : {1, 2, 4}) {
-      common::ThreadPool::SetNumThreads(threads);
-      ServerOptions options;
-      options.num_workers = 4;
-      options.batcher.window_us = 1500;
-      options.batcher.max_batch = 8;
-      ScopedServer scope(&ml->kg.service(), options);
-      ASSERT_TRUE(scope.start_status().ok());
-      std::vector<std::string> got(ml->people.size());
-      std::vector<std::thread> clients;
-      for (int c = 0; c < 4; ++c) {
-        clients.emplace_back([&, c] {
-          KgClient client;
-          if (!scope.Connect(&client).ok()) return;
-          for (size_t i = c; i < ml->people.size(); i += 4)
-            got[i] = Outcome(client.TopKLinks(uri, ml->people[i], 3));
-        });
-      }
-      for (auto& t : clients) t.join();
-      EXPECT_EQ(got, want) << uri << " at " << threads << " threads";
+  kgnet::testing::ThreadCountGuard thread_guard;
+  for (int threads : {1, 2, 4}) {
+    common::ThreadPool::SetNumThreads(threads);
+    ServerOptions options;
+    options.num_workers = 4;
+    options.batcher.window_us = 1500;
+    options.batcher.max_batch = 8;
+    ScopedServer scope(&ml->kg.service(), options);
+    ASSERT_TRUE(scope.start_status().ok());
+    std::vector<std::string> got(ml->people.size());
+    std::vector<std::thread> clients;
+    for (int c = 0; c < 4; ++c) {
+      clients.emplace_back([&, c] {
+        KgClient client;
+        if (!scope.Connect(&client).ok()) return;
+        for (size_t i = c; i < ml->people.size(); i += 4)
+          got[i] = Outcome(client.TopKLinks(ml->lp_uri, ml->people[i], 3));
+      });
     }
+    for (auto& t : clients) t.join();
+    EXPECT_EQ(got, want) << threads << " threads";
   }
 }
 

@@ -253,8 +253,9 @@ TEST_F(SparqlMlE2eTest, EntitySimilaritySearch) {
 
   auto model = kg_.service().model_store().Get(outcome->model_uri);
   ASSERT_TRUE(model.ok());
-  ASSERT_NE((*model)->embeddings, nullptr);
-  // Find a person IRI that exists in the model's encoding store.
+  EXPECT_EQ((*model)->bundle.embed_dim, 16u);
+  EXPECT_EQ((*model)->bundle.entity_rows.size(),
+            (*model)->bundle.node_iris.size() * 16);
   auto sims = kg_.GetSimilarEntities(outcome->model_uri,
                                      "https://dblp.org/rdf/person/0", 5);
   ASSERT_TRUE(sims.ok()) << sims.status();
