@@ -12,11 +12,11 @@
 //   kgnet_serve --load FILE.nt        # serve an N-Triples file
 //   kgnet_serve --smoke               # start, self-query, exit (CI)
 //
-// Environment (strictly validated, see docs/SERVING.md and
-// docs/RESILIENCE.md):
-//   KGNET_SERVE_PORT, KGNET_SERVE_WORKERS, KGNET_SERVE_QUEUE_DEPTH,
-//   KGNET_DRAIN_TIMEOUT_MS
-// Command-line flags override the environment.
+// Environment: KGNET_SERVE_PORT, KGNET_SERVE_WORKERS,
+// KGNET_SERVE_QUEUE_DEPTH, KGNET_DRAIN_TIMEOUT_MS. Command-line flags
+// override the environment. Both take the same ranges (docs/SERVING.md
+// "Settings"); a bad variable warns and keeps the default, a bad flag
+// value exits 2.
 //
 // The server runs until stdin reaches EOF (or `quit` on a line), so it
 // composes with shells and test drivers without signal games. SIGTERM
@@ -35,6 +35,7 @@
 #include <sstream>
 #include <string>
 
+#include "common/env.h"
 #include "core/kgnet.h"
 #include "serving/client.h"
 #include "serving/server.h"
@@ -96,19 +97,23 @@ int main(int argc, char** argv) {
   bool yago = false;
   const char* load_path = nullptr;
   for (int i = 1; i < argc; ++i) {
+    const kgnet::serving::ServerSetting* setting = nullptr;
+    for (const auto& s : kgnet::serving::kServerSettings)
+      if (std::strcmp(argv[i], s.flag) == 0) setting = &s;
     if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else if (std::strcmp(argv[i], "--yago") == 0) {
       yago = true;
-    } else if (std::strcmp(argv[i], "--port") == 0 && i + 1 < argc) {
-      options.port = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      options.num_workers = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--queue-depth") == 0 && i + 1 < argc) {
-      options.queue_depth = std::atoi(argv[++i]);
-    } else if (std::strcmp(argv[i], "--drain-timeout-ms") == 0 &&
-               i + 1 < argc) {
-      options.drain_timeout_ms = std::atoi(argv[++i]);
+    } else if (setting != nullptr) {
+      const char* text = i + 1 < argc ? argv[++i] : "";
+      const auto value = kgnet::common::ParseInt(
+          text, 1, static_cast<uint64_t>(setting->max));
+      if (!value) {
+        std::fprintf(stderr, "invalid %s \"%s\" (want an integer in 1..%d)\n",
+                     setting->flag, text, setting->max);
+        return 2;
+      }
+      options.*setting->field = static_cast<int>(*value);
     } else if (std::strcmp(argv[i], "--load") == 0 && i + 1 < argc) {
       load_path = argv[++i];
     } else {

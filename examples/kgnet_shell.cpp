@@ -23,11 +23,14 @@
 #include <iostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 
+#include "common/env.h"
 #include "core/kgnet.h"
 #include "rdf/graph_stats.h"
 #include "rdf/ntriples.h"
 #include "serving/client.h"
+#include "serving/server.h"
 #include "workload/dblp_gen.h"
 #include "workload/yago_gen.h"
 
@@ -231,15 +234,18 @@ int main(int argc, char** argv) {
       } else if (line == ".models") {
         PrintModels(kg);
       } else if (line.rfind(".connect", 0) == 0) {
-        const int port = line.size() > 8 ? std::atoi(line.c_str() + 9) : 0;
-        if (port <= 0 || port > 65535) {
-          std::printf("usage: .connect PORT (a kgnet_serve port)\n");
+        const auto port = kgnet::common::ParseInt(
+            std::string_view(line).substr(8), 1, kgnet::serving::kMaxPort);
+        if (!port) {
+          std::printf("usage: .connect PORT (a kgnet_serve port, 1..%d)\n",
+                      kgnet::serving::kMaxPort);
         } else {
           remote.Close();
-          auto st = remote.Connect("127.0.0.1", port);
+          auto st = remote.Connect("127.0.0.1", static_cast<int>(*port));
           if (st.ok())
             std::printf("connected to 127.0.0.1:%d; queries now run "
-                        "remotely (.disconnect to return)\n", port);
+                        "remotely (.disconnect to return)\n",
+                        static_cast<int>(*port));
           else
             std::printf("error: %s\n", st.ToString().c_str());
         }

@@ -1,7 +1,9 @@
 #include "common/fault_injection.h"
 
 #include <cstdio>
-#include <cstdlib>
+#include <optional>
+
+#include "common/env.h"
 
 namespace kgnet::common {
 
@@ -14,50 +16,6 @@ uint64_t SplitMix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-/// Strict digits-only u64 parse; rejects empty, signs, and overflow.
-bool ParseSeedText(const char* text, uint64_t* out) {
-  if (text == nullptr || *text == '\0') return false;
-  uint64_t value = 0;
-  for (const char* p = text; *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') return false;
-    const uint64_t digit = static_cast<uint64_t>(*p - '0');
-    if (value > (UINT64_MAX - digit) / 10) return false;
-    value = value * 10 + digit;
-  }
-  *out = value;
-  return true;
-}
-
-/// Strict decimal-fraction parse ("0.1", "1", ".25") into [0, 1].
-bool ParseRateText(const char* text, double* out) {
-  if (text == nullptr || *text == '\0') return false;
-  uint64_t whole = 0;
-  uint64_t frac = 0;
-  uint64_t frac_scale = 1;
-  const char* p = text;
-  bool any_digit = false;
-  for (; *p >= '0' && *p <= '9'; ++p) {
-    whole = whole * 10 + static_cast<uint64_t>(*p - '0');
-    if (whole > 1) return false;
-    any_digit = true;
-  }
-  if (*p == '.') {
-    ++p;
-    for (; *p >= '0' && *p <= '9' && frac_scale < 1000000000ULL; ++p) {
-      frac = frac * 10 + static_cast<uint64_t>(*p - '0');
-      frac_scale *= 10;
-      any_digit = true;
-    }
-  }
-  if (*p != '\0' || !any_digit) return false;
-  const double value =
-      static_cast<double>(whole) +
-      static_cast<double>(frac) / static_cast<double>(frac_scale);
-  if (value > 1.0) return false;
-  *out = value;
-  return true;
 }
 
 }  // namespace
@@ -82,15 +40,17 @@ const char* FaultSiteName(FaultSite site) {
 
 FaultInjector::FaultInjector() {
   ResetCounters();
-  const char* seed_text = std::getenv("KGNET_FAULT_SEED");
-  const char* rate_text = std::getenv("KGNET_FAULT_RATE");
+  const char* seed_text = EnvText("KGNET_FAULT_SEED");
+  const char* rate_text = EnvText("KGNET_FAULT_RATE");
   if (seed_text == nullptr && rate_text == nullptr) return;
-  uint64_t seed = 0;
-  double rate = 0.0;
+  const std::optional<uint64_t> seed =
+      seed_text == nullptr ? std::nullopt
+                           : ParseInt(seed_text, 0, UINT64_MAX);
+  const std::optional<double> rate =
+      rate_text == nullptr ? std::nullopt : ParseRate(rate_text);
   // Arming requires both knobs valid; a half-set or malformed pair stays
   // inert so a typo can never chaos a production process.
-  if (seed_text == nullptr || rate_text == nullptr ||
-      !ParseSeedText(seed_text, &seed) || !ParseRateText(rate_text, &rate)) {
+  if (!seed || !rate) {
     std::fprintf(stderr,
                  "kgnet: ignoring fault injection env (need KGNET_FAULT_SEED="
                  "<u64> and KGNET_FAULT_RATE=<0..1>, got seed=%s rate=%s)\n",
@@ -98,8 +58,8 @@ FaultInjector::FaultInjector() {
                  rate_text == nullptr ? "<unset>" : rate_text);
     return;
   }
-  if (rate <= 0.0) return;
-  Arm(seed, rate, -1);
+  if (*rate <= 0.0) return;
+  Arm(*seed, *rate, -1);
 }
 
 FaultInjector& FaultInjector::Instance() {

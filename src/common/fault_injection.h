@@ -10,8 +10,8 @@
 // The injector is compiled in always and inert by default: a disabled
 // ShouldFail() is one relaxed atomic load. It arms itself from the
 // environment on first use (KGNET_FAULT_SEED + KGNET_FAULT_RATE, both
-// required, strict-validated with a warn-once fallback), or explicitly
-// via Configure()/Disable() from tests.
+// required and valid under common/env.h, otherwise inert with one stderr
+// line), or explicitly via Configure()/Disable() from tests.
 #ifndef KGNET_COMMON_FAULT_INJECTION_H_
 #define KGNET_COMMON_FAULT_INJECTION_H_
 

@@ -1,9 +1,8 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
+
+#include "common/env.h"
 
 namespace kgnet::common {
 
@@ -25,22 +24,10 @@ int HardwareThreads() {
 }
 
 int DefaultThreads() {
-  // Resolved once (first num_threads() call) and cached; workers are not
-  // running yet, so the unsynchronized environment read cannot race with
-  // anything in this process.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  if (const char* env = std::getenv("KGNET_NUM_THREADS")) {
-    const int n = ThreadPool::ParseThreadCountEnv(env);
-    if (n > 0) return n;
-    // One-time warning (this resolution is cached): a malformed value
-    // silently running single- or garbage-threaded is a misconfiguration
-    // the operator should hear about.
-    std::fprintf(stderr,
-                 "kgnet: ignoring invalid KGNET_NUM_THREADS=\"%s\" "
-                 "(want a positive integer); using %d hardware threads\n",
-                 env, HardwareThreads());
-  }
-  return HardwareThreads();
+  // Resolved once (first num_threads() call) and cached, so an invalid
+  // value warns once.
+  return static_cast<int>(EnvInt("KGNET_NUM_THREADS", 1,
+                                 ThreadPool::kMaxThreads, HardwareThreads()));
 }
 
 /// 0 = not yet resolved from the environment.
@@ -64,22 +51,6 @@ int ThreadPool::num_threads() {
 
 void ThreadPool::SetNumThreads(int n) {
   g_num_threads.store(std::max(1, n), std::memory_order_relaxed);
-}
-
-int ThreadPool::ParseThreadCountEnv(const char* text) {
-  if (text == nullptr) return 0;
-  const char* p = text;
-  while (*p == ' ' || *p == '\t') ++p;
-  if (*p < '0' || *p > '9') return 0;  // also rejects "+4", "-2"
-  long long n = 0;
-  while (*p >= '0' && *p <= '9') {
-    n = n * 10 + (*p - '0');
-    if (n > std::numeric_limits<int>::max()) return 0;
-    ++p;
-  }
-  while (*p == ' ' || *p == '\t') ++p;
-  if (*p != '\0') return 0;  // trailing junk ("8abc", "4.5")
-  return n > 0 ? static_cast<int>(n) : 0;
 }
 
 ThreadPool::~ThreadPool() {

@@ -5,8 +5,8 @@
 // one pool, so the process never oversubscribes the machine no matter
 // how many layers go parallel at once. Index compaction and SPARQL query
 // execution are serial and never use it. Thread count comes from the
-// KGNET_NUM_THREADS environment variable, or SetNumThreads(), defaulting
-// to hardware_concurrency().
+// KGNET_NUM_THREADS environment variable (docs/SERVING.md "Settings"),
+// or SetNumThreads(), defaulting to hardware_concurrency().
 //
 // Determinism contract: ParallelFor(begin, end, grain, fn) always cuts
 // [begin, end) into the same chunks — chunk i covers
@@ -44,6 +44,10 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
+  /// Largest KGNET_NUM_THREADS value accepted (docs/SERVING.md
+  /// "Settings"); anything else falls back to hardware_concurrency.
+  static constexpr int kMaxThreads = 1024;
+
   /// Threads ParallelFor may use, resolved once from KGNET_NUM_THREADS
   /// (falling back to hardware_concurrency, minimum 1) and overridable
   /// via SetNumThreads. Counts the calling thread: n means the caller
@@ -54,14 +58,6 @@ class ThreadPool {
   /// ParallelFor calls. Benchmarks and determinism tests use this to
   /// sweep thread counts inside one process.
   static void SetNumThreads(int n);
-
-  /// Strictly parses a KGNET_NUM_THREADS value: optional surrounding
-  /// whitespace around a positive decimal integer that fits in int.
-  /// Returns 0 for anything else (empty, garbage, trailing junk, zero,
-  /// negative, overflow) — the caller falls back to
-  /// hardware_concurrency. Exposed so the validation is unit-testable;
-  /// the environment itself is read once and cached.
-  static int ParseThreadCountEnv(const char* text);
 
   /// Invokes fn(chunk_begin, chunk_end) for every grain-sized chunk of
   /// [begin, end), across the pool. Blocks until every chunk ran. The

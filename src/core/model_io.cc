@@ -9,8 +9,6 @@
 #include <functional>
 #include <iterator>
 
-#include "rdf/ntriples.h"
-
 namespace kgnet::core {
 
 namespace {
@@ -292,7 +290,7 @@ Result<std::shared_ptr<TrainedModel>> ParseTrainedModel(
   return model;
 }
 
-Result<size_t> SaveModelStore(const ModelStore& store, const KgMeta& kgmeta,
+Result<size_t> SaveModelStore(const ModelStore& store,
                               const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
@@ -311,9 +309,6 @@ Result<size_t> SaveModelStore(const ModelStore& store, const KgMeta& kgmeta,
         SaveTrainedModel(**model, dir + "/" + name + ".kgm"));
     ++written;
   }
-  std::ofstream meta(dir + "/kgmeta.nt", std::ios::trunc);
-  if (!meta) return Status::Internal("cannot write kgmeta.nt");
-  KGNET_RETURN_IF_ERROR(rdf::WriteNTriples(kgmeta.store(), meta));
   return written;
 }
 

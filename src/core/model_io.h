@@ -52,15 +52,16 @@ Result<std::shared_ptr<TrainedModel>> LoadTrainedModel(
 Result<std::shared_ptr<TrainedModel>> ParseTrainedModel(
     std::string_view bytes);
 
-/// Saves every model in `store` into `dir` as <n>.kgm files plus the
-/// KGMeta graph as kgmeta.nt. Returns the number of models written.
-Result<size_t> SaveModelStore(const ModelStore& store, const KgMeta& kgmeta,
+/// Saves every model in `store` into `dir` as one <n>.kgm bundle each.
+/// A bundle carries the model's ModelInfo, which is all LoadModelStore
+/// needs to register it in KGMeta again. Returns the number of models
+/// written.
+Result<size_t> SaveModelStore(const ModelStore& store,
                               const std::string& dir);
 
 /// Loads every *.kgm under `dir` into `store`, replacing a model stored
-/// under the same URI, and registers each model's record in `kgmeta`
-/// unless it already holds one (kgmeta.nt is not read back). Returns the
-/// number of models loaded.
+/// under the same URI, and registers each model's ModelInfo in `kgmeta`
+/// unless it already holds one. Returns the number of models loaded.
 Result<size_t> LoadModelStore(const std::string& dir, ModelStore* store,
                               KgMeta* kgmeta);
 

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
-#include <cstdio>
-#include <cstdlib>
-#include <limits>
+#include <cstdint>
 #include <utility>
 
+#include "common/env.h"
 #include "tensor/memory_meter.h"
 
 namespace kgnet::rdf {
@@ -80,47 +79,17 @@ IndexOrder ChooseIndexForPattern(const TriplePattern& pattern) {
 }
 
 /// Resolves the effective compaction threshold: an explicit Options
-/// value wins; otherwise KGNET_DELTA_COMPACT_THRESHOLD, read and
-/// validated once per process with a warn-once fallback to the
-/// built-in default (same contract as KGNET_NUM_THREADS).
+/// value wins; otherwise KGNET_DELTA_COMPACT_THRESHOLD, read once per
+/// process (common/env.h).
 size_t ResolveCompactThreshold(size_t from_options) {
   if (from_options > 0) return from_options;
-  static const size_t kEnvDefault = [] {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe)
-    const char* env = std::getenv("KGNET_DELTA_COMPACT_THRESHOLD");
-    if (env == nullptr) return kDefaultDeltaCompactThreshold;
-    const size_t parsed = TripleStore::ParseCompactThresholdEnv(env);
-    if (parsed > 0) return parsed;
-    std::fprintf(stderr,
-                 "kgnet: ignoring invalid KGNET_DELTA_COMPACT_THRESHOLD=\"%s\" "
-                 "(want a positive integer); using %zu\n",
-                 env, kDefaultDeltaCompactThreshold);
-    return kDefaultDeltaCompactThreshold;
-  }();
+  static const size_t kEnvDefault = common::EnvInt(
+      "KGNET_DELTA_COMPACT_THRESHOLD", 1, SIZE_MAX,
+      kDefaultDeltaCompactThreshold);
   return kEnvDefault;
 }
 
 }  // namespace
-
-size_t TripleStore::ParseCompactThresholdEnv(const char* text) {
-  if (text == nullptr) return 0;
-  const char* p = text;
-  while (*p == ' ' || *p == '\t') ++p;
-  // A leading non-digit (including '+', '-', or end of string) is
-  // invalid: the accepted grammar is digits only.
-  if (*p < '0' || *p > '9') return 0;
-  size_t value = 0;
-  while (*p >= '0' && *p <= '9') {
-    const auto digit = static_cast<size_t>(*p - '0');
-    if (value > (std::numeric_limits<size_t>::max() - digit) / 10) return 0;
-    value = value * 10 + digit;
-    ++p;
-  }
-  while (*p == ' ' || *p == '\t') ++p;
-  if (*p != '\0') return 0;
-  // "0" parses but is not a positive threshold; 0 is the error value.
-  return value;
-}
 
 // ---------------------------------------------------------------------------
 // Generation

@@ -51,7 +51,7 @@ Triple UnpermuteKey(IndexOrder order, const IndexKey& k);
 
 /// Built-in delta size at which a writer triggers an automatic
 /// Compact(); overridable per store (TripleStore::Options) or process-
-/// wide via KGNET_DELTA_COMPACT_THRESHOLD.
+/// wide via KGNET_DELTA_COMPACT_THRESHOLD (docs/SERVING.md "Settings").
 inline constexpr size_t kDefaultDeltaCompactThreshold = 4096;
 
 /// One immutable generation of compressed permutation runs, sealed at a
@@ -533,14 +533,6 @@ class TripleStore {
 
   /// Storage introspection at the current epoch; never compacts.
   Stats GetStats() const;
-
-  /// Strictly parses a KGNET_DELTA_COMPACT_THRESHOLD value: optional
-  /// surrounding whitespace around a positive decimal integer that fits
-  /// in size_t. Returns 0 for anything else (empty, garbage, trailing
-  /// junk, zero, negative, overflow) — the caller falls back to
-  /// kDefaultDeltaCompactThreshold. Exposed so the validation is
-  /// unit-testable; the environment itself is read once and cached.
-  static size_t ParseCompactThresholdEnv(const char* text);
 
  private:
   /// One buffered mutation; the log is strictly append-only between

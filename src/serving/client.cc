@@ -9,7 +9,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -135,33 +134,6 @@ Result<std::string> KgClient::Call(const std::string& body) {
   if (fd_ < 0) return Status::FailedPrecondition("not connected");
   KGNET_RETURN_IF_ERROR(WriteFrame(fd_, body));
   return ReadResponse();
-}
-
-void KgClient::ApplyRetryEnv() {
-  static bool warned = false;
-  const char* text = std::getenv("KGNET_RETRY_MAX");
-  if (text == nullptr) return;
-  long value = 0;
-  bool valid = *text != '\0';
-  for (const char* p = text; valid && *p != '\0'; ++p) {
-    if (*p < '0' || *p > '9') {
-      valid = false;
-      break;
-    }
-    value = value * 10 + (*p - '0');
-    if (value > 100) valid = false;
-  }
-  if (!valid || value < 1) {
-    if (!warned) {
-      std::fprintf(stderr,
-                   "kgnet: ignoring KGNET_RETRY_MAX=\"%s\" (want an integer "
-                   "in [1, 100]); keeping max_attempts=%d\n",
-                   text, retry_.max_attempts);
-      warned = true;
-    }
-    return;
-  }
-  retry_.max_attempts = static_cast<int>(value);
 }
 
 Result<std::string> KgClient::CallRetrying(const std::string& body) {

@@ -16,7 +16,7 @@
 namespace kgnet::serving {
 
 /// Client-side retry policy (docs/RESILIENCE.md). Disabled by default
-/// (max_attempts = 1); KGNET_RETRY_MAX or set_retry_options() arm it.
+/// (max_attempts = 1); set_retry_options() arms it.
 struct RetryOptions {
   /// Total tries including the first; 1 = no retries.
   int max_attempts = 1;
@@ -106,11 +106,6 @@ class KgClient {
   /// Arms the retry policy for subsequent typed calls.
   void set_retry_options(const RetryOptions& options) { retry_ = options; }
   const RetryOptions& retry_options() const { return retry_; }
-
-  /// Folds KGNET_RETRY_MAX into the current options (strict digits,
-  /// 1..100; anything else warns once on stderr and leaves the policy
-  /// unchanged).
-  void ApplyRetryEnv();
 
   /// Attaches "deadline_ms" to subsequent queries (-1 detaches).
   void set_request_deadline_ms(int64_t ms) { request_deadline_ms_ = ms; }

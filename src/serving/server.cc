@@ -7,11 +7,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <limits>
 
+#include "common/env.h"
 #include "common/fault_injection.h"
 #include "sparql/parser.h"
 
@@ -28,44 +26,6 @@ using SteadyClock = std::chrono::steady_clock;
 bool InjectFault(common::FaultSite site) {
   return common::FaultInjector::Instance().ShouldFail(site);
 }
-
-/// Strict digit-only parse (the KGNET_NUM_THREADS contract): optional
-/// surrounding blanks, digits only, bounded range; anything else is 0.
-int ParseBoundedEnv(const char* text, long long max_value) {
-  if (text == nullptr) return 0;
-  const char* p = text;
-  while (*p == ' ' || *p == '\t') ++p;
-  if (*p < '0' || *p > '9') return 0;  // also rejects "+4", "-2"
-  long long n = 0;
-  while (*p >= '0' && *p <= '9') {
-    n = n * 10 + (*p - '0');
-    if (n > max_value) return 0;
-    ++p;
-  }
-  while (*p == ' ' || *p == '\t') ++p;
-  if (*p != '\0') return 0;  // trailing junk ("8abc", "4.5")
-  return n > 0 ? static_cast<int>(n) : 0;
-}
-
-int EnvOverride(const char* name, int (*parse)(const char*), int fallback,
-                const char* want, std::atomic<bool>* warned) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return fallback;
-  const int v = parse(env);
-  if (v > 0) return v;
-  // One-time warning: a malformed value silently falling back is a
-  // misconfiguration the operator should hear about.
-  if (!warned->exchange(true))
-    std::fprintf(stderr,
-                 "kgnet: ignoring invalid %s=\"%s\" (want %s); using %d\n",
-                 name, env, want, fallback);
-  return fallback;
-}
-
-std::atomic<bool> g_port_warned{false};
-std::atomic<bool> g_workers_warned{false};
-std::atomic<bool> g_queue_warned{false};
-std::atomic<bool> g_drain_warned{false};
 
 /// True when the peer behind `fd` is gone: a clean EOF or a hard reset
 /// visible to a non-blocking MSG_PEEK. Pending request bytes (r > 0) and
@@ -140,22 +100,6 @@ class ScopedActiveSource {
   common::CancelSource* source_;
 };
 
-int KgServer::ParsePortEnv(const char* text) {
-  return ParseBoundedEnv(text, 65535);
-}
-
-int KgServer::ParseWorkersEnv(const char* text) {
-  return ParseBoundedEnv(text, 1024);
-}
-
-int KgServer::ParseQueueDepthEnv(const char* text) {
-  return ParseBoundedEnv(text, 1000000);
-}
-
-int KgServer::ParseDrainTimeoutEnv(const char* text) {
-  return ParseBoundedEnv(text, 600000);
-}
-
 bool CacheableRidOutcome(const Status& status) {
   switch (status.code()) {
     case StatusCode::kUnavailable:
@@ -169,19 +113,10 @@ bool CacheableRidOutcome(const Status& status) {
 }
 
 ServerOptions ApplyServerEnv(ServerOptions base) {
-  base.port = EnvOverride("KGNET_SERVE_PORT", &KgServer::ParsePortEnv,
-                          base.port, "a port in 1..65535", &g_port_warned);
-  base.num_workers =
-      EnvOverride("KGNET_SERVE_WORKERS", &KgServer::ParseWorkersEnv,
-                  base.num_workers, "a worker count in 1..1024",
-                  &g_workers_warned);
-  base.queue_depth =
-      EnvOverride("KGNET_SERVE_QUEUE_DEPTH", &KgServer::ParseQueueDepthEnv,
-                  base.queue_depth, "a queue depth in 1..1000000",
-                  &g_queue_warned);
-  base.drain_timeout_ms = EnvOverride(
-      "KGNET_DRAIN_TIMEOUT_MS", &KgServer::ParseDrainTimeoutEnv,
-      base.drain_timeout_ms, "a timeout in ms in 1..600000", &g_drain_warned);
+  for (const ServerSetting& s : kServerSettings)
+    base.*s.field = static_cast<int>(
+        common::EnvInt(s.env, 1, static_cast<uint64_t>(s.max),
+                       static_cast<uint64_t>(base.*s.field)));
   return base;
 }
 

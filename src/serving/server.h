@@ -82,11 +82,31 @@ struct ServerOptions {
   size_t rid_cache_entries = 256;
 };
 
-/// Applies KGNET_SERVE_PORT / KGNET_SERVE_WORKERS /
-/// KGNET_SERVE_QUEUE_DEPTH / KGNET_DRAIN_TIMEOUT_MS on top of `base`.
-/// Malformed values are rejected with a once-per-process stderr warning
-/// and the base value kept — same contract as KGNET_NUM_THREADS
-/// (common/thread_pool.h).
+/// Largest TCP port; also the bound of the shell's `.connect PORT`.
+inline constexpr int kMaxPort = 65535;
+
+/// A ServerOptions field an operator sets from outside the process, as
+/// an environment variable or as a kgnet_serve flag, with one accepted
+/// range [1, max] for both (docs/SERVING.md "Settings").
+struct ServerSetting {
+  const char* env;
+  const char* flag;
+  int max;
+  int ServerOptions::*field;
+};
+
+inline constexpr ServerSetting kServerSettings[] = {
+    {"KGNET_SERVE_PORT", "--port", kMaxPort, &ServerOptions::port},
+    {"KGNET_SERVE_WORKERS", "--workers", 1024, &ServerOptions::num_workers},
+    {"KGNET_SERVE_QUEUE_DEPTH", "--queue-depth", 1000000,
+     &ServerOptions::queue_depth},
+    {"KGNET_DRAIN_TIMEOUT_MS", "--drain-timeout-ms", 600000,
+     &ServerOptions::drain_timeout_ms},
+};
+
+/// Applies every kServerSettings variable on top of `base` through
+/// common::EnvInt: an invalid value prints one stderr line and keeps the
+/// base value.
 ServerOptions ApplyServerEnv(ServerOptions base);
 
 /// Whether a mutating request's outcome may enter the rid dedup cache.
@@ -165,13 +185,6 @@ class KgServer {
   /// differential test harness routes exactly like the server.
   static bool RoutesToService(const sparql::Query& query,
                               std::string_view text);
-
-  /// Digit-only env parsers (shared warn-once contract; exposed for the
-  /// garbage-value unit tests). Return 0 on absent/invalid input.
-  static int ParsePortEnv(const char* text);          // valid: 1..65535
-  static int ParseWorkersEnv(const char* text);       // valid: 1..1024
-  static int ParseQueueDepthEnv(const char* text);    // valid: 1..1000000
-  static int ParseDrainTimeoutEnv(const char* text);  // valid: 1..600000
 
  private:
   struct PendingConn {

@@ -1,7 +1,10 @@
 #include "sparql/parser.h"
 
+#include <cstdint>
 #include <cstdlib>
+#include <optional>
 
+#include "common/env.h"
 #include "common/string_util.h"
 #include "sparql/lexer.h"
 
@@ -141,17 +144,27 @@ class Parser {
     // Solution modifiers.
     while (true) {
       if (AcceptKeyword("LIMIT")) {
-        const Token& t = Next();
-        if (t.kind != TokenKind::kNumber) return Err("expected number");
-        q->limit = std::atoll(t.text.c_str());
+        KGNET_RETURN_IF_ERROR(ParseCount("LIMIT", &q->limit));
       } else if (AcceptKeyword("OFFSET")) {
-        const Token& t = Next();
-        if (t.kind != TokenKind::kNumber) return Err("expected number");
-        q->offset = std::atoll(t.text.c_str());
+        KGNET_RETURN_IF_ERROR(ParseCount("OFFSET", &q->offset));
       } else {
         break;
       }
     }
+    return Status::OK();
+  }
+
+  /// The integer after LIMIT or OFFSET, in [0, INT64_MAX].
+  Status ParseCount(std::string_view keyword, int64_t* out) {
+    const Token& t = Next();
+    const std::optional<uint64_t> n =
+        t.kind == TokenKind::kNumber
+            ? common::ParseInt(t.text, 0, static_cast<uint64_t>(INT64_MAX))
+            : std::nullopt;
+    if (!n)
+      return Err(std::string(keyword) + " wants an integer in [0, " +
+                 std::to_string(INT64_MAX) + "], found '" + t.text + "'");
+    *out = static_cast<int64_t>(*n);
     return Status::OK();
   }
 

@@ -38,7 +38,8 @@ class ViolatingFixtures(unittest.TestCase):
         code, out = run_lint(fixture, virtual_path)
         self.assertNotEqual(code, 0, f"{fixture} should fail the gate:\n{out}")
         self.assertEqual(rule_hits(out, rule), expected_hits, out)
-        for other in ("KL001", "KL002", "KL003", "KL004", "KL005"):
+        for other in ("KL001", "KL002", "KL003", "KL004", "KL005",
+                      "KL006"):
             if other != rule:
                 self.assertEqual(
                     rule_hits(out, other), 0,
@@ -85,6 +86,18 @@ class ViolatingFixtures(unittest.TestCase):
     def test_kl005_thread_local(self):
         self.check("kl005_thread_local.cc",
                    "src/tensor/fixture.cc", "KL005", 1)
+
+    def test_kl006_raw_getenv(self):
+        # std::getenv + bare getenv; the string and comment mentions
+        # do not count.
+        self.check("kl006_raw_getenv.cc",
+                   "src/serving/fixture.cc", "KL006", 2)
+        self.check("kl006_raw_getenv.cc",
+                   "examples/fixture.cpp", "KL006", 2)
+
+    def test_kl006_exempts_the_env_reader(self):
+        code, out = run_lint("kl006_raw_getenv.cc", "src/common/env.cc")
+        self.assertEqual(code, 0, out)
 
 
 class CleanFixture(unittest.TestCase):

@@ -182,11 +182,17 @@ TEST_F(ModelIoTest, LoadedLpModelServesLinksAndSimilarity) {
 
 TEST_F(ModelIoTest, SaveLoadWholeStore) {
   const std::string store_dir = (dir_ / "models").string();
-  auto n = SaveModelStore(kg_.service().model_store(),
-                          kg_.service().kgmeta(), store_dir);
+  auto n = SaveModelStore(kg_.service().model_store(), store_dir);
   ASSERT_TRUE(n.ok()) << n.status();
   EXPECT_EQ(*n, 2u);
-  EXPECT_TRUE(std::filesystem::exists(store_dir + "/kgmeta.nt"));
+  // The directory holds exactly the .kgm bundles: each carries the
+  // ModelInfo that LoadModelStore registers in KGMeta.
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(store_dir)) {
+    EXPECT_EQ(entry.path().extension(), ".kgm") << entry.path();
+    ++files;
+  }
+  EXPECT_EQ(files, 2u);
 
   ModelStore fresh_store;
   KgMeta fresh_meta;
@@ -307,9 +313,7 @@ TEST_F(ModelIoTest, SparqlMlWorksAgainstLoadedModels) {
   // Persist, wipe, reload — then answer a Figure-2-style query from the
   // restored bundle.
   const std::string store_dir = (dir_ / "models").string();
-  ASSERT_TRUE(SaveModelStore(kg_.service().model_store(),
-                             kg_.service().kgmeta(), store_dir)
-                  .ok());
+  ASSERT_TRUE(SaveModelStore(kg_.service().model_store(), store_dir).ok());
   for (const auto& uri : kg_.service().model_store().ListUris())
     (void)kg_.service().model_store().Remove(uri);
   ASSERT_EQ(kg_.service().model_store().size(), 0u);

@@ -273,20 +273,6 @@ TEST(RetryTest, BackoffScheduleDeterministicAndBounded) {
   EXPECT_TRUE(any_diff);
 }
 
-TEST(RetryTest, RetryMaxEnvStrictlyValidated) {
-  KgClient client;
-  setenv("KGNET_RETRY_MAX", "7", 1);
-  client.ApplyRetryEnv();
-  EXPECT_EQ(client.retry_options().max_attempts, 7);
-  setenv("KGNET_RETRY_MAX", "0", 1);  // out of range: keep current
-  client.ApplyRetryEnv();
-  EXPECT_EQ(client.retry_options().max_attempts, 7);
-  setenv("KGNET_RETRY_MAX", "3x", 1);  // trailing junk: keep current
-  client.ApplyRetryEnv();
-  EXPECT_EQ(client.retry_options().max_attempts, 7);
-  unsetenv("KGNET_RETRY_MAX");
-}
-
 // --------------------------------------------------- breaker unit tests --
 
 TEST(CircuitBreakerTest, OpensAfterConsecutiveInfraFailures) {

@@ -387,38 +387,6 @@ TEST_F(ServingHardeningTest, QueueFullAnsweredWithOverload) {
 
 // ------------------------------------------------------ env validation --
 
-TEST(ServingEnvTest, PortEnvStrictlyValidated) {
-  EXPECT_EQ(KgServer::ParsePortEnv(nullptr), 0);
-  EXPECT_EQ(KgServer::ParsePortEnv(""), 0);
-  EXPECT_EQ(KgServer::ParsePortEnv("abc"), 0);
-  EXPECT_EQ(KgServer::ParsePortEnv("-1"), 0);
-  EXPECT_EQ(KgServer::ParsePortEnv("+4"), 0);
-  EXPECT_EQ(KgServer::ParsePortEnv("4.5"), 0);
-  EXPECT_EQ(KgServer::ParsePortEnv("8abc"), 0);
-  EXPECT_EQ(KgServer::ParsePortEnv("0"), 0);
-  EXPECT_EQ(KgServer::ParsePortEnv("65536"), 0);
-  EXPECT_EQ(KgServer::ParsePortEnv("99999999999999999999"), 0);
-  EXPECT_EQ(KgServer::ParsePortEnv("7687"), 7687);
-  EXPECT_EQ(KgServer::ParsePortEnv(" 42 "), 42);
-  EXPECT_EQ(KgServer::ParsePortEnv("65535"), 65535);
-}
-
-TEST(ServingEnvTest, WorkersEnvStrictlyValidated) {
-  EXPECT_EQ(KgServer::ParseWorkersEnv("sixteen"), 0);
-  EXPECT_EQ(KgServer::ParseWorkersEnv("16 threads"), 0);
-  EXPECT_EQ(KgServer::ParseWorkersEnv("1025"), 0);
-  EXPECT_EQ(KgServer::ParseWorkersEnv("0"), 0);
-  EXPECT_EQ(KgServer::ParseWorkersEnv("16"), 16);
-  EXPECT_EQ(KgServer::ParseWorkersEnv("1024"), 1024);
-}
-
-TEST(ServingEnvTest, QueueDepthEnvStrictlyValidated) {
-  EXPECT_EQ(KgServer::ParseQueueDepthEnv("1000001"), 0);
-  EXPECT_EQ(KgServer::ParseQueueDepthEnv("-64"), 0);
-  EXPECT_EQ(KgServer::ParseQueueDepthEnv("64"), 64);
-  EXPECT_EQ(KgServer::ParseQueueDepthEnv("1000000"), 1000000);
-}
-
 TEST(ServingEnvTest, ApplyServerEnvKeepsBaseOnGarbage) {
   setenv("KGNET_SERVE_PORT", "notaport", 1);
   setenv("KGNET_SERVE_WORKERS", "-3", 1);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "sparql/engine.h"
 #include "sparql/lexer.h"
 #include "sparql/parser.h"
@@ -75,6 +78,29 @@ TEST(ParserTest, ParsesSelectWithPrefixes) {
             "https://dblp.org/rdf/title");
   EXPECT_EQ(q->limit, 5);
   EXPECT_EQ(q->offset, 2);
+}
+
+// LIMIT and OFFSET take a plain integer in [0, INT64_MAX]. A negative
+// number used to mean "no limit", a fraction was truncated and a value
+// past int64 saturated; each is now a ParseError.
+TEST(ParserTest, LimitAndOffsetTakeANonNegativeInt64) {
+  const std::string head = "SELECT ?s WHERE { ?s ?p ?o . } ";
+  auto q = ParseQuery(head + "LIMIT 0 OFFSET 9223372036854775807");
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->limit, 0);
+  EXPECT_EQ(q->offset, INT64_MAX);
+  for (const char* bad :
+       {"LIMIT -1", "LIMIT 1.5", "LIMIT 9223372036854775808",
+        "LIMIT 99999999999999999999", "OFFSET -1", "OFFSET 2.5",
+        "OFFSET 9223372036854775808", "LIMIT x", "LIMIT"}) {
+    auto r = ParseQuery(head + bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << r.status();
+    EXPECT_NE(r.status().message().find("wants an integer in [0, "
+                                        "9223372036854775807]"),
+              std::string::npos)
+        << r.status();
+  }
 }
 
 TEST(ParserTest, ParsesSemicolonPredicateLists) {

@@ -123,37 +123,6 @@ TEST(ThreadPoolTest, SetNumThreadsClampsToOne) {
   EXPECT_EQ(ThreadPool::num_threads(), 6);
 }
 
-// Regression: KGNET_NUM_THREADS used to go through atoi, so "0", "-4"
-// and "8abc" silently produced nonsense thread counts. The strict parser
-// returns 0 (= fall back to hardware_concurrency) for everything that is
-// not a plain positive integer.
-TEST(ThreadPoolTest, ParseThreadCountEnvAcceptsPositiveIntegers) {
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("1"), 1);
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("8"), 8);
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("128"), 128);
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv(" 4 "), 4);   // whitespace ok
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("\t2"), 2);
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("007"), 7);   // leading zeros ok
-}
-
-TEST(ThreadPoolTest, ParseThreadCountEnvRejectsGarbage) {
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv(nullptr), 0);
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv(""), 0);
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv(" "), 0);
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("0"), 0);      // zero threads
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("-4"), 0);     // negative
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("+4"), 0);     // explicit sign
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("abc"), 0);    // non-numeric
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("8abc"), 0);   // trailing junk
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("4.5"), 0);    // not an integer
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("4 2"), 0);    // two numbers
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("0x8"), 0);    // no hex
-  // int overflow: atoi's UB territory, now a clean rejection.
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("99999999999999999999"), 0);
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("2147483648"), 0);  // INT_MAX+1
-  EXPECT_EQ(ThreadPool::ParseThreadCountEnv("2147483647"), 2147483647);
-}
-
 TEST(ThreadPoolTest, NestedParallelForRunsInline) {
   ThreadCountGuard guard;
   ThreadPool::SetNumThreads(4);

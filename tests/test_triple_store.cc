@@ -935,35 +935,5 @@ TEST(TripleStoreStatsTest, StatsReportStorageStateWithoutCompacting) {
   EXPECT_EQ(store.GetStats().delta_ops, 0u);
 }
 
-// ------------------------------- KGNET_DELTA_COMPACT_THRESHOLD parsing --
-
-TEST(CompactThresholdEnvTest, AcceptsPlainPositiveIntegers) {
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("1"), 1u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("4096"), 4096u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("  42  "), 42u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("\t7\t"), 7u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("001"), 1u);
-}
-
-TEST(CompactThresholdEnvTest, RejectsEverythingElse) {
-  // Same strict contract as ThreadPool::ParseThreadCountEnv: a plain
-  // positive decimal integer or nothing. 0 is the error value.
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv(nullptr), 0u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv(""), 0u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("   "), 0u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("0"), 0u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("-2"), 0u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("+4"), 0u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("abc"), 0u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("12x"), 0u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("4 2"), 0u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("3.5"), 0u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("0x10"), 0u);
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("1e3"), 0u);
-  // Overflow past size_t is rejected, not wrapped.
-  EXPECT_EQ(TripleStore::ParseCompactThresholdEnv("99999999999999999999999"),
-            0u);
-}
-
 }  // namespace
 }  // namespace kgnet::rdf

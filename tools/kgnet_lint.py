@@ -44,6 +44,12 @@ KL005 thread-local-justification
     class: a thread_local meter silently scattered pool-worker
     allocations across meters nobody read.
 
+KL006 raw-getenv
+    No getenv call anywhere the linter scans except src/common/env.cc.
+    Every setting from outside the process goes through common/env.h
+    (ParseInt / EnvInt), so one grammar and one warning contract cover
+    all of them and docs/SERVING.md "Settings" can list every knob.
+
 Suppressions
 ------------
 - Inline: `// kgnet-lint: allow(KL00x) <reason>` on the flagged line or
@@ -100,7 +106,11 @@ RULES = {
     "KL003": "layering",
     "KL004": "naked-new-delete",
     "KL005": "thread-local-justification",
+    "KL006": "raw-getenv",
 }
+
+# KL006: the one file allowed to read the environment.
+KL006_ENV_READER = "src/common/env.cc"
 
 
 class Finding:
@@ -351,11 +361,24 @@ def rule_kl005(vpath, orig_lines, stripped):
     return findings
 
 
+def rule_kl006(vpath, orig_lines, stripped):
+    if vpath == KL006_ENV_READER:
+        return []
+    findings = []
+    for m in re.finditer(r"\b(?:secure_)?getenv\s*\(", stripped):
+        findings.append(Finding(
+            vpath, line_of(stripped, m.start()), "KL006",
+            "getenv outside src/common/env.cc (read settings through "
+            "common::EnvInt so every knob shares one parser)", "*"))
+    return findings
+
+
 RULE_FNS = {
     "KL001": rule_kl001,
     "KL002": rule_kl002,
     "KL004": rule_kl004,
     "KL005": rule_kl005,
+    "KL006": rule_kl006,
 }
 
 
