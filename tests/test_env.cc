@@ -1,6 +1,7 @@
 // The settings parser (common/env.h): one table holds every input of
 // every integer setting read from outside the process, with its verdict
-// under that setting's range.
+// under that setting's range. Each variable's rows are checked by a test
+// in the suite of the component that reads it.
 #include "common/env.h"
 
 #include <gtest/gtest.h>
@@ -151,15 +152,31 @@ const Case kCases[] = {
     {"KGNET_FAULT_SEED", "", kBad},
 };
 
-TEST(EnvTest, EveryInputHasItsVerdictUnderItsVariablesRange) {
+/// Every variable the table has rows for.
+constexpr const char* kVariables[] = {
+    "KGNET_NUM_THREADS",      "KGNET_DELTA_COMPACT_THRESHOLD",
+    "KGNET_SERVE_PORT",       "KGNET_SERVE_WORKERS",
+    "KGNET_SERVE_QUEUE_DEPTH", "KGNET_DRAIN_TIMEOUT_MS",
+    "KGNET_FAULT_SEED",
+};
+
+enum class Rows { kAccepted, kRejected, kAll };
+
+/// Checks the rows of `var` that `which` selects: ParseInt gives the
+/// row's verdict, EnvInt gives the value or one warning line and the
+/// fallback, and a serving variable reaches ServerOptions the same way.
+void CheckRows(std::string_view var, Rows which) {
   constexpr uint64_t kFallback = 4242;
+  const Range range = RangeOf(var);
+  int checked = 0;
   for (const Case& c : kCases) {
+    if (std::string_view(c.var) != var) continue;
+    if (which == Rows::kAccepted && !c.want.has_value()) continue;
+    if (which == Rows::kRejected && c.want.has_value()) continue;
+    ++checked;
     SCOPED_TRACE(std::string(c.var) + "=\"" + c.text + "\"");
-    const Range range = RangeOf(c.var);
     EXPECT_EQ(ParseInt(c.text, range.lo, range.hi), c.want);
 
-    // The environment read agrees: the value, or one warning line and
-    // the fallback.
     ScopedEnv env(c.var, c.text);
     testing::internal::CaptureStderr();
     const uint64_t read = EnvInt(c.var, range.lo, range.hi, kFallback);
@@ -167,9 +184,8 @@ TEST(EnvTest, EveryInputHasItsVerdictUnderItsVariablesRange) {
     EXPECT_EQ(read, c.want.value_or(kFallback));
     EXPECT_EQ(err.empty(), c.want.has_value()) << err;
 
-    // The serving variables reach ServerOptions the same way.
     for (const serving::ServerSetting& s : serving::kServerSettings) {
-      if (std::string_view(c.var) != s.env) continue;
+      if (var != s.env) continue;
       serving::ServerOptions base;
       base.*s.field = static_cast<int>(kFallback);
       testing::internal::CaptureStderr();
@@ -179,6 +195,51 @@ TEST(EnvTest, EveryInputHasItsVerdictUnderItsVariablesRange) {
                 c.want.value_or(kFallback));
     }
   }
+  EXPECT_GT(checked, 0) << "no rows for " << var;
+}
+
+TEST(EnvTest, EveryRowIsCheckedUnderItsVariable) {
+  for (const Case& c : kCases) {
+    bool known = false;
+    for (const char* var : kVariables) known |= std::string_view(var) == c.var;
+    EXPECT_TRUE(known) << "row for unchecked variable " << c.var;
+  }
+}
+
+TEST(ThreadPoolTest, ParseThreadCountEnvAcceptsPositiveIntegers) {
+  CheckRows("KGNET_NUM_THREADS", Rows::kAccepted);
+}
+
+TEST(ThreadPoolTest, ParseThreadCountEnvRejectsGarbage) {
+  CheckRows("KGNET_NUM_THREADS", Rows::kRejected);
+}
+
+TEST(CompactThresholdEnvTest, AcceptsPlainPositiveIntegers) {
+  CheckRows("KGNET_DELTA_COMPACT_THRESHOLD", Rows::kAccepted);
+}
+
+TEST(CompactThresholdEnvTest, RejectsEverythingElse) {
+  CheckRows("KGNET_DELTA_COMPACT_THRESHOLD", Rows::kRejected);
+}
+
+TEST(ServingEnvTest, PortEnvStrictlyValidated) {
+  CheckRows("KGNET_SERVE_PORT", Rows::kAll);
+}
+
+TEST(ServingEnvTest, WorkersEnvStrictlyValidated) {
+  CheckRows("KGNET_SERVE_WORKERS", Rows::kAll);
+}
+
+TEST(ServingEnvTest, QueueDepthEnvStrictlyValidated) {
+  CheckRows("KGNET_SERVE_QUEUE_DEPTH", Rows::kAll);
+}
+
+TEST(ServingEnvTest, DrainTimeoutEnvStrictlyValidated) {
+  CheckRows("KGNET_DRAIN_TIMEOUT_MS", Rows::kAll);
+}
+
+TEST(EnvTest, FaultSeedEnvTakesAnyU64) {
+  CheckRows("KGNET_FAULT_SEED", Rows::kAll);
 }
 
 TEST(EnvTest, UnsetGivesTheFallbackSilently) {
