@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "common/cancel.h"
 #include "common/thread_pool.h"
+#include "core/model_io.h"
 #include "gml/gcn.h"
 #include "tests/parallel_test_util.h"
 #include "gml/rgcn.h"
@@ -381,6 +383,213 @@ TEST(LinkPredictorTest, RanksImproveWithTraining) {
     ASSERT_TRUE(model.Train(g, c1, &trained).ok());
   }
   EXPECT_GE(trained.metric, untrained.metric);
+}
+
+
+// -------------------------------------------------------- trainer pins --
+
+// The exact output of every trainer on one small seeded graph: the bits of
+// the report's scores and loss, the epoch count, and a digest of what the
+// trained model serves (its serving bundle's class table or entity rows).
+// How the trainers are driven — the epoch loop, the time budget,
+// cancellation, early stopping — must not move a single bit of these.
+// The graph sizes do not depend on the build type, so every build checks
+// the same pins.
+
+/// A small DBLP KG together with the store whose dictionary names its rows.
+struct PinGraph {
+  rdf::TripleStore store;
+  GraphData graph;
+};
+
+std::unique_ptr<PinGraph> MakePinGraph(TaskType task) {
+  auto out = std::make_unique<PinGraph>();
+  workload::DblpOptions opts;
+  opts.num_papers = 120;
+  opts.num_authors = 60;
+  opts.num_venues = 4;
+  opts.num_affiliations = 6;
+  opts.noise = 0.05;
+  opts.include_periphery = false;
+  opts.seed = 11;
+  EXPECT_TRUE(workload::GenerateDblp(opts, &out->store).ok());
+  TransformOptions t;
+  if (task == TaskType::kNodeClassification) {
+    t.target_type_iri = DblpSchema::Publication();
+    t.label_predicate_iri = DblpSchema::PublishedIn();
+  } else {
+    t.target_type_iri = DblpSchema::Person();
+    t.task_predicate_iri = DblpSchema::PrimaryAffiliation();
+  }
+  t.feature_dim = 8;
+  t.seed = 11;
+  auto g = BuildGraphData(out->store, t);
+  EXPECT_TRUE(g.ok()) << g.status();
+  out->graph = std::move(*g);
+  return out;
+}
+
+/// Few epochs and a short patience, so early stopping fires for some
+/// methods and not for others.
+TrainConfig PinConfig() {
+  TrainConfig c;
+  c.epochs = 6;
+  c.patience = 2;
+  c.hidden_dim = 8;
+  c.embed_dim = 8;
+  c.saint_sample_nodes = 48;
+  c.batch_size = 16;
+  c.lr = 0.05f;
+  return c;
+}
+
+bool IsNodeClassifier(GmlMethod m) { return MakeNodeClassifier(m).ok(); }
+
+/// One training run's pinned outcome. The doubles are their bit patterns;
+/// `secondary` is macro-F1 for a node classifier and MRR for a link
+/// predictor.
+struct TrainerPin {
+  GmlMethod method;
+  uint64_t metric, valid_metric, final_loss, secondary;
+  size_t epochs_run;
+  uint64_t served;
+};
+
+/// FNV-1a over raw bytes.
+uint64_t Digest(const void* data, size_t bytes) {
+  uint64_t h = 1469598103934665603ull;
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) h = (h ^ p[i]) * 1099511628211ull;
+  return h;
+}
+
+/// Trains `method` on its family's pin graph and returns what it pins.
+/// `status` receives Train's status; the pin is only filled when it is OK.
+TrainerPin RunPinned(GmlMethod method, const TrainConfig& config,
+                     Status* status, TrainReport* report) {
+  using kgnet::testing::BitsOf;
+  const bool nc = IsNodeClassifier(method);
+  const auto pg = MakePinGraph(nc ? TaskType::kNodeClassification
+                                  : TaskType::kLinkPrediction);
+  TrainerPin pin{method, 0, 0, 0, 0, 0, 0};
+  core::ServingBundle bundle;
+  if (nc) {
+    auto model = MakeNodeClassifier(method);
+    *status = (*model)->Train(pg->graph, config, report);
+    if (!status->ok()) return pin;
+    auto b = core::BuildServingBundle(**model, pg->graph, pg->store.dict());
+    EXPECT_TRUE(b.ok()) << b.status();
+    bundle = std::move(*b);
+    pin.secondary = BitsOf(report->macro_f1);
+    pin.served = Digest(bundle.row_class.data(),
+                        bundle.row_class.size() * sizeof(int32_t));
+  } else {
+    auto model = MakeLinkPredictor(method);
+    *status = (*model)->Train(pg->graph, config, report);
+    if (!status->ok()) return pin;
+    auto b = core::BuildServingBundle(**model, pg->graph, pg->store.dict());
+    EXPECT_TRUE(b.ok()) << b.status();
+    bundle = std::move(*b);
+    pin.secondary = BitsOf(report->mrr);
+    pin.served = Digest(bundle.entity_rows.data(),
+                        bundle.entity_rows.size() * sizeof(float));
+  }
+  pin.metric = BitsOf(report->metric);
+  pin.valid_metric = BitsOf(report->valid_metric);
+  pin.final_loss = BitsOf(report->final_loss);
+  pin.epochs_run = report->epochs_run;
+  return pin;
+}
+
+/// Checks `got` against `want` field by field; on a mismatch, prints the
+/// whole row as it would be pinned.
+void ExpectPinned(const TrainerPin& want, const TrainerPin& got) {
+  const std::string name = GmlMethodName(want.method);
+  EXPECT_EQ(want.metric, got.metric) << name << " metric";
+  EXPECT_EQ(want.valid_metric, got.valid_metric) << name << " valid_metric";
+  EXPECT_EQ(want.final_loss, got.final_loss) << name << " final_loss";
+  EXPECT_EQ(want.secondary, got.secondary) << name << " macro_f1 / mrr";
+  EXPECT_EQ(want.epochs_run, got.epochs_run) << name << " epochs_run";
+  EXPECT_EQ(want.served, got.served) << name << " served digest";
+  if (::testing::Test::HasFailure()) {
+    ADD_FAILURE() << name << " got {" << std::hex << "0x"
+                  << got.metric << ", 0x" << got.valid_metric << ", 0x"
+                  << got.final_loss << ", 0x" << got.secondary << ", "
+                  << std::dec << got.epochs_run << ", 0x" << std::hex
+                  << got.served << "}";
+  }
+}
+
+// clang-format off
+const TrainerPin kTrainedPins[] = {
+    {GmlMethod::kGcn, 0x3fcaaaaaaaaaaaab, 0x3fd5555555555555, 0x3ff6013300000000, 0x3fc4cccccccccccd, 5, 0x787b4638ecb5ff87},
+    {GmlMethod::kRgcn, 0x3fe6aaaaaaaaaaab, 0x3fe8000000000000, 0x3fed11eb00000000, 0x3fe6403577b4928e, 6, 0xfeeb19da01895f47},
+    {GmlMethod::kGraphSaint, 0x3fd0000000000000, 0x3fd0000000000000, 0x3ff1d90d80000000, 0x3fcb8c3e54975fb8, 5, 0xc2d2b2a1fe651145},
+    {GmlMethod::kShadowSaint, 0x3fed555555555555, 0x3feeaaaaaaaaaaab, 0x3fc1baffe0000000, 0x3fece88e88e88e89, 6, 0x73cbb88f2e2255b6},
+    {GmlMethod::kGraphSage, 0x3fe0000000000000, 0x3fd8000000000000, 0x3ff2d9b960000000, 0x3fdf117e194009bc, 3, 0x2ed97655c97c5cc5},
+    {GmlMethod::kMorse, 0x3ff0000000000000, 0x3feb8e38e38e38e3, 0x40a4682d80000000, 0x3fec888888888888, 6, 0xaccb39d9fc302ad3},
+    {GmlMethod::kTransE, 0x3ff0000000000000, 0x3febbbbbbbbbbbbb, 0x409df03f20000000, 0x3fe8888888888888, 6, 0x2b218a5bad0ab21f},
+    {GmlMethod::kDistMult, 0x0, 0x3fa0286f660e04cb, 0x40b0188a20000000, 0x3f9486e2053c4f3a, 3, 0x448f72c18d73de81},
+    {GmlMethod::kComplEx, 0x3fc5555555555555, 0x3fa0643b77729cae, 0x40b015f820000000, 0x3fa25919861b70ec, 4, 0xef53850757ecc24d},
+    {GmlMethod::kRotatE, 0x3fc5555555555555, 0x3fbf336d2fc03230, 0x40a36f96e0000000, 0x3fbf3038afb0b207, 4, 0xe6d2ed4692bd6479},
+};
+
+// With a budget that is spent before the first epoch, every method keeps
+// its initial parameters and is tested as initialized.
+const TrainerPin kUntrainedPins[] = {
+    {GmlMethod::kGcn, 0x3fc0000000000000, 0xbff0000000000000, 0x0, 0x3fbf49f49f49f4a0, 0, 0x3d433c60e66cf1b5},
+    {GmlMethod::kRgcn, 0x3fd0000000000000, 0xbff0000000000000, 0x0, 0x3fb999999999999a, 0, 0xa7619eae96aa9f85},
+    {GmlMethod::kGraphSaint, 0x3fd0000000000000, 0xbff0000000000000, 0x0, 0x3fb999999999999a, 0, 0xa7619eae96aa9f85},
+    {GmlMethod::kShadowSaint, 0x3fd0000000000000, 0xbff0000000000000, 0x0, 0x3fb999999999999a, 0, 0xa7619eae96aa9f85},
+    {GmlMethod::kGraphSage, 0x3fd5555555555555, 0xbff0000000000000, 0x0, 0x3fc7b425ed097b42, 0, 0x841a3ccfd8a180c7},
+    {GmlMethod::kMorse, 0x0, 0xbff0000000000000, 0x0, 0x3f84c24eada35a39, 0, 0x78bf520e4ea3a69b},
+    {GmlMethod::kTransE, 0x3fe0000000000000, 0xbff0000000000000, 0x0, 0x3fd41fc67937d9bb, 0, 0xfee1931d9741672a},
+    {GmlMethod::kDistMult, 0x0, 0xbff0000000000000, 0x0, 0x3f942fcd2f763a90, 0, 0xfee1931d9741672a},
+    {GmlMethod::kComplEx, 0x3fb5555555555555, 0xbff0000000000000, 0x0, 0x3fa0e216c4d8fe2c, 0, 0xfee1931d9741672a},
+    {GmlMethod::kRotatE, 0x3fd5555555555555, 0xbff0000000000000, 0x0, 0x3fb57ed27a852ce5, 0, 0xfee1931d9741672a},
+};
+// clang-format on
+
+TEST(TrainerPinTest, EveryMethodTrainsToItsPinnedBits) {
+  for (const TrainerPin& want : kTrainedPins) {
+    Status st;
+    TrainReport report;
+    const TrainerPin got = RunPinned(want.method, PinConfig(), &st, &report);
+    ASSERT_TRUE(st.ok()) << st;
+    EXPECT_EQ(report.method, GmlMethodName(want.method));
+    ExpectPinned(want, got);
+  }
+}
+
+TEST(TrainerPinTest, SpentTimeBudgetRunsNoEpoch) {
+  for (const TrainerPin& want : kUntrainedPins) {
+    TrainConfig c = PinConfig();
+    c.max_seconds = 1e-9;
+    Status st;
+    TrainReport report;
+    const TrainerPin got = RunPinned(want.method, c, &st, &report);
+    ASSERT_TRUE(st.ok()) << st;
+    EXPECT_EQ(report.epochs_run, 0u);
+    EXPECT_EQ(report.final_loss, 0.0);
+    EXPECT_EQ(report.valid_metric, -1.0);  // no epoch was validated
+    ExpectPinned(want, got);
+  }
+}
+
+TEST(TrainerPinTest, CancelledTokenFailsTheRunAndReportsNothing) {
+  for (const TrainerPin& pin : kTrainedPins) {
+    common::CancelSource source;
+    source.Cancel();
+    TrainConfig c = PinConfig();
+    c.cancel = source.token();
+    Status st;
+    TrainReport report;
+    RunPinned(pin.method, c, &st, &report);
+    EXPECT_EQ(st.code(), StatusCode::kCancelled)
+        << GmlMethodName(pin.method) << ": " << st;
+    EXPECT_TRUE(report.method.empty()) << GmlMethodName(pin.method);
+    EXPECT_EQ(report.epochs_run, 0u) << GmlMethodName(pin.method);
+  }
 }
 
 }  // namespace
