@@ -136,18 +136,18 @@ bool ServingBundle::FindRow(std::string_view iri, uint32_t* row) const {
   return false;
 }
 
-Result<ServingBundle> BuildServingBundle(gml::NodeClassifier& classifier,
-                                         const gml::GraphData& graph,
-                                         const rdf::Dictionary& dict) {
+Result<ServingBundle> BuildServingBundle(
+    const gml::NodeClassifier& classifier, const gml::GraphData& graph,
+    const rdf::Dictionary& dict) {
   ServingBundle bundle = NodeRows(graph, dict);
   for (rdf::TermId term : graph.class_terms)
     bundle.class_iris.push_back(dict.Lookup(term).lexical);
   bundle.row_class.assign(graph.num_nodes, -1);
-  const std::vector<int> preds = classifier.Predict(graph, graph.target_nodes);
-  for (size_t i = 0; i < graph.target_nodes.size(); ++i)
-    if (preds[i] >= 0 &&
-        static_cast<size_t>(preds[i]) < bundle.class_iris.size())
-      bundle.row_class[graph.target_nodes[i]] = preds[i];
+  const std::vector<int>& preds = classifier.predictions();
+  for (uint32_t node : graph.target_nodes)
+    if (node < preds.size() && preds[node] >= 0 &&
+        static_cast<size_t>(preds[node]) < bundle.class_iris.size())
+      bundle.row_class[node] = preds[node];
   bundle.IndexRows();
   return bundle;
 }

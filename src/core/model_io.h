@@ -28,9 +28,9 @@ namespace kgnet::core {
 
 /// The bundle of a trained node classifier: the class it predicts for
 /// each target node of `graph`, whose terms `dict` names.
-Result<ServingBundle> BuildServingBundle(gml::NodeClassifier& classifier,
-                                         const gml::GraphData& graph,
-                                         const rdf::Dictionary& dict);
+Result<ServingBundle> BuildServingBundle(
+    const gml::NodeClassifier& classifier, const gml::GraphData& graph,
+    const rdf::Dictionary& dict);
 
 /// The bundle of a trained link predictor: its entity rows, scoring
 /// function and task-relation row, and the rows of `graph`'s destination

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 
 #include "common/string_util.h"
@@ -31,6 +32,24 @@ constexpr char kUdfGetSimilarEntity[] = "sql:UDFS.getSimilarEntity";
 
 bool IsKgnetIri(const std::string& iri) {
   return StartsWith(iri, kKgnetNs);
+}
+
+/// The integer field `name` of the TrainGML object `obj`: a JSON number
+/// with an integer value in [lo, hi], or `fallback` when the field is
+/// absent. The payload comes from outside the process, so anything else
+/// is InvalidArgument naming the field and its range.
+Result<uint64_t> IntField(const JsonValue& obj, const char* name,
+                          uint64_t lo, uint64_t hi, uint64_t fallback) {
+  const JsonValue* v = obj.FindRelaxed(name);
+  if (v == nullptr) return fallback;
+  const double x = v->is_number() ? v->AsNumber() : -1.0;
+  if (!(x >= static_cast<double>(lo) && x <= static_cast<double>(hi)) ||
+      x != std::floor(x)) {
+    return Status::InvalidArgument(
+        std::string("TrainGML ") + name + " must be an integer in [" +
+        std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  }
+  return static_cast<uint64_t>(x);
 }
 
 }  // namespace
@@ -488,16 +507,22 @@ Result<TrainTaskSpec> SparqlMlService::ParseTrainSpec(
 
   if (const JsonValue* hp = root.FindRelaxed("Hyperparameters");
       hp != nullptr && hp->is_object()) {
-    spec.config.epochs = static_cast<size_t>(
-        hp->GetNumber("Epochs", static_cast<double>(spec.config.epochs)));
-    spec.config.lr = static_cast<float>(
-        hp->GetNumber("LearningRate", spec.config.lr));
-    spec.config.hidden_dim = static_cast<size_t>(hp->GetNumber(
-        "HiddenDim", static_cast<double>(spec.config.hidden_dim)));
-    spec.config.embed_dim = static_cast<size_t>(hp->GetNumber(
-        "EmbedDim", static_cast<double>(spec.config.embed_dim)));
-    spec.config.patience = static_cast<size_t>(hp->GetNumber(
-        "Patience", static_cast<double>(spec.config.patience)));
+    gml::TrainConfig& c = spec.config;
+    KGNET_ASSIGN_OR_RETURN(c.epochs,
+                           IntField(*hp, "Epochs", 1, 10000, c.epochs));
+    KGNET_ASSIGN_OR_RETURN(
+        c.hidden_dim, IntField(*hp, "HiddenDim", 1, 1024, c.hidden_dim));
+    KGNET_ASSIGN_OR_RETURN(
+        c.embed_dim, IntField(*hp, "EmbedDim", 1, 1024, c.embed_dim));
+    KGNET_ASSIGN_OR_RETURN(
+        c.patience, IntField(*hp, "Patience", 0, 10000, c.patience));
+    if (const JsonValue* lr = hp->FindRelaxed("LearningRate")) {
+      const double x = lr->is_number() ? lr->AsNumber() : 0.0;
+      if (!(x > 0.0 && x <= 10.0))
+        return Status::InvalidArgument(
+            "TrainGML LearningRate must be a number in (0, 10]");
+      c.lr = static_cast<float>(x);
+    }
   }
 
   const std::string method = root.GetString("Method");
@@ -523,10 +548,12 @@ Result<TrainTaskSpec> SparqlMlService::ParseTrainSpec(
 
   if (const JsonValue* sampling = root.FindRelaxed("MetaSampling");
       sampling != nullptr && sampling->is_object()) {
-    const double d = sampling->GetNumber("Direction", 0);
+    KGNET_ASSIGN_OR_RETURN(const uint64_t d,
+                           IntField(*sampling, "Direction", 1, 2, 0));
     if (d == 1) spec.direction = SampleDirection::kOutgoing;
     if (d == 2) spec.direction = SampleDirection::kBidirectional;
-    spec.hops = static_cast<uint32_t>(sampling->GetNumber("Hops", 1));
+    KGNET_ASSIGN_OR_RETURN(spec.hops,
+                           IntField(*sampling, "Hops", 1, 4, spec.hops));
     const JsonValue* enabled = sampling->FindRelaxed("Enabled");
     if (enabled != nullptr && enabled->kind() == JsonValue::Kind::kBool)
       spec.use_meta_sampling = enabled->AsBool();

@@ -2,117 +2,67 @@
 
 #include "gml/metrics.h"
 #include "gml/train_util.h"
-#include "tensor/memory_meter.h"
+#include "tensor/csr_matrix.h"
 #include "tensor/optimizer.h"
-#include "tensor/rng.h"
 
 namespace kgnet::gml {
 
 using tensor::CsrMatrix;
 using tensor::Matrix;
 
-Matrix GcnClassifier::Logits(const CsrMatrix& adj, const Matrix& x) const {
-  Matrix z0 = adj.SpMM(x);
-  Matrix h1 = Matrix::MatMul(z0, w0_);
-  h1.ReluInPlace();
-  Matrix z1 = adj.SpMM(h1);
-  return Matrix::MatMul(z1, w1_);
-}
-
 Status GcnClassifier::Train(const GraphData& graph, const TrainConfig& config,
                             TrainReport* report) {
   if (graph.num_classes == 0)
     return Status::InvalidArgument("graph carries no classification labels");
-  tensor::PeakMemoryScope mem_scope;
-  Stopwatch timer;
-  tensor::Rng rng(config.seed);
-
-  const CsrMatrix adj = graph.BuildGcnAdjacency();
   const Matrix& x = graph.features;
-  w0_ = Matrix(graph.feature_dim, config.hidden_dim);
-  w0_.XavierInit(&rng);
-  w1_ = Matrix(config.hidden_dim, graph.num_classes);
-  w1_.XavierInit(&rng);
-
-  tensor::AdamOptimizer::Options aopts;
-  aopts.lr = config.lr;
-  tensor::AdamOptimizer opt(aopts);
-  opt.Register(&w0_);
-  opt.Register(&w1_);
-
+  CsrMatrix adj;
+  Matrix w0, w1;
+  tensor::AdamOptimizer opt({.lr = config.lr});
   const std::vector<int> train_labels =
       MaskLabels(graph.labels, graph.target_nodes, graph.train_idx);
   const std::vector<int> valid_labels =
       MaskLabels(graph.labels, graph.target_nodes, graph.valid_idx);
 
-  EarlyStopper stopper(config.patience);
-  float loss = 0.0f;
-  size_t epoch = 0;
-  for (; epoch < config.epochs; ++epoch) {
-    KGNET_RETURN_IF_ERROR(config.cancel.CheckNow());
-    if (config.max_seconds > 0 && timer.Seconds() >= config.max_seconds) break;
+  TrainingSteps steps;
+  steps.init = [&](tensor::Rng* rng) {
+    adj = graph.BuildGcnAdjacency();
+    w0 = Matrix(graph.feature_dim, config.hidden_dim);
+    w0.XavierInit(rng);
+    w1 = Matrix(config.hidden_dim, graph.num_classes);
+    w1.XavierInit(rng);
+    opt.Register(&w0);
+    opt.Register(&w1);
+  };
+  steps.epoch = [&](size_t, tensor::Rng*) {
     // ---- forward with caches ----
     Matrix z0 = adj.SpMM(x);
-    Matrix pre1 = Matrix::MatMul(z0, w0_);
+    Matrix pre1 = Matrix::MatMul(z0, w0);
     Matrix mask;
     Matrix h1 = pre1;
     h1.ReluInPlace(&mask);
     Matrix z1 = adj.SpMM(h1);
-    Matrix logits = Matrix::MatMul(z1, w1_);
+    Matrix logits = Matrix::MatMul(z1, w1);
 
     Matrix dlogits;
-    loss = tensor::SoftmaxCrossEntropy(logits, train_labels, &dlogits);
+    const float loss =
+        tensor::SoftmaxCrossEntropy(logits, train_labels, &dlogits);
 
     // ---- backward ----
     Matrix dw1 = Matrix::MatMulTransA(z1, dlogits);
-    Matrix dz1 = Matrix::MatMulTransB(dlogits, w1_);
+    Matrix dz1 = Matrix::MatMulTransB(dlogits, w1);
     Matrix dh1 = adj.SpMMTransposed(dz1);
     dh1.Hadamard(mask);
     Matrix dw0 = Matrix::MatMulTransA(z0, dh1);
 
     opt.Step({&dw0, &dw1});
-
-    // ---- validation ----
-    std::vector<int> preds = ArgmaxRows(logits);
-    double vacc = Accuracy(preds, valid_labels);
-    stopper.Update(vacc);
-    if (stopper.Stop()) {
-      ++epoch;
-      break;
-    }
-  }
-
-  report->method = "GCN";
-  report->epochs_run = epoch;
-  report->final_loss = loss;
-  report->train_seconds = timer.Seconds();
-  report->peak_memory_bytes =
-      mem_scope.PeakBytes() + graph.StructureBytes();
-  report->valid_metric = stopper.best();
-
-  // Test evaluation + cached predictions for inference.
-  Stopwatch infer_timer;
-  Matrix logits = Logits(adj, x);
-  cached_predictions_ = ArgmaxRows(logits);
-  const std::vector<int> test_labels =
-      MaskLabels(graph.labels, graph.target_nodes, graph.test_idx);
-  report->metric = Accuracy(cached_predictions_, test_labels);
-  report->macro_f1 =
-      MacroF1(cached_predictions_, test_labels, graph.num_classes);
-  const size_t denom = graph.target_nodes.empty() ? 1 : graph.target_nodes.size();
-  report->inference_us = infer_timer.Micros() / denom;
-  return Status::OK();
-}
-
-std::vector<int> GcnClassifier::Predict(const GraphData& graph,
-                                        const std::vector<uint32_t>& nodes) {
-  std::vector<int> out;
-  out.reserve(nodes.size());
-  for (uint32_t v : nodes)
-    out.push_back(v < cached_predictions_.size() ? cached_predictions_[v]
-                                                 : -1);
-  (void)graph;
-  return out;
+    return EpochResult{loss, Accuracy(ArgmaxRows(logits), valid_labels)};
+  };
+  steps.test = [&](TrainReport* r) {
+    Matrix h1 = Matrix::MatMul(adj.SpMM(x), w0);
+    h1.ReluInPlace();
+    return TestPredictions(graph, Matrix::MatMul(adj.SpMM(h1), w1), r);
+  };
+  return RunTraining("GCN", graph, config, steps, report);
 }
 
 }  // namespace kgnet::gml

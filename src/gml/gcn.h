@@ -3,8 +3,6 @@
 #define KGNET_GML_GCN_H_
 
 #include "gml/model.h"
-#include "tensor/csr_matrix.h"
-#include "tensor/matrix.h"
 
 namespace kgnet::gml {
 
@@ -15,17 +13,6 @@ class GcnClassifier : public NodeClassifier {
  public:
   Status Train(const GraphData& graph, const TrainConfig& config,
                TrainReport* report) override;
-
-  std::vector<int> Predict(const GraphData& graph,
-                           const std::vector<uint32_t>& nodes) override;
-
- private:
-  tensor::Matrix Logits(const tensor::CsrMatrix& adj,
-                        const tensor::Matrix& x) const;
-
-  tensor::Matrix w0_, w1_;
-  // Cached full-graph predictions after training.
-  std::vector<int> cached_predictions_;
 };
 
 }  // namespace kgnet::gml

@@ -5,10 +5,6 @@
 #include <limits>
 #include <numeric>
 
-#include "gml/metrics.h"
-#include "gml/train_util.h"
-#include "tensor/memory_meter.h"
-#include "tensor/optimizer.h"
 #include "tensor/rng.h"
 
 namespace kgnet::gml {
@@ -111,36 +107,31 @@ Status KgeModel::Train(const GraphData& graph, const TrainConfig& config,
                        TrainReport* report) {
   if (graph.train_edges.empty())
     return Status::InvalidArgument("graph carries no link-prediction edges");
-  tensor::PeakMemoryScope mem_scope;
-  Stopwatch timer;
-  tensor::Rng rng(config.seed);
-
-  dim_ = config.embed_dim;
-  if ((score_ == KgeScore::kComplEx || score_ == KgeScore::kRotatE) &&
-      dim_ % 2 != 0)
-    ++dim_;  // complex models need an even dimension
-  entities_ = Matrix(graph.num_nodes, dim_);
-  entities_.XavierInit(&rng);
-  relations_ = Matrix(graph.num_relations, dim_);
-  relations_.XavierInit(&rng);
-
   // All message-passing edges plus training task edges supervise the
   // embeddings (the task edges are already appended to graph.edges by the
   // transformer, so graph.edges suffices).
   const std::vector<Edge>& pos_edges = graph.edges;
-  std::vector<float> gh(dim_), gr(dim_), gt(dim_);
-
   const float lr = config.lr;
-  float loss_acc = 0.0f;
-  size_t epoch = 0;
-  EarlyStopper stopper(config.patience);
+  std::vector<float> gh, gr, gt;
   Matrix best_entities, best_relations;
   bool have_best = false;
-  for (; epoch < config.epochs; ++epoch) {
-    KGNET_RETURN_IF_ERROR(config.cancel.CheckNow());
-    if (config.max_seconds > 0 && timer.Seconds() >= config.max_seconds) break;
-    loss_acc = 0.0f;
-    size_t steps = 0;
+
+  TrainingSteps steps;
+  steps.init = [&](tensor::Rng* rng) {
+    dim_ = config.embed_dim;
+    if ((score_ == KgeScore::kComplEx || score_ == KgeScore::kRotatE) &&
+        dim_ % 2 != 0)
+      ++dim_;  // complex models need an even dimension
+    entities_ = Matrix(graph.num_nodes, dim_);
+    entities_.XavierInit(rng);
+    relations_ = Matrix(graph.num_relations, dim_);
+    relations_.XavierInit(rng);
+    gh.resize(dim_);
+    gr.resize(dim_);
+    gt.resize(dim_);
+  };
+  steps.epoch = [&](size_t epoch, tensor::Rng* rng) {
+    float loss = 0.0f;
     for (size_t bstart = 0; bstart < pos_edges.size();
          bstart += config.batch_size) {
       const size_t bend =
@@ -153,18 +144,18 @@ Status KgeModel::Train(const GraphData& graph, const TrainConfig& config,
           float target = 1.0f;
           if (neg > 0) {
             target = -1.0f;
-            if (rng.NextFloat() < 0.5f) {
-              h = static_cast<uint32_t>(rng.NextUint(graph.num_nodes));
+            if (rng->NextFloat() < 0.5f) {
+              h = static_cast<uint32_t>(rng->NextUint(graph.num_nodes));
             } else if (e.rel == graph.task_relation &&
                        !graph.destination_candidates.empty() &&
-                       rng.NextFloat() < 0.5f) {
+                       rng->NextFloat() < 0.5f) {
               // Type-constrained (hard) negative: corrupt the tail within
               // the destination type, forcing discrimination among the
               // candidates evaluation actually ranks over.
-              t = graph.destination_candidates[rng.NextUint(
+              t = graph.destination_candidates[rng->NextUint(
                   graph.destination_candidates.size())];
             } else {
-              t = static_cast<uint32_t>(rng.NextUint(graph.num_nodes));
+              t = static_cast<uint32_t>(rng->NextUint(graph.num_nodes));
             }
           }
           float* hv = entities_.Row(h);
@@ -175,9 +166,8 @@ Status KgeModel::Train(const GraphData& graph, const TrainConfig& config,
           // Logistic loss: L = softplus(-target * s).
           const float sigma = Sigmoid(-target * s);
           const float dL_ds = -target * sigma;
-          loss_acc += std::log1p(std::exp(-std::fabs(target * s))) +
-                      std::max(-target * s, 0.0f);
-          ++steps;
+          loss += std::log1p(std::exp(-std::fabs(target * s))) +
+                  std::max(-target * s, 0.0f);
           for (size_t k = 0; k < dim_; ++k) {
             hv[k] -= lr * dL_ds * gh[k];
             rv[k] -= lr * dL_ds * gr[k];
@@ -186,54 +176,25 @@ Status KgeModel::Train(const GraphData& graph, const TrainConfig& config,
         }
       }
     }
-    // Validation MRR on sampled candidates (never full ranking; the
-    // budget should go to training).
-    if (!graph.valid_edges.empty()) {
-      const size_t valid_candidates =
-          config.eval_candidates == 0 ? 100 : config.eval_candidates;
-      std::vector<size_t> ranks = RankTestEdges(
-          *this, graph, graph.valid_edges, valid_candidates,
-          config.seed + epoch, config.eval_within_type);
-      if (stopper.Update(MeanReciprocalRank(ranks))) {
-        // Keep the best-validation parameters (restored after the loop).
-        best_entities = entities_;
-        best_relations = relations_;
-        have_best = true;
-      }
-      if (stopper.Stop()) {
-        ++epoch;
-        break;
-      }
-    }
-    (void)steps;
-  }
-  if (have_best) {
+    return EpochResult{loss, ValidationMrr(graph, config, epoch)};
+  };
+  // Keep the best-validation parameters, restored once training is over.
+  steps.improved = [&] {
+    best_entities = entities_;
+    best_relations = relations_;
+    have_best = true;
+  };
+  steps.finish = [&] {
+    if (!have_best) return;
     entities_ = std::move(best_entities);
     relations_ = std::move(best_relations);
-  }
-
-  report->method = score_ == KgeScore::kTransE     ? "TransE"
-                   : score_ == KgeScore::kDistMult ? "DistMult"
-                   : score_ == KgeScore::kComplEx  ? "ComplEx"
-                                                   : "RotatE";
-  report->epochs_run = epoch;
-  report->final_loss = loss_acc;
-  report->train_seconds = timer.Seconds();
-  report->peak_memory_bytes =
-      mem_scope.PeakBytes() + graph.StructureBytes();
-  report->valid_metric = stopper.best();
-
-  // Test metrics.
-  Stopwatch infer_timer;
-  std::vector<size_t> ranks = RankTestEdges(*this, graph, graph.test_edges,
-                                            config.eval_candidates,
-                                            config.seed + 7919,
-                                            config.eval_within_type);
-  report->metric = HitsAtK(ranks, 10);
-  report->mrr = MeanReciprocalRank(ranks);
-  const size_t denom = graph.test_edges.empty() ? 1 : graph.test_edges.size();
-  report->inference_us = infer_timer.Micros() / denom;
-  return Status::OK();
+  };
+  steps.test = [&](TrainReport* r) { return TestRanks(graph, config, r); };
+  const char* name = score_ == KgeScore::kTransE     ? "TransE"
+                     : score_ == KgeScore::kDistMult ? "DistMult"
+                     : score_ == KgeScore::kComplEx  ? "ComplEx"
+                                                     : "RotatE";
+  return RunTraining(name, graph, config, steps, report);
 }
 
 float KgeModel::Score(uint32_t src, uint32_t rel, uint32_t dst) const {

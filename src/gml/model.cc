@@ -4,10 +4,12 @@
 
 #include "gml/gcn.h"
 #include "gml/kge.h"
+#include "gml/metrics.h"
 #include "gml/morse.h"
 #include "gml/rgcn.h"
 #include "gml/sage.h"
 #include "gml/saint.h"
+#include "gml/train_util.h"
 
 namespace kgnet::gml {
 
@@ -47,6 +49,39 @@ const char* TaskTypeName(TaskType t) {
       return "EntitySimilarity";
   }
   return "unknown";
+}
+
+size_t NodeClassifier::TestPredictions(const GraphData& graph,
+                                       const tensor::Matrix& logits,
+                                       TrainReport* report) {
+  predictions_ = ArgmaxRows(logits);
+  const std::vector<int> test_labels =
+      MaskLabels(graph.labels, graph.target_nodes, graph.test_idx);
+  report->metric = Accuracy(predictions_, test_labels);
+  report->macro_f1 = MacroF1(predictions_, test_labels, graph.num_classes);
+  return graph.target_nodes.size();
+}
+
+std::optional<double> LinkPredictor::ValidationMrr(const GraphData& graph,
+                                                   const TrainConfig& config,
+                                                   size_t epoch) const {
+  if (graph.valid_edges.empty()) return std::nullopt;
+  const size_t candidates =
+      config.eval_candidates == 0 ? 100 : config.eval_candidates;
+  return MeanReciprocalRank(RankTestEdges(*this, graph, graph.valid_edges,
+                                          candidates, config.seed + epoch,
+                                          config.eval_within_type));
+}
+
+size_t LinkPredictor::TestRanks(const GraphData& graph,
+                                const TrainConfig& config,
+                                TrainReport* report) const {
+  const std::vector<size_t> ranks =
+      RankTestEdges(*this, graph, graph.test_edges, config.eval_candidates,
+                    config.seed + 7919, config.eval_within_type);
+  report->metric = HitsAtK(ranks, 10);
+  report->mrr = MeanReciprocalRank(ranks);
+  return graph.test_edges.size();
 }
 
 Result<std::unique_ptr<NodeClassifier>> MakeNodeClassifier(GmlMethod method) {

@@ -1,15 +1,18 @@
-// Common model interfaces and the training report shared by all methods.
+// The model interfaces every GML method implements (the training config
+// and report they share are in gml/trainer.h).
 #ifndef KGNET_GML_MODEL_H_
 #define KGNET_GML_MODEL_H_
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/cancel.h"
 #include "common/result.h"
 #include "gml/graph_data.h"
+#include "gml/trainer.h"
+#include "tensor/matrix.h"
 
 namespace kgnet::gml {
 
@@ -47,63 +50,6 @@ enum class TaskType {
 const char* GmlMethodName(GmlMethod m);
 const char* TaskTypeName(TaskType t);
 
-/// Hyperparameters for one training run.
-struct TrainConfig {
-  size_t epochs = 40;
-  float lr = 0.01f;
-  size_t hidden_dim = 32;
-  size_t embed_dim = 32;
-  /// Mini-batch knobs (SAINT / Shadow / KGE / MorsE).
-  size_t batch_size = 512;
-  size_t saint_sample_nodes = 2048;
-  size_t shadow_hops = 2;
-  size_t shadow_neighbor_budget = 10;
-  size_t negatives_per_positive = 4;
-  /// Early stopping patience in epochs (0 disables).
-  size_t patience = 8;
-  uint64_t seed = 17;
-  /// LP evaluation: number of sampled negative candidates per test edge
-  /// (0 = rank against all entities).
-  size_t eval_candidates = 100;
-  /// LP evaluation scope: true ranks the true tail against
-  /// destination-type instances only (hard, type-restricted protocol);
-  /// false ranks against the whole entity set (OGB-style protocol, the
-  /// one the paper's Figure 15 uses).
-  bool eval_within_type = true;
-  /// Wall-clock training budget in seconds (0 = unlimited). Trainers stop
-  /// at the first epoch boundary past the budget — this is how KGNet's
-  /// task *time budget* reaches the pipeline.
-  double max_seconds = 0.0;
-  /// Cooperative cancellation (common/cancel.h), polled (CheckNow, so a
-  /// deadline is evaluated every epoch rather than on the per-row
-  /// stride) at the same epoch boundaries as max_seconds; the default
-  /// token is inert. Unlike
-  /// the budget — which *keeps* the partially trained model — a tripped
-  /// token makes Train() return its Cancelled/DeadlineExceeded status,
-  /// so the pipeline registers nothing. This is how a draining server
-  /// bounds an in-flight TrainGML (docs/RESILIENCE.md).
-  common::CancelToken cancel;
-};
-
-/// What a training run produced (feeds KGMeta and the experiment tables).
-struct TrainReport {
-  std::string method;
-  /// Primary metric: NC accuracy or LP Hits@10, in [0,1].
-  double metric = 0.0;
-  /// Secondary metrics.
-  double macro_f1 = 0.0;
-  double mrr = 0.0;
-  double valid_metric = 0.0;
-  double final_loss = 0.0;
-  size_t epochs_run = 0;
-  /// Wall-clock training seconds.
-  double train_seconds = 0.0;
-  /// Peak live tensor bytes during training (MemoryMeter).
-  size_t peak_memory_bytes = 0;
-  /// Mean per-instance inference latency in microseconds.
-  double inference_us = 0.0;
-};
-
 /// A trained node classifier.
 class NodeClassifier {
  public:
@@ -113,9 +59,20 @@ class NodeClassifier {
   virtual Status Train(const GraphData& graph, const TrainConfig& config,
                        TrainReport* report) = 0;
 
-  /// Predicted class per node in `nodes`.
-  virtual std::vector<int> Predict(const GraphData& graph,
-                                   const std::vector<uint32_t>& nodes) = 0;
+  /// The predicted class of every node of the graph the model was trained
+  /// on; empty before training.
+  const std::vector<int>& predictions() const { return predictions_; }
+
+ protected:
+  /// The test pass every classifier ends with: keeps the argmax class of
+  /// each row of `logits` (one row per node of `graph`) as predictions()
+  /// and scores accuracy and macro-F1 on the test fold. Returns the
+  /// number of target nodes.
+  size_t TestPredictions(const GraphData& graph,
+                         const tensor::Matrix& logits, TrainReport* report);
+
+ private:
+  std::vector<int> predictions_;
 };
 
 /// A trained link predictor.
@@ -139,6 +96,19 @@ class LinkPredictor {
 
   /// Relation embedding row of `rel`, as Score reads it.
   virtual std::vector<float> RelationEmbedding(uint32_t rel) const = 0;
+
+ protected:
+  /// The per-epoch validation of every link predictor: the MRR of the
+  /// valid edges against sampled candidates (never full ranking, so the
+  /// budget goes to training); none without valid edges.
+  std::optional<double> ValidationMrr(const GraphData& graph,
+                                      const TrainConfig& config,
+                                      size_t epoch) const;
+
+  /// The test pass every link predictor ends with: Hits@10 and MRR of
+  /// the test edges. Returns the number of test edges.
+  size_t TestRanks(const GraphData& graph, const TrainConfig& config,
+                   TrainReport* report) const;
 };
 
 /// Factory: creates an untrained classifier for `method`

@@ -4,9 +4,6 @@
 #include <cmath>
 
 #include "gml/kge.h"
-#include "gml/metrics.h"
-#include "gml/train_util.h"
-#include "tensor/memory_meter.h"
 #include "tensor/rng.h"
 
 namespace kgnet::gml {
@@ -64,76 +61,73 @@ Status MorseModel::Train(const GraphData& graph, const TrainConfig& config,
                          TrainReport* report) {
   if (graph.train_edges.empty())
     return Status::InvalidArgument("graph carries no link-prediction edges");
-  tensor::PeakMemoryScope mem_scope;
-  Stopwatch timer;
-  tensor::Rng rng(config.seed);
-
-  dim_ = config.embed_dim;
-  num_relations_ = graph.num_relations;
-  rel_types_ = Matrix(num_relations_ * 2, dim_);
-  rel_types_.XavierInit(&rng);
-  rel_scoring_ = Matrix(num_relations_, dim_);
-  rel_scoring_.XavierInit(&rng);
-  // W starts as the identity and is refined slowly: the aggregate is
-  // already in the embedding space (TransE-style), and a randomly
-  // initialized mixing matrix makes optimization dominated by W-alignment
-  // instead of anchor clustering.
-  w_ = Matrix(dim_, dim_);
-  for (size_t i = 0; i < dim_; ++i) w_.At(i, i) = 1.0f;
-  // Anchors start at zero: initial embeddings depend only on the relation
-  // signature, and per-entity structure grows from gradients. Random
-  // anchor init makes convergence depend heavily on hash-layout luck.
-  anchors_ = Matrix(kAnchorBuckets, dim_);
-
-  // Incidence lists (entity-independent signature of each node) and
-  // sampled neighbor lists (capped; reservoir-free truncation suffices
-  // since edge order is arbitrary).
-  constexpr size_t kMaxNeighbors = 16;
-  incident_.assign(graph.num_nodes, {});
-  neighbors_.assign(graph.num_nodes, {});
-  role_gate_.assign(num_relations_ * 2, 1.0f);
-  for (const Edge& e : graph.edges) {
-    const uint32_t out_role = e.rel;
-    const uint32_t in_role = static_cast<uint32_t>(num_relations_ + e.rel);
-    incident_[e.src].push_back(out_role);
-    incident_[e.dst].push_back(in_role);
-    if (neighbors_[e.src].size() < kMaxNeighbors)
-      neighbors_[e.src].push_back(Neighbor{e.dst, out_role});
-    if (neighbors_[e.dst].size() < kMaxNeighbors)
-      neighbors_[e.dst].push_back(Neighbor{e.src, in_role});
-  }
-
   const float lr = config.lr;
-  const size_t d = dim_;
+  const size_t d = config.embed_dim;
   std::vector<float> eh(d), et(d), gh(d), gt(d), gr(d);
   std::vector<float> agg_h(d), agg_t(d), pre_h(d), pre_t(d);
-
-  // Edge-sampled training over *all* message-passing edges (MorsE
-  // meta-trains over sampled sub-KGs spanning every relation; the training
-  // task edges are already part of graph.edges). Per-epoch cost therefore
-  // scales with the KG size — the mechanism behind the paper's Figure 15
-  // full-KG vs KG' gap under a fixed budget.
-  //
-  // The task relation is oversampled so that roughly a third of the
-  // training steps exercise it: MorsE's meta-objective is the downstream
-  // task, and without the boost the target relation receives only its
-  // frequency share of the updates and rarely escapes the type-
-  // discrimination plateau.
-  std::vector<Edge> pos = graph.edges;
-  if (graph.task_relation != UINT32_MAX && !graph.train_edges.empty()) {
-    const size_t non_task = graph.edges.size() - graph.train_edges.size();
-    const size_t repeats = non_task / (2 * graph.train_edges.size());
-    for (size_t r = 0; r < repeats; ++r)
-      pos.insert(pos.end(), graph.train_edges.begin(),
-                 graph.train_edges.end());
-  }
-  std::shuffle(pos.begin(), pos.end(), rng.generator());
-  EarlyStopper stopper(config.patience);
-  float loss_acc = 0.0f;
-  size_t epoch = 0;
+  std::vector<Edge> pos;
   Matrix best_rel_types, best_rel_scoring, best_w, best_anchors;
   std::vector<float> best_gates;
   bool have_best = false;
+
+  TrainingSteps steps;
+  steps.init = [&](tensor::Rng* rng) {
+    dim_ = d;
+    num_relations_ = graph.num_relations;
+    rel_types_ = Matrix(num_relations_ * 2, dim_);
+    rel_types_.XavierInit(rng);
+    rel_scoring_ = Matrix(num_relations_, dim_);
+    rel_scoring_.XavierInit(rng);
+    // W starts as the identity and is refined slowly: the aggregate is
+    // already in the embedding space (TransE-style), and a randomly
+    // initialized mixing matrix makes optimization dominated by W-alignment
+    // instead of anchor clustering.
+    w_ = Matrix(dim_, dim_);
+    for (size_t i = 0; i < dim_; ++i) w_.At(i, i) = 1.0f;
+    // Anchors start at zero: initial embeddings depend only on the relation
+    // signature, and per-entity structure grows from gradients. Random
+    // anchor init makes convergence depend heavily on hash-layout luck.
+    anchors_ = Matrix(kAnchorBuckets, dim_);
+
+    // Incidence lists (entity-independent signature of each node) and
+    // sampled neighbor lists (capped; reservoir-free truncation suffices
+    // since edge order is arbitrary).
+    constexpr size_t kMaxNeighbors = 16;
+    incident_.assign(graph.num_nodes, {});
+    neighbors_.assign(graph.num_nodes, {});
+    role_gate_.assign(num_relations_ * 2, 1.0f);
+    for (const Edge& e : graph.edges) {
+      const uint32_t out_role = e.rel;
+      const uint32_t in_role = static_cast<uint32_t>(num_relations_ + e.rel);
+      incident_[e.src].push_back(out_role);
+      incident_[e.dst].push_back(in_role);
+      if (neighbors_[e.src].size() < kMaxNeighbors)
+        neighbors_[e.src].push_back(Neighbor{e.dst, out_role});
+      if (neighbors_[e.dst].size() < kMaxNeighbors)
+        neighbors_[e.dst].push_back(Neighbor{e.src, in_role});
+    }
+
+    // Edge-sampled training over *all* message-passing edges (MorsE
+    // meta-trains over sampled sub-KGs spanning every relation; the
+    // training task edges are already part of graph.edges). Per-epoch cost
+    // therefore scales with the KG size — the mechanism behind the paper's
+    // Figure 15 full-KG vs KG' gap under a fixed budget.
+    //
+    // The task relation is oversampled so that roughly a third of the
+    // training steps exercise it: MorsE's meta-objective is the downstream
+    // task, and without the boost the target relation receives only its
+    // frequency share of the updates and rarely escapes the type-
+    // discrimination plateau.
+    pos = graph.edges;
+    if (graph.task_relation != UINT32_MAX && !graph.train_edges.empty()) {
+      const size_t non_task = graph.edges.size() - graph.train_edges.size();
+      const size_t repeats = non_task / (2 * graph.train_edges.size());
+      for (size_t r = 0; r < repeats; ++r)
+        pos.insert(pos.end(), graph.train_edges.begin(),
+                   graph.train_edges.end());
+    }
+    std::shuffle(pos.begin(), pos.end(), rng->generator());
+  };
 
   auto aggregate = [&](uint32_t v, float* agg, float* pre, float* emb) {
     std::fill(agg, agg + d, 0.0f);
@@ -209,20 +203,18 @@ Status MorseModel::Train(const GraphData& graph, const TrainConfig& config,
     }
   };
 
-  for (; epoch < config.epochs; ++epoch) {
-    KGNET_RETURN_IF_ERROR(config.cancel.CheckNow());
-    if (config.max_seconds > 0 && timer.Seconds() >= config.max_seconds) break;
-    loss_acc = 0.0f;
+  steps.epoch = [&](size_t epoch, tensor::Rng* rng) {
+    float loss = 0.0f;
     for (const Edge& e : pos) {
       for (size_t neg = 0; neg <= config.negatives_per_positive; ++neg) {
         uint32_t h = e.src, t = e.dst;
         float target = 1.0f;
         if (neg > 0) {
           target = -1.0f;
-          if (rng.NextFloat() < 0.5f) {
-            h = static_cast<uint32_t>(rng.NextUint(graph.num_nodes));
+          if (rng->NextFloat() < 0.5f) {
+            h = static_cast<uint32_t>(rng->NextUint(graph.num_nodes));
           } else {
-            t = static_cast<uint32_t>(rng.NextUint(graph.num_nodes));
+            t = static_cast<uint32_t>(rng->NextUint(graph.num_nodes));
           }
         }
         aggregate(h, agg_h.data(), pre_h.data(), eh.data());
@@ -240,8 +232,8 @@ Status MorseModel::Train(const GraphData& graph, const TrainConfig& config,
         }
         const float sigma = Sigmoid(-target * s);
         const float dL_ds = -target * sigma;
-        loss_acc += std::log1p(std::exp(-std::fabs(target * s))) +
-                    std::max(-target * s, 0.0f);
+        loss += std::log1p(std::exp(-std::fabs(target * s))) +
+                std::max(-target * s, 0.0f);
         for (size_t k = 0; k < d; ++k) {
           rv[k] -= lr * dL_ds * gr[k];
           gh[k] *= dL_ds;
@@ -251,61 +243,35 @@ Status MorseModel::Train(const GraphData& graph, const TrainConfig& config,
         backprop_entity(t, agg_t.data(), pre_t.data(), gt.data());
       }
     }
-    if (!graph.valid_edges.empty()) {
-      // Per-epoch validation uses sampled candidates even when the final
-      // evaluation does full ranking, so the budget is spent on training.
-      const size_t valid_candidates =
-          config.eval_candidates == 0 ? 100 : config.eval_candidates;
-      std::vector<size_t> ranks = RankTestEdges(
-          *this, graph, graph.valid_edges, valid_candidates,
-          config.seed + epoch, config.eval_within_type);
-      if (stopper.Update(MeanReciprocalRank(ranks))) {
-        // Snapshot the best-validation parameters; restored after the
-        // loop so late-epoch collapse cannot hurt the served model.
-        best_rel_types = rel_types_;
-        best_rel_scoring = rel_scoring_;
-        best_w = w_;
-        best_anchors = anchors_;
-        best_gates = role_gate_;
-        have_best = true;
-      }
-      if (stopper.Stop()) {
-        ++epoch;
-        break;
-      }
+    // Validation samples candidates even when the final evaluation ranks
+    // them all, so the budget is spent on training.
+    return EpochResult{loss, ValidationMrr(graph, config, epoch)};
+  };
+  // Snapshot the best-validation parameters; restored once training is
+  // over so late-epoch collapse cannot hurt the served model.
+  steps.improved = [&] {
+    best_rel_types = rel_types_;
+    best_rel_scoring = rel_scoring_;
+    best_w = w_;
+    best_anchors = anchors_;
+    best_gates = role_gate_;
+    have_best = true;
+  };
+  steps.finish = [&] {
+    if (have_best) {
+      rel_types_ = std::move(best_rel_types);
+      rel_scoring_ = std::move(best_rel_scoring);
+      w_ = std::move(best_w);
+      anchors_ = std::move(best_anchors);
+      role_gate_ = std::move(best_gates);
     }
-  }
-  if (have_best) {
-    rel_types_ = std::move(best_rel_types);
-    rel_scoring_ = std::move(best_rel_scoring);
-    w_ = std::move(best_w);
-    anchors_ = std::move(best_anchors);
-    role_gate_ = std::move(best_gates);
-  }
-
-  report->method = "MorsE";
-  report->epochs_run = epoch;
-  report->final_loss = loss_acc;
-  report->train_seconds = timer.Seconds();
-  report->peak_memory_bytes =
-      mem_scope.PeakBytes() + graph.StructureBytes();
-  report->valid_metric = stopper.best();
-
-  // Materialize entity embeddings for fast inference.
-  entity_cache_ = Matrix(graph.num_nodes, d);
-  for (uint32_t v = 0; v < graph.num_nodes; ++v)
-    ComputeEntityEmbedding(v, entity_cache_.Row(v));
-
-  Stopwatch infer_timer;
-  std::vector<size_t> ranks = RankTestEdges(*this, graph, graph.test_edges,
-                                            config.eval_candidates,
-                                            config.seed + 7919,
-                                            config.eval_within_type);
-  report->metric = HitsAtK(ranks, 10);
-  report->mrr = MeanReciprocalRank(ranks);
-  const size_t denom = graph.test_edges.empty() ? 1 : graph.test_edges.size();
-  report->inference_us = infer_timer.Micros() / denom;
-  return Status::OK();
+    // Materialize entity embeddings for fast inference.
+    entity_cache_ = Matrix(graph.num_nodes, d);
+    for (uint32_t v = 0; v < graph.num_nodes; ++v)
+      ComputeEntityEmbedding(v, entity_cache_.Row(v));
+  };
+  steps.test = [&](TrainReport* r) { return TestRanks(graph, config, r); };
+  return RunTraining("MorsE", graph, config, steps, report);
 }
 
 float MorseModel::Score(uint32_t src, uint32_t rel, uint32_t dst) const {

@@ -1,10 +1,11 @@
 #include "gml/rgcn.h"
 
+#include <memory>
+
 #include "gml/metrics.h"
+#include "gml/rgcn_net.h"
 #include "gml/train_util.h"
-#include "tensor/memory_meter.h"
 #include "tensor/optimizer.h"
-#include "tensor/rng.h"
 
 namespace kgnet::gml {
 
@@ -15,72 +16,31 @@ Status RgcnClassifier::Train(const GraphData& graph,
                              const TrainConfig& config, TrainReport* report) {
   if (graph.num_classes == 0)
     return Status::InvalidArgument("graph carries no classification labels");
-  tensor::PeakMemoryScope mem_scope;
-  Stopwatch timer;
-  tensor::Rng rng(config.seed);
-
-  const std::vector<CsrMatrix> adj = graph.BuildRelationalAdjacencies();
   const Matrix& x = graph.features;
-
-  net_ = std::make_unique<RgcnNet>(graph.feature_dim, config.hidden_dim,
-                                   graph.num_classes, adj.size(), &rng);
-  tensor::AdamOptimizer::Options aopts;
-  aopts.lr = config.lr;
-  tensor::AdamOptimizer opt(aopts);
-  net_->RegisterParams(&opt);
-
+  std::vector<CsrMatrix> adj;
+  std::unique_ptr<RgcnNet> net;
+  tensor::AdamOptimizer opt({.lr = config.lr});
   const std::vector<int> train_labels =
       MaskLabels(graph.labels, graph.target_nodes, graph.train_idx);
   const std::vector<int> valid_labels =
       MaskLabels(graph.labels, graph.target_nodes, graph.valid_idx);
 
-  EarlyStopper stopper(config.patience);
-  float loss = 0.0f;
-  size_t epoch = 0;
-  for (; epoch < config.epochs; ++epoch) {
-    KGNET_RETURN_IF_ERROR(config.cancel.CheckNow());
-    if (config.max_seconds > 0 && timer.Seconds() >= config.max_seconds) break;
-    loss = net_->TrainStep(adj, x, train_labels, &opt);
-    Matrix logits = net_->Forward(adj, x);
-    std::vector<int> preds = ArgmaxRows(logits);
-    stopper.Update(Accuracy(preds, valid_labels));
-    if (stopper.Stop()) {
-      ++epoch;
-      break;
-    }
-  }
-
-  report->method = "RGCN";
-  report->epochs_run = epoch;
-  report->final_loss = loss;
-  report->train_seconds = timer.Seconds();
-  report->peak_memory_bytes =
-      mem_scope.PeakBytes() + graph.StructureBytes();
-  report->valid_metric = stopper.best();
-
-  Stopwatch infer_timer;
-  Matrix logits = net_->Forward(adj, x);
-  cached_predictions_ = ArgmaxRows(logits);
-  const std::vector<int> test_labels =
-      MaskLabels(graph.labels, graph.target_nodes, graph.test_idx);
-  report->metric = Accuracy(cached_predictions_, test_labels);
-  report->macro_f1 =
-      MacroF1(cached_predictions_, test_labels, graph.num_classes);
-  const size_t denom =
-      graph.target_nodes.empty() ? 1 : graph.target_nodes.size();
-  report->inference_us = infer_timer.Micros() / denom;
-  return Status::OK();
-}
-
-std::vector<int> RgcnClassifier::Predict(const GraphData& graph,
-                                         const std::vector<uint32_t>& nodes) {
-  std::vector<int> out;
-  out.reserve(nodes.size());
-  for (uint32_t v : nodes)
-    out.push_back(v < cached_predictions_.size() ? cached_predictions_[v]
-                                                 : -1);
-  (void)graph;
-  return out;
+  TrainingSteps steps;
+  steps.init = [&](tensor::Rng* rng) {
+    adj = graph.BuildRelationalAdjacencies();
+    net = std::make_unique<RgcnNet>(graph.feature_dim, config.hidden_dim,
+                                    graph.num_classes, adj.size(), rng);
+    net->RegisterParams(&opt);
+  };
+  steps.epoch = [&](size_t, tensor::Rng*) {
+    const float loss = net->TrainStep(adj, x, train_labels, &opt);
+    return EpochResult{
+        loss, Accuracy(ArgmaxRows(net->Forward(adj, x)), valid_labels)};
+  };
+  steps.test = [&](TrainReport* r) {
+    return TestPredictions(graph, net->Forward(adj, x), r);
+  };
+  return RunTraining("RGCN", graph, config, steps, report);
 }
 
 }  // namespace kgnet::gml

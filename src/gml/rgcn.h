@@ -2,10 +2,7 @@
 #ifndef KGNET_GML_RGCN_H_
 #define KGNET_GML_RGCN_H_
 
-#include <memory>
-
 #include "gml/model.h"
-#include "gml/rgcn_net.h"
 
 namespace kgnet::gml {
 
@@ -17,13 +14,6 @@ class RgcnClassifier : public NodeClassifier {
  public:
   Status Train(const GraphData& graph, const TrainConfig& config,
                TrainReport* report) override;
-
-  std::vector<int> Predict(const GraphData& graph,
-                           const std::vector<uint32_t>& nodes) override;
-
- private:
-  std::unique_ptr<RgcnNet> net_;
-  std::vector<int> cached_predictions_;
 };
 
 }  // namespace kgnet::gml

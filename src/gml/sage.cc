@@ -1,12 +1,11 @@
 #include "gml/sage.h"
 
 #include <algorithm>
+#include <optional>
 
 #include "gml/metrics.h"
 #include "gml/train_util.h"
-#include "tensor/memory_meter.h"
 #include "tensor/optimizer.h"
-#include "tensor/rng.h"
 
 namespace kgnet::gml {
 
@@ -25,75 +24,78 @@ tensor::CsrMatrix BuildHomogeneousSubgraphAdjacency(const Subgraph& sub) {
   return adj.RowNormalized();
 }
 
-struct SageClassifier::Cache {
-  Matrix z0;    // Â·X
-  Matrix pre1;  // pre-activation of layer 1
-  Matrix mask;  // ReLU mask
-  Matrix h1;    // activations
-  Matrix z1;    // Â·H1
+namespace {
+
+/// The four weight matrices of a two-layer SAGE-mean network.
+struct SageNet {
+  struct Cache {
+    Matrix z0;    // Â·X
+    Matrix pre1;  // pre-activation of layer 1
+    Matrix mask;  // ReLU mask
+    Matrix h1;    // activations
+    Matrix z1;    // Â·H1
+  };
+
+  /// Forward over an adjacency + features; fills `cache` when training.
+  Matrix Forward(const CsrMatrix& adj, const Matrix& x, Cache* cache) const {
+    Matrix z0 = adj.SpMM(x);
+    Matrix pre1 = Matrix::MatMul(x, wself0);
+    pre1.Add(Matrix::MatMul(z0, wnbr0));
+    Matrix mask;
+    Matrix h1 = pre1;
+    h1.ReluInPlace(&mask);
+    Matrix z1 = adj.SpMM(h1);
+    Matrix logits = Matrix::MatMul(h1, wself1);
+    logits.Add(Matrix::MatMul(z1, wnbr1));
+    if (cache != nullptr) {
+      cache->z0 = std::move(z0);
+      cache->pre1 = std::move(pre1);
+      cache->mask = std::move(mask);
+      cache->h1 = std::move(h1);
+      cache->z1 = std::move(z1);
+    }
+    return logits;
+  }
+
+  Matrix wself0, wnbr0, wself1, wnbr1;
 };
 
-Matrix SageClassifier::Forward(const CsrMatrix& adj, const Matrix& x,
-                               Cache* cache) const {
-  Matrix z0 = adj.SpMM(x);
-  Matrix pre1 = Matrix::MatMul(x, wself0_);
-  pre1.Add(Matrix::MatMul(z0, wnbr0_));
-  Matrix mask;
-  Matrix h1 = pre1;
-  h1.ReluInPlace(&mask);
-  Matrix z1 = adj.SpMM(h1);
-  Matrix logits = Matrix::MatMul(h1, wself1_);
-  logits.Add(Matrix::MatMul(z1, wnbr1_));
-  if (cache != nullptr) {
-    cache->z0 = std::move(z0);
-    cache->pre1 = std::move(pre1);
-    cache->mask = std::move(mask);
-    cache->h1 = std::move(h1);
-    cache->z1 = std::move(z1);
-  }
-  return logits;
-}
+}  // namespace
 
 Status SageClassifier::Train(const GraphData& graph,
                              const TrainConfig& config, TrainReport* report) {
   if (graph.num_classes == 0)
     return Status::InvalidArgument("graph carries no classification labels");
-  tensor::PeakMemoryScope mem_scope;
-  Stopwatch timer;
-  tensor::Rng rng(config.seed);
-
-  wself0_ = Matrix(graph.feature_dim, config.hidden_dim);
-  wself0_.XavierInit(&rng);
-  wnbr0_ = Matrix(graph.feature_dim, config.hidden_dim);
-  wnbr0_.XavierInit(&rng);
-  wself1_ = Matrix(config.hidden_dim, graph.num_classes);
-  wself1_.XavierInit(&rng);
-  wnbr1_ = Matrix(config.hidden_dim, graph.num_classes);
-  wnbr1_.XavierInit(&rng);
-
-  tensor::AdamOptimizer::Options aopts;
-  aopts.lr = config.lr;
-  tensor::AdamOptimizer opt(aopts);
-  opt.Register(&wself0_);
-  opt.Register(&wnbr0_);
-  opt.Register(&wself1_);
-  opt.Register(&wnbr1_);
-
-  AdjacencyList adj_list(graph);
+  SageNet net;
+  tensor::AdamOptimizer opt({.lr = config.lr});
+  std::optional<AdjacencyList> adj_list;
   const std::vector<int> valid_labels =
       MaskLabels(graph.labels, graph.target_nodes, graph.valid_idx);
   std::vector<uint32_t> train_nodes;
   for (uint32_t idx : graph.train_idx)
     train_nodes.push_back(graph.target_nodes[idx]);
-
-  EarlyStopper stopper(config.patience);
+  std::vector<uint32_t> vnodes;
+  for (uint32_t idx : graph.valid_idx)
+    vnodes.push_back(graph.target_nodes[idx]);
   float loss = 0.0f;
-  size_t epoch = 0;
-  for (; epoch < config.epochs; ++epoch) {
-    KGNET_RETURN_IF_ERROR(config.cancel.CheckNow());
-    if (config.max_seconds > 0 && timer.Seconds() >= config.max_seconds)
-      break;
-    std::shuffle(train_nodes.begin(), train_nodes.end(), rng.generator());
+  CsrMatrix test_adj;
+
+  TrainingSteps steps;
+  steps.init = [&](tensor::Rng* rng) {
+    for (Matrix* w : {&net.wself0, &net.wnbr0}) {
+      *w = Matrix(graph.feature_dim, config.hidden_dim);
+      w->XavierInit(rng);
+    }
+    for (Matrix* w : {&net.wself1, &net.wnbr1}) {
+      *w = Matrix(config.hidden_dim, graph.num_classes);
+      w->XavierInit(rng);
+    }
+    for (Matrix* w : {&net.wself0, &net.wnbr0, &net.wself1, &net.wnbr1})
+      opt.Register(w);
+    adj_list.emplace(graph);
+  };
+  steps.epoch = [&](size_t, tensor::Rng* rng) {
+    std::shuffle(train_nodes.begin(), train_nodes.end(), rng->generator());
     for (size_t start = 0; start < train_nodes.size();
          start += config.batch_size) {
       const size_t end =
@@ -102,8 +104,8 @@ Status SageClassifier::Train(const GraphData& graph,
                                   train_nodes.begin() + end);
       // Two-hop sampled neighborhood (SAGE fanout via neighbor budget).
       Subgraph sub =
-          SampleShadowSubgraph(graph, adj_list, seeds, 2,
-                               config.shadow_neighbor_budget, &rng);
+          SampleShadowSubgraph(graph, *adj_list, seeds, 2,
+                               config.shadow_neighbor_budget, rng);
       if (sub.nodes.empty()) continue;
       CsrMatrix adj = BuildHomogeneousSubgraphAdjacency(sub);
       std::vector<size_t> idx(sub.nodes.begin(), sub.nodes.end());
@@ -115,16 +117,16 @@ Status SageClassifier::Train(const GraphData& graph,
       }
 
       // ---- forward / backward ----
-      Cache cache;
-      Matrix logits = Forward(adj, x, &cache);
+      SageNet::Cache cache;
+      Matrix logits = net.Forward(adj, x, &cache);
       Matrix dlogits;
       loss = tensor::SoftmaxCrossEntropy(logits, labels, &dlogits);
 
       Matrix dwself1 = Matrix::MatMulTransA(cache.h1, dlogits);
       Matrix dwnbr1 = Matrix::MatMulTransA(cache.z1, dlogits);
       // dH1 = dlogits·Wself1ᵀ + Âᵀ(dlogits·Wnbr1ᵀ)
-      Matrix dh1 = Matrix::MatMulTransB(dlogits, wself1_);
-      Matrix tmp = Matrix::MatMulTransB(dlogits, wnbr1_);
+      Matrix dh1 = Matrix::MatMulTransB(dlogits, net.wself1);
+      Matrix tmp = Matrix::MatMulTransB(dlogits, net.wnbr1);
       dh1.Add(adj.SpMMTransposed(tmp));
       dh1.Hadamard(cache.mask);
       Matrix dwself0 = Matrix::MatMulTransA(x, dh1);
@@ -134,71 +136,40 @@ Status SageClassifier::Train(const GraphData& graph,
     }
 
     // Validation on the valid nodes' sampled neighborhoods.
-    std::vector<uint32_t> vnodes;
-    for (uint32_t idx2 : graph.valid_idx)
-      vnodes.push_back(graph.target_nodes[idx2]);
+    EpochResult result{loss, std::nullopt};
     if (!vnodes.empty()) {
       Subgraph vsub =
-          SampleShadowSubgraph(graph, adj_list, vnodes, 2,
-                               config.shadow_neighbor_budget, &rng);
+          SampleShadowSubgraph(graph, *adj_list, vnodes, 2,
+                               config.shadow_neighbor_budget, rng);
       CsrMatrix adj = BuildHomogeneousSubgraphAdjacency(vsub);
       std::vector<size_t> idx(vsub.nodes.begin(), vsub.nodes.end());
       Matrix x = graph.features.GatherRows(idx);
-      Matrix logits = Forward(adj, x, nullptr);
-      std::vector<int> preds = ArgmaxRows(logits);
+      Matrix logits = net.Forward(adj, x, nullptr);
       std::vector<int> vlabels(vsub.nodes.size(), -1);
       for (uint32_t i = 0; i < vsub.nodes.size(); ++i) {
         const uint32_t orig = vsub.nodes[i];
         if (valid_labels[orig] >= 0) vlabels[i] = valid_labels[orig];
       }
-      stopper.Update(Accuracy(preds, vlabels));
-      if (stopper.Stop()) {
-        ++epoch;
-        break;
-      }
+      result.valid_metric = Accuracy(ArgmaxRows(logits), vlabels);
     }
-  }
-
-  report->method = "Graph-SAGE";
-  report->epochs_run = epoch;
-  report->final_loss = loss;
-  report->train_seconds = timer.Seconds();
-  report->peak_memory_bytes =
-      mem_scope.PeakBytes() + graph.StructureBytes();
-  report->valid_metric = stopper.best();
-
-  // Full-graph evaluation: the whole graph is one "subgraph".
-  Subgraph full;
-  full.nodes.resize(graph.num_nodes);
-  for (uint32_t v = 0; v < graph.num_nodes; ++v) {
-    full.nodes[v] = v;
-    full.local_of.emplace(v, v);
-  }
-  full.edges = graph.edges;
-  CsrMatrix adj = BuildHomogeneousSubgraphAdjacency(full);
-  Stopwatch infer_timer;
-  Matrix logits = Forward(adj, graph.features, nullptr);
-  cached_predictions_ = ArgmaxRows(logits);
-  const std::vector<int> test_labels =
-      MaskLabels(graph.labels, graph.target_nodes, graph.test_idx);
-  report->metric = Accuracy(cached_predictions_, test_labels);
-  report->macro_f1 =
-      MacroF1(cached_predictions_, test_labels, graph.num_classes);
-  const size_t denom =
-      graph.target_nodes.empty() ? 1 : graph.target_nodes.size();
-  report->inference_us = infer_timer.Micros() / denom;
-  return Status::OK();
-}
-
-std::vector<int> SageClassifier::Predict(const GraphData& graph,
-                                         const std::vector<uint32_t>& nodes) {
-  std::vector<int> out;
-  out.reserve(nodes.size());
-  for (uint32_t v : nodes)
-    out.push_back(v < cached_predictions_.size() ? cached_predictions_[v]
-                                                 : -1);
-  (void)graph;
-  return out;
+    return result;
+  };
+  steps.finish = [&] {
+    // Full-graph evaluation: the whole graph is one "subgraph".
+    Subgraph full;
+    full.nodes.resize(graph.num_nodes);
+    for (uint32_t v = 0; v < graph.num_nodes; ++v) {
+      full.nodes[v] = v;
+      full.local_of.emplace(v, v);
+    }
+    full.edges = graph.edges;
+    test_adj = BuildHomogeneousSubgraphAdjacency(full);
+  };
+  steps.test = [&](TrainReport* r) {
+    return TestPredictions(
+        graph, net.Forward(test_adj, graph.features, nullptr), r);
+  };
+  return RunTraining("Graph-SAGE", graph, config, steps, report);
 }
 
 }  // namespace kgnet::gml

@@ -5,7 +5,7 @@
 
 #include "gml/model.h"
 #include "gml/sampler.h"
-#include "tensor/matrix.h"
+#include "tensor/csr_matrix.h"
 
 namespace kgnet::gml {
 
@@ -20,18 +20,6 @@ class SageClassifier : public NodeClassifier {
  public:
   Status Train(const GraphData& graph, const TrainConfig& config,
                TrainReport* report) override;
-
-  std::vector<int> Predict(const GraphData& graph,
-                           const std::vector<uint32_t>& nodes) override;
-
- private:
-  struct Cache;
-  /// Forward over an adjacency + features; fills `cache` when training.
-  tensor::Matrix Forward(const tensor::CsrMatrix& adj,
-                         const tensor::Matrix& x, Cache* cache) const;
-
-  tensor::Matrix wself0_, wnbr0_, wself1_, wnbr1_;
-  std::vector<int> cached_predictions_;
 };
 
 /// Builds the row-normalized undirected homogeneous adjacency of `sub`.

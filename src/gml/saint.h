@@ -2,11 +2,7 @@
 #ifndef KGNET_GML_SAINT_H_
 #define KGNET_GML_SAINT_H_
 
-#include <memory>
-
 #include "gml/model.h"
-#include "gml/rgcn_net.h"
-#include "gml/sampler.h"
 
 namespace kgnet::gml {
 
@@ -17,13 +13,6 @@ class GraphSaintClassifier : public NodeClassifier {
  public:
   Status Train(const GraphData& graph, const TrainConfig& config,
                TrainReport* report) override;
-
-  std::vector<int> Predict(const GraphData& graph,
-                           const std::vector<uint32_t>& nodes) override;
-
- private:
-  std::unique_ptr<RgcnNet> net_;
-  std::vector<int> cached_predictions_;
 };
 
 /// ShadowSAINT / shaDow-GNN (Zeng et al.'22): decouples depth and scope by
@@ -33,13 +22,6 @@ class ShadowSaintClassifier : public NodeClassifier {
  public:
   Status Train(const GraphData& graph, const TrainConfig& config,
                TrainReport* report) override;
-
-  std::vector<int> Predict(const GraphData& graph,
-                           const std::vector<uint32_t>& nodes) override;
-
- private:
-  std::unique_ptr<RgcnNet> net_;
-  std::vector<int> cached_predictions_;
 };
 
 }  // namespace kgnet::gml

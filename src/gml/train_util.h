@@ -50,30 +50,6 @@ inline std::vector<int> MaskLabels(const std::vector<int>& labels,
   return out;
 }
 
-/// Early-stopping tracker: call Update(metric) per epoch; Stop() turns true
-/// after `patience` epochs without improvement.
-class EarlyStopper {
- public:
-  explicit EarlyStopper(size_t patience) : patience_(patience) {}
-  /// Returns true if `metric` improved the best value.
-  bool Update(double metric) {
-    if (metric > best_) {
-      best_ = metric;
-      stale_ = 0;
-      return true;
-    }
-    ++stale_;
-    return false;
-  }
-  bool Stop() const { return patience_ > 0 && stale_ >= patience_; }
-  double best() const { return best_; }
-
- private:
-  size_t patience_;
-  size_t stale_ = 0;
-  double best_ = -1.0;
-};
-
 }  // namespace kgnet::gml
 
 #endif  // KGNET_GML_TRAIN_UTIL_H_

@@ -18,18 +18,6 @@ using rdf::TermId;
 using rdf::Triple;
 using rdf::TriplePattern;
 
-/// Binds the free positions of `cp` from `t` into `sol`; false when a
-/// repeated variable (e.g. ?x <p> ?x) sees two different ids.
-bool BindTripleIntoSolution(const CompiledPattern& cp, const Triple& t,
-                            Solution* sol) {
-  if (cp.s_slot >= 0) (*sol)[cp.s_slot] = t.s;
-  if (cp.p_slot >= 0) (*sol)[cp.p_slot] = t.p;
-  if (cp.o_slot >= 0) (*sol)[cp.o_slot] = t.o;
-  return (cp.s_slot < 0 || (*sol)[cp.s_slot] == t.s) &&
-         (cp.p_slot < 0 || (*sol)[cp.p_slot] == t.p) &&
-         (cp.o_slot < 0 || (*sol)[cp.o_slot] == t.o);
-}
-
 std::string RowKey(const std::vector<Term>& row) {
   std::string key;
   for (const Term& t : row) {
@@ -164,11 +152,9 @@ class IdRowSet {
   std::vector<uint32_t> index_;  // 1-based row number; 0 = empty
 };
 
-/// Drains `next` (one full-width solution per call) into `result`,
+/// Drains `exec` (one full-width solution per Next) into `result`,
 /// applying the query's projection, then DISTINCT, then OFFSET, then
-/// LIMIT — in that order. Shared by the operator-tree streaming path and
-/// the single-pattern fast path below, so the two row pipelines cannot
-/// drift apart semantically.
+/// LIMIT — in that order.
 ///
 /// When every projection item is a plain variable, DISTINCT compares the
 /// projected TermIds before anything is decoded: ids are 1:1 with terms
@@ -177,8 +163,7 @@ class IdRowSet {
 /// and OFFSET are decoded. A projection with an expression falls back
 /// to comparing decoded term keys.
 Status DrainSelectRows(const Query& query, EvalContext* ctx,
-                       const std::vector<SelectItem>& items,
-                       const std::function<bool(Solution*)>& next,
+                       const std::vector<SelectItem>& items, Operator* exec,
                        Solution* sol, QueryResult* result) {
   const std::vector<int> slots = ProjectionSlots(items, *ctx);
   // Plain variables project without evaluation and never fail, so their
@@ -192,10 +177,9 @@ Status DrainSelectRows(const Query& query, EvalContext* ctx,
   size_t skipped = 0;
   while ((query.limit < 0 ||
           result->rows.size() < static_cast<size_t>(query.limit)) &&
-         next(sol)) {
-    // Cancellation poll per drained row: covers the single-pattern fast
-    // path (whose cursor loop has no operator underneath) and catches a
-    // trip between operator pulls on the streaming path.
+         exec->Next(sol)) {
+    // Cancellation poll per drained row: catches a trip between operator
+    // pulls.
     KGNET_RETURN_IF_ERROR(ctx->cancel.Check());
     if (id_distinct) {
       for (size_t i = 0; i < items.size(); ++i) ids[i] = ItemId(slots[i], *sol);
@@ -217,51 +201,6 @@ Status DrainSelectRows(const Query& query, EvalContext* ctx,
     result->rows.push_back(std::move(*row));
   }
   return Status::OK();
-}
-
-/// Single-pattern fast path: a streaming SELECT/ASK whose WHERE clause
-/// is one triple pattern — fully or near bound in practice — and no
-/// FILTER/UNION/OPTIONAL/sub-SELECT needs no operator tree: the answer
-/// is exactly one index range. The planned tree would reach the same
-/// range through more work than the scan itself on a point lookup: the
-/// planner probes the range of every permutation index to cost the scan
-/// choices, then allocates the scan and seed operators. So Execute()
-/// answers such queries straight from a TripleStore cursor. Semantics are
-/// identical to the operator tree: repeated-variable consistency,
-/// DISTINCT-before-OFFSET, LIMIT, and projection all mirror the
-/// streaming path (the differential oracle suite covers this path for
-/// every single-pattern case it generates).
-Result<QueryResult> ExecuteSinglePattern(const Query& query,
-                                         EvalContext* ctx) {
-  const CompiledPattern cp = CompilePattern(query.where.triples[0], ctx);
-  const size_t width = ctx->vars.size();
-  Solution sol(width, kNullTermId);
-  const TriplePattern consts = BindPattern(cp, sol);
-  const rdf::Snapshot& snapshot = ctx->snapshot;
-  rdf::TripleCursor cursor =
-      snapshot.OpenCursor(snapshot.ChooseIndex(consts), consts);
-
-  // One matching, consistently-bound solution per call.
-  auto next = [&](Solution* s) {
-    Triple t;
-    while (cursor.Next(&t)) {
-      std::fill(s->begin(), s->end(), kNullTermId);
-      if (BindTripleIntoSolution(cp, t, s)) return true;
-    }
-    return false;
-  };
-
-  QueryResult result;
-  if (query.kind == QueryKind::kAsk) {
-    result.ask_result = next(&sol);
-    return result;
-  }
-
-  std::vector<SelectItem> items = ProjectionItems(query, *ctx);
-  for (const auto& it : items) result.columns.push_back(it.alias);
-  KGNET_RETURN_IF_ERROR(
-      DrainSelectRows(query, ctx, items, next, &sol, &result));
-  return result;
 }
 
 /// Wraps the WHERE-clause plan in Project/Limit nodes and renders it.
@@ -415,17 +354,6 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
   }
   ExecStats stats;
 
-  // 0. Single-pattern fast path (see ExecuteSinglePattern). Skipped when
-  // the caller asked for an ExecInfo so plan introspection and the
-  // rows_scanned counter still reflect the full operator tree.
-  if (info == nullptr &&
-      (query.kind == QueryKind::kSelect || query.kind == QueryKind::kAsk) &&
-      query.where.triples.size() == 1 && query.where.subselects.empty() &&
-      query.where.filters.empty() && query.where.unions.empty() &&
-      query.where.optionals.empty()) {
-    return ExecuteSinglePattern(query, &ctx);
-  }
-
   QueryResult result;
   if (query.kind == QueryKind::kInsertData) {
     for (const auto& pt : query.update_template) {
@@ -513,9 +441,8 @@ Result<QueryResult> QueryEngine::Execute(const Query& query,
   if (query.kind == QueryKind::kSelect) {
     std::vector<SelectItem> items = ProjectionItems(query, ctx);
     for (const auto& it : items) result.columns.push_back(it.alias);
-    KGNET_RETURN_IF_ERROR(DrainSelectRows(
-        query, &ctx, items, [&](Solution* s) { return plan.exec->Next(s); },
-        &sol, &result));
+    KGNET_RETURN_IF_ERROR(
+        DrainSelectRows(query, &ctx, items, plan.exec.get(), &sol, &result));
     KGNET_RETURN_IF_ERROR(plan.exec->status());
     report();
     return result;

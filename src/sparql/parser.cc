@@ -168,6 +168,21 @@ class Parser {
     return Status::OK();
   }
 
+  /// The integer literal `text` (an optional '-', then digits), which
+  /// must fit in int64.
+  Result<int64_t> IntLiteral(const std::string& text) const {
+    const bool negative = text[0] == '-';
+    const std::optional<uint64_t> magnitude = common::ParseInt(
+        std::string_view(text).substr(negative ? 1 : 0), 0,
+        static_cast<uint64_t>(INT64_MAX) + (negative ? 1 : 0));
+    if (!magnitude)
+      return Err("integer literal " + text + " is outside [" +
+                 std::to_string(INT64_MIN) + ", " +
+                 std::to_string(INT64_MAX) + "]");
+    return negative ? -static_cast<int64_t>(*magnitude - 1) - 1
+                    : static_cast<int64_t>(*magnitude);
+  }
+
   Status ParseInsert(Query* q) {
     Next();  // INSERT
     if (AcceptKeyword("DATA")) {
@@ -313,8 +328,8 @@ class Parser {
         if (t.text.find('.') != std::string::npos)
           return NodeRef::Const(
               rdf::Term::DoubleLiteral(std::atof(t.text.c_str())));
-        return NodeRef::Const(
-            rdf::Term::IntLiteral(std::atoll(t.text.c_str())));
+        KGNET_ASSIGN_OR_RETURN(const int64_t v, IntLiteral(t.text));
+        return NodeRef::Const(rdf::Term::IntLiteral(v));
       }
       case TokenKind::kKeyword:
         if (t.text == "A") {
@@ -422,7 +437,8 @@ class Parser {
       Next();
       if (t.text.find('.') != std::string::npos)
         return Expr::Const(rdf::Term::DoubleLiteral(std::atof(t.text.c_str())));
-      return Expr::Const(rdf::Term::IntLiteral(std::atoll(t.text.c_str())));
+      KGNET_ASSIGN_OR_RETURN(const int64_t v, IntLiteral(t.text));
+      return Expr::Const(rdf::Term::IntLiteral(v));
     }
     if (t.kind == TokenKind::kIri) {
       Next();

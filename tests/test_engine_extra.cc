@@ -189,9 +189,9 @@ TEST_F(DistinctTest, IdDistinctMatchesTermDedupe) {
   }
 }
 
-// The single-pattern fast path drains through the same id dedupe; a
-// variable the pattern never binds projects as UNDEF in every row.
-TEST_F(DistinctTest, IdDistinctOnTheSinglePatternFastPath) {
+// A single triple pattern drains through the same id dedupe; a variable
+// the pattern never binds projects as UNDEF in every row.
+TEST_F(DistinctTest, IdDistinctOnASinglePattern) {
   EXPECT_EQ(Rows("SELECT DISTINCT ?t WHERE { ?n a ?t . }").size(), 1u);
   const auto plain =
       Rows("SELECT ?c ?nowhere WHERE { ?n <http://x/color> ?c . }");
@@ -206,8 +206,8 @@ TEST_F(DistinctTest, IdDistinctOnTheSinglePatternFastPath) {
             Slice(FirstOccurrences(
                       Rows("SELECT ?c WHERE { ?n <http://x/color> ?c . }")),
                   1, 1));
-  // The fast path and the planned tree (taken when an ExecInfo is
-  // requested) agree row for row.
+  // Asking for an ExecInfo (plan text, counters) does not change the
+  // rows.
   auto q = ParseQuery("SELECT DISTINCT ?c WHERE { ?n <http://x/color> ?c . }");
   ASSERT_TRUE(q.ok());
   ExecInfo info;

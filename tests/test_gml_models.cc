@@ -205,12 +205,12 @@ TEST_P(NodeClassifierTest, LearnsPlantedVenueSignal) {
   EXPECT_GT(report.epochs_run, 0u);
   EXPECT_GT(report.train_seconds, 0.0);
   EXPECT_GT(report.peak_memory_bytes, 0u);
-  // Predict() covers all target nodes.
-  std::vector<int> preds = (*model)->Predict(g, g.target_nodes);
-  ASSERT_EQ(preds.size(), g.target_nodes.size());
-  for (int p : preds) {
-    EXPECT_GE(p, 0);
-    EXPECT_LT(p, static_cast<int>(g.num_classes));
+  // predictions() covers every node, each target with a class.
+  const std::vector<int>& preds = (*model)->predictions();
+  ASSERT_EQ(preds.size(), g.num_nodes);
+  for (uint32_t v : g.target_nodes) {
+    EXPECT_GE(preds[v], 0);
+    EXPECT_LT(preds[v], static_cast<int>(g.num_classes));
   }
 }
 

@@ -103,6 +103,31 @@ TEST(ParserTest, LimitAndOffsetTakeANonNegativeInt64) {
   }
 }
 
+// An integer literal must fit in int64, in a triple and in a FILTER
+// alike; a wider one is a ParseError naming the range, never a clamp.
+TEST(ParserTest, IntegerLiteralsMustFitInt64) {
+  const std::string range =
+      "is outside [-9223372036854775808, 9223372036854775807]";
+  auto q = ParseQuery(
+      "SELECT ?s WHERE { ?s <p> -9223372036854775808 . "
+      "FILTER(?s != 9223372036854775807) }");
+  ASSERT_TRUE(q.ok()) << q.status();
+  EXPECT_EQ(q->where.triples[0].o.term.lexical, "-9223372036854775808");
+  EXPECT_EQ(q->where.filters[0]->args[1]->constant.lexical,
+            "9223372036854775807");
+  for (const char* bad :
+       {"SELECT ?s WHERE { ?s <p> 99999999999999999999 . }",
+        "SELECT ?s WHERE { ?s <p> -9223372036854775809 . }",
+        "SELECT ?s WHERE { ?s <p> ?v . FILTER(?v > 99999999999999999999) }",
+        "SELECT ?s WHERE { ?s <p> ?v . FILTER(?v < 9223372036854775808) }"}) {
+    auto r = ParseQuery(bad);
+    ASSERT_FALSE(r.ok()) << bad;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << r.status();
+    EXPECT_NE(r.status().message().find(range), std::string::npos)
+        << r.status();
+  }
+}
+
 TEST(ParserTest, ParsesSemicolonPredicateLists) {
   auto q = ParseQuery(
       "SELECT ?s WHERE { ?s <p1> ?a ; <p2> ?b . }");

@@ -198,6 +198,67 @@ TEST_F(SparqlMlAnalysisTest, ExplainOnPlainSparql) {
   EXPECT_FALSE(ex->is_sparql_ml);
 }
 
+// TrainGML's numeric fields come from outside the process. Each is an
+// integer in a stated range (LearningRate a number in (0, 10]); anything
+// else is InvalidArgument naming the field and its range, before any
+// training starts.
+TEST_F(SparqlMlAnalysisTest, TrainSpecChecksItsNumericFields) {
+  auto parse = [&](const std::string& fields) {
+    return kg_.service().ParseTrainSpec(
+        "{Name: 'x', GML-Task: {TaskType: kgnet:NodeClassifier, "
+        "TargetNode: dblp:Publication, NodeLabel: dblp:publishedIn}, " +
+            fields + "}",
+        {});
+  };
+  struct Bad {
+    const char* fields;
+    const char* want;
+  };
+  const Bad bad_inputs[] = {
+      {"Hyperparameters: {Epochs: -1}", "Epochs must be an integer in [1, 10000]"},
+      {"Hyperparameters: {Epochs: 2.7}", "Epochs must be an integer"},
+      {"Hyperparameters: {Epochs: 0}", "Epochs must be an integer"},
+      {"Hyperparameters: {Epochs: '40'}", "Epochs must be an integer"},
+      {"Hyperparameters: {HiddenDim: 1e12}", "HiddenDim must be an integer in [1, 1024]"},
+      {"Hyperparameters: {EmbedDim: -8}", "EmbedDim must be an integer in [1, 1024]"},
+      {"Hyperparameters: {Patience: 1e30}", "Patience must be an integer in [0, 10000]"},
+      {"Hyperparameters: {LearningRate: 0}", "LearningRate must be a number in (0, 10]"},
+      {"Hyperparameters: {LearningRate: -0.01}", "LearningRate must be a number"},
+      {"Hyperparameters: {LearningRate: 1e300}", "LearningRate must be a number"},
+      {"MetaSampling: {Hops: -1}", "Hops must be an integer in [1, 4]"},
+      {"MetaSampling: {Hops: 4294967296}", "Hops must be an integer in [1, 4]"},
+      {"MetaSampling: {Direction: 3}", "Direction must be an integer in [1, 2]"},
+      {"MetaSampling: {Direction: 1.5}", "Direction must be an integer in [1, 2]"},
+  };
+  for (const Bad& bad : bad_inputs) {
+    auto spec = parse(bad.fields);
+    ASSERT_FALSE(spec.ok()) << bad.fields;
+    EXPECT_EQ(spec.status().code(), StatusCode::kInvalidArgument)
+        << bad.fields;
+    EXPECT_NE(spec.status().message().find(bad.want), std::string::npos)
+        << bad.fields << ": " << spec.status();
+  }
+
+  // The shapes the benchmark and the examples send are accepted as given.
+  auto spec = parse(
+      "MetaSampling: {Direction: 2, Hops: 1}, Hyperparameters: {Epochs: 40, "
+      "LearningRate: 0.05, HiddenDim: 16, EmbedDim: 16, Patience: 0}");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  EXPECT_EQ(spec->config.epochs, 40u);
+  EXPECT_EQ(spec->config.lr, 0.05f);
+  EXPECT_EQ(spec->config.hidden_dim, 16u);
+  EXPECT_EQ(spec->config.embed_dim, 16u);
+  EXPECT_EQ(spec->config.patience, 0u);
+  EXPECT_EQ(spec->hops, 1u);
+  EXPECT_EQ(spec->direction, SampleDirection::kBidirectional);
+  // Absent fields keep their defaults.
+  spec = parse("Hyperparameters: {Epochs: 60, Patience: 25, HiddenDim: 16}");
+  ASSERT_TRUE(spec.ok()) << spec.status();
+  EXPECT_EQ(spec->config.embed_dim, gml::TrainConfig().embed_dim);
+  EXPECT_EQ(spec->hops, 1u);
+  EXPECT_FALSE(spec->direction.has_value());
+}
+
 TEST_F(SparqlMlAnalysisTest, EntitySimilarityEndToEnd) {
   // Train an ES model through TrainGML and query it through SPARQL-ML.
   auto train = kg_.Execute(std::string(kPrefixes) +
