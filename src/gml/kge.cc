@@ -111,7 +111,6 @@ Status KgeModel::Train(const GraphData& graph, const TrainConfig& config,
   // embeddings (the task edges are already appended to graph.edges by the
   // transformer, so graph.edges suffices).
   const std::vector<Edge>& pos_edges = graph.edges;
-  const float lr = config.lr;
   std::vector<float> gh, gr, gt;
   Matrix best_entities, best_relations;
   bool have_best = false;
@@ -131,6 +130,9 @@ Status KgeModel::Train(const GraphData& graph, const TrainConfig& config,
     gt.resize(dim_);
   };
   steps.epoch = [&](size_t epoch, tensor::Rng* rng) {
+    // A local, not a capture: the row updates below store floats, which
+    // would make the compiler reload a float read through a reference.
+    const float lr = config.lr;
     float loss = 0.0f;
     for (size_t bstart = 0; bstart < pos_edges.size();
          bstart += config.batch_size) {

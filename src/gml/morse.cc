@@ -61,7 +61,6 @@ Status MorseModel::Train(const GraphData& graph, const TrainConfig& config,
                          TrainReport* report) {
   if (graph.train_edges.empty())
     return Status::InvalidArgument("graph carries no link-prediction edges");
-  const float lr = config.lr;
   const size_t d = config.embed_dim;
   std::vector<float> eh(d), et(d), gh(d), gt(d), gr(d);
   std::vector<float> agg_h(d), agg_t(d), pre_h(d), pre_t(d);
@@ -164,6 +163,7 @@ Status MorseModel::Train(const GraphData& graph, const TrainConfig& config,
   // Backprops d(loss)/d(emb) into rel_types_ and w_ for node v.
   auto backprop_entity = [&](uint32_t v, const float* agg, const float* pre,
                              const float* demb) {
+    const float lr = config.lr;
     std::vector<float> dpre(demb, demb + d);
     (void)pre;
     // dW[i][k] += dpre[i] * agg[k]; dagg[k] = sum_i dpre[i] * W[i][k]
@@ -204,6 +204,9 @@ Status MorseModel::Train(const GraphData& graph, const TrainConfig& config,
   };
 
   steps.epoch = [&](size_t epoch, tensor::Rng* rng) {
+    // A local, not a capture: the updates below store floats, which would
+    // make the compiler reload a float read through a reference.
+    const float lr = config.lr;
     float loss = 0.0f;
     for (const Edge& e : pos) {
       for (size_t neg = 0; neg <= config.negatives_per_positive; ++neg) {
