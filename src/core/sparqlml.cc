@@ -1,9 +1,7 @@
 #include "core/sparqlml.h"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/string_util.h"
 #include "core/json.h"
@@ -34,6 +32,13 @@ bool IsKgnetIri(const std::string& iri) {
   return StartsWith(iri, kKgnetNs);
 }
 
+/// The optional third UDF argument k (at least 1, default 1).
+size_t TopKArg(const std::vector<Term>& args) {
+  double k = 1;
+  if (args.size() < 3 || !args[2].AsDouble(&k) || !(k >= 1)) return 1;
+  return static_cast<size_t>(k);
+}
+
 /// The integer field `name` of the TrainGML object `obj`: a JSON number
 /// with an integer value in [lo, hi], or `fallback` when the field is
 /// absent. The payload comes from outside the process, so anything else
@@ -50,6 +55,50 @@ Result<uint64_t> IntField(const JsonValue& obj, const char* name,
         std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
   return static_cast<uint64_t>(x);
+}
+
+/// Binds the object variable of `udp` to the UDF call of its model and
+/// plan, adding the Figure 12 sub-select that builds the dictionary.
+void BindUdp(const UserDefinedPredicate& udp, Query* out) {
+  const Term model = Term::Iri(udp.model.uri);
+  sparql::ExprPtr call;
+  if (udp.task != gml::TaskType::kNodeClassification) {
+    call = Expr::Call(
+        udp.task == gml::TaskType::kLinkPrediction ? kUdfGetLinkPred
+                                                   : kUdfGetSimilarEntity,
+        {Expr::Const(model), Expr::Var(udp.subject_var),
+         Expr::Const(Term::IntLiteral(static_cast<int64_t>(udp.topk)))});
+  } else if (udp.plan == RewritePlan::kPerInstance) {
+    // Figure 11: sql:UDFS.getNodeClass($m, ?paper) AS ?venue
+    call = Expr::Call(kUdfGetNodeClass,
+                      {Expr::Const(model), Expr::Var(udp.subject_var)});
+  } else {
+    // Figure 12: an inner sub-select builds ?venue_dic once with
+    // { SELECT getNodeClassDict($m) AS ?venue_dic WHERE { } }, then
+    // sql:UDFS.getKeyValue(?venue_dic, ?paper) AS ?venue.
+    const std::string dict_var = udp.object_var + "_dic";
+    call = Expr::Call(kUdfGetKeyValue,
+                      {Expr::Var(dict_var), Expr::Var(udp.subject_var)});
+    auto sub = std::make_shared<Query>();
+    sub->kind = QueryKind::kSelect;
+    sub->prefixes = out->prefixes;
+    sub->select.push_back(
+        {Expr::Call(kUdfGetNodeClassDict, {Expr::Const(model)}), dict_var});
+    out->where.subselects.push_back(std::move(sub));
+  }
+
+  // Replace projections of the object variable with the UDF call.
+  bool replaced = false;
+  for (sparql::SelectItem& item : out->select) {
+    if (item.expr->op == sparql::ExprOp::kVar &&
+        item.expr->var == udp.object_var) {
+      item.expr = call;
+      replaced = true;
+    }
+  }
+  // Object var not projected: still evaluate the UDF so the pattern's
+  // semantics (prediction exists) are preserved.
+  if (!replaced) out->select.push_back({call, udp.object_var});
 }
 
 }  // namespace
@@ -110,15 +159,10 @@ void SparqlMlService::RegisterUdfs() {
         if (args.size() < 2 || !args[0].is_iri() || !args[1].is_iri())
           return Status::InvalidArgument(
               "getSimilarEntity(model IRI, node IRI[, k]) expected");
-        size_t k = 1;
-        if (args.size() >= 3) {
-          double kd = 1;
-          if (args[2].AsDouble(&kd) && kd >= 1) k = static_cast<size_t>(kd);
-        }
         KGNET_ASSIGN_OR_RETURN(
             auto similar,
             inference_->GetSimilarEntities(args[0].lexical, args[1].lexical,
-                                           k));
+                                           TopKArg(args)));
         if (similar.empty()) return Term::Literal("");
         return Term::Iri(similar.back());
       });
@@ -129,14 +173,10 @@ void SparqlMlService::RegisterUdfs() {
         if (args.size() < 2 || !args[0].is_iri() || !args[1].is_iri())
           return Status::InvalidArgument(
               "getLinkPred(model IRI, node IRI[, k]) expected");
-        size_t k = 1;
-        if (args.size() >= 3) {
-          double kd = 1;
-          if (args[2].AsDouble(&kd) && kd >= 1) k = static_cast<size_t>(kd);
-        }
         KGNET_ASSIGN_OR_RETURN(auto links,
                                inference_->GetTopKLinks(args[0].lexical,
-                                                        args[1].lexical, k));
+                                                        args[1].lexical,
+                                                        TopKArg(args)));
         if (links.empty()) return Term::Literal("");
         return Term::Iri(links.front());
       });
@@ -144,7 +184,6 @@ void SparqlMlService::RegisterUdfs() {
 
 Result<SparqlMlAnalysis> SparqlMlService::Analyze(const Query& query) const {
   SparqlMlAnalysis analysis;
-  analysis.query = query;
   const auto& triples = query.where.triples;
 
   // Pass 1: find candidate variables — those used in predicate position
@@ -236,15 +275,19 @@ Result<ModelInfo> SparqlMlService::SelectModel(
   return *best;
 }
 
-RewritePlan SparqlMlService::ChoosePlan(const SparqlMlAnalysis& analysis,
-                                        const UserDefinedPredicate& udp,
-                                        const ModelInfo& model) const {
+RewritePlan SparqlMlService::ChoosePlan(const Query& query,
+                                        const SparqlMlAnalysis& analysis,
+                                        const UserDefinedPredicate& udp) const {
   // Estimate the number of instances the subject variable binds to: the
-  // cardinality of its most selective non-meta triple pattern.
+  // cardinality of its most selective data triple pattern.
   size_t instances = SIZE_MAX;
-  const auto& triples = analysis.query.where.triples;
+  const auto& triples = query.where.triples;
   for (size_t j = 0; j < triples.size(); ++j) {
-    if (j == udp.usage_triple) continue;
+    if (std::any_of(analysis.udps.begin(), analysis.udps.end(),
+                    [j](const UserDefinedPredicate& u) {
+                      return u.usage_triple == j;
+                    }))
+      continue;
     const PatternTriple& t = triples[j];
     if (!t.s.is_var || t.s.var != udp.subject_var) continue;
     rdf::TriplePattern p;
@@ -252,7 +295,7 @@ RewritePlan SparqlMlService::ChoosePlan(const SparqlMlAnalysis& analysis,
     if (!t.o.is_var) p.o = kg_->dict().Find(t.o.term);
     instances = std::min(instances, kg_->EstimateCardinality(p));
   }
-  if (instances == SIZE_MAX) instances = model.cardinality;
+  if (instances == SIZE_MAX) instances = udp.model.cardinality;
 
   // Cost model: per-instance = |instances| HTTP calls; dictionary = 1 call
   // + |model.cardinality| dictionary entries whose local lookup is ~1000x
@@ -260,130 +303,86 @@ RewritePlan SparqlMlService::ChoosePlan(const SparqlMlAnalysis& analysis,
   const double call_cost = 1000.0;
   const double per_instance = static_cast<double>(instances) * call_cost;
   const double dictionary =
-      call_cost + static_cast<double>(model.cardinality);
+      call_cost + static_cast<double>(udp.model.cardinality);
   return per_instance <= dictionary ? RewritePlan::kPerInstance
                                     : RewritePlan::kDictionary;
 }
 
-Result<Query> SparqlMlService::Rewrite(const SparqlMlAnalysis& analysis,
-                                       const UserDefinedPredicate& udp,
-                                       const ModelInfo& model,
-                                       RewritePlan plan) const {
-  Query out = analysis.query;
-
-  // Strip the usage triple and every metadata triple.
-  std::vector<bool> drop(out.where.triples.size(), false);
-  drop[udp.usage_triple] = true;
-  for (size_t j : udp.meta_triples) drop[j] = true;
-  std::vector<PatternTriple> kept;
-  for (size_t j = 0; j < out.where.triples.size(); ++j)
-    if (!drop[j]) kept.push_back(out.where.triples[j]);
-  out.where.triples = std::move(kept);
-
-  // Replace projections of the object variable with the UDF expression.
-  auto make_projection = [&]() -> sparql::SelectItem {
-    sparql::SelectItem item;
-    item.alias = udp.object_var;
-    if (udp.task == gml::TaskType::kLinkPrediction) {
-      item.expr = Expr::Call(
-          kUdfGetLinkPred,
-          {Expr::Const(Term::Iri(model.uri)), Expr::Var(udp.subject_var),
-           Expr::Const(Term::IntLiteral(static_cast<int64_t>(udp.topk)))});
-    } else if (udp.task == gml::TaskType::kEntitySimilarity) {
-      item.expr = Expr::Call(
-          kUdfGetSimilarEntity,
-          {Expr::Const(Term::Iri(model.uri)), Expr::Var(udp.subject_var),
-           Expr::Const(Term::IntLiteral(static_cast<int64_t>(udp.topk)))});
-    } else if (plan == RewritePlan::kPerInstance) {
-      // Figure 11: sql:UDFS.getNodeClass($m, ?paper) AS ?venue
-      item.expr = Expr::Call(kUdfGetNodeClass,
-                             {Expr::Const(Term::Iri(model.uri)),
-                              Expr::Var(udp.subject_var)});
-    } else {
-      // Figure 12: inner sub-select builds ?venues_dic once, then
-      // sql:UDFS.getKeyValue(?venues_dic, ?paper) AS ?venue.
-      item.expr = Expr::Call(
-          kUdfGetKeyValue,
-          {Expr::Var(udp.object_var + "_dic"), Expr::Var(udp.subject_var)});
-    }
-    return item;
-  };
-
-  bool replaced = false;
-  for (auto& item : out.select) {
-    if (item.expr->op == sparql::ExprOp::kVar &&
-        item.expr->var == udp.object_var) {
-      const std::string alias = item.alias;
-      item = make_projection();
-      item.alias = alias;
-      replaced = true;
-    }
-  }
-  if (out.select_all) {
+Result<Query> SparqlMlService::Rewrite(Query query,
+                                       const SparqlMlAnalysis& analysis) const {
+  if (query.select_all) {
     return Status::Unimplemented(
         "SELECT * with user-defined predicates is not supported; project "
         "explicit variables");
   }
-  if (!replaced) {
-    // Object var not projected: still evaluate the UDF so the pattern's
-    // semantics (prediction exists) are preserved.
-    out.select.push_back(make_projection());
+  // Strip every usage triple and every metadata triple.
+  std::vector<bool> drop(query.where.triples.size(), false);
+  for (const UserDefinedPredicate& udp : analysis.udps) {
+    drop[udp.usage_triple] = true;
+    for (size_t j : udp.meta_triples) drop[j] = true;
   }
+  std::vector<PatternTriple> kept;
+  for (size_t j = 0; j < query.where.triples.size(); ++j)
+    if (!drop[j]) kept.push_back(std::move(query.where.triples[j]));
+  query.where.triples = std::move(kept);
 
-  if (udp.task == gml::TaskType::kNodeClassification &&
-      plan == RewritePlan::kDictionary) {
-    // Add the inner sub-select: { SELECT getNodeClassDict($m) AS ?o_dic
-    // WHERE { } }
-    auto sub = std::make_shared<Query>();
-    sub->kind = QueryKind::kSelect;
-    sub->prefixes = out.prefixes;
-    sparql::SelectItem dict_item;
-    dict_item.alias = udp.object_var + "_dic";
-    dict_item.expr =
-        Expr::Call(kUdfGetNodeClassDict, {Expr::Const(Term::Iri(model.uri))});
-    sub->select.push_back(std::move(dict_item));
-    out.where.subselects.push_back(std::move(sub));
-  }
-  return out;
+  for (const UserDefinedPredicate& udp : analysis.udps) BindUdp(udp, &query);
+  return query;
 }
 
-Result<QueryResult> SparqlMlService::ExecuteSelectMl(
-    const SparqlMlAnalysis& analysis, RewritePlan forced_plan,
-    bool use_forced, ExecutionStats* stats, common::CancelToken cancel) {
-  gml::Stopwatch opt_timer;
-  Query rewritten = analysis.query;
-  RewritePlan chosen = RewritePlan::kPerInstance;
-  std::string model_uri;
-
-  // Rewrite iteratively, one user-defined predicate at a time. Analysis
-  // indexes refer to the current query, so re-analyze after each rewrite.
-  Query current = analysis.query;
-  while (true) {
-    KGNET_ASSIGN_OR_RETURN(SparqlMlAnalysis a, Analyze(current));
-    if (!a.is_sparql_ml()) break;
-    const UserDefinedPredicate& udp = a.udps.front();
-    KGNET_ASSIGN_OR_RETURN(ModelInfo model, SelectModel(udp));
-    chosen = use_forced ? forced_plan : ChoosePlan(a, udp, model);
-    model_uri = model.uri;
-    KGNET_ASSIGN_OR_RETURN(current, Rewrite(a, udp, model, chosen));
+Result<Query> SparqlMlService::Optimize(Query query,
+                                        std::optional<RewritePlan> forced,
+                                        SparqlMlAnalysis* analysis) const {
+  KGNET_ASSIGN_OR_RETURN(*analysis, Analyze(query));
+  if (!analysis->is_sparql_ml()) return query;
+  for (UserDefinedPredicate& udp : analysis->udps) {
+    KGNET_ASSIGN_OR_RETURN(udp.model, SelectModel(udp));
+    udp.plan = forced.value_or(ChoosePlan(query, *analysis, udp));
   }
-  const double opt_seconds = opt_timer.Seconds();
+  return Rewrite(std::move(query), *analysis);
+}
 
+Result<QueryResult> SparqlMlService::Run(std::string_view text,
+                                         std::optional<RewritePlan> forced,
+                                         ExecutionStats* stats,
+                                         common::CancelToken cancel) {
+  Result<Query> parsed = sparql::ParseQuery(text);
+  // TrainGML is not SPARQL grammar: the paper's form does not parse, and a
+  // client that must send parseable text puts the call in an INSERT's
+  // literal. A SELECT or ASK never trains.
+  const bool may_train =
+      !parsed.ok() || parsed->kind == QueryKind::kInsertData ||
+      parsed->kind == QueryKind::kInsertWhere;
+  if (may_train && text.find("TrainGML") != std::string_view::npos)
+    return ExecuteTrainGml(text, std::move(cancel));
+  if (!parsed.ok()) return parsed.status();
+  if (parsed->kind == QueryKind::kDeleteWhere) {
+    // kgnet: metadata deletes manage models; anything else runs on the KG.
+    for (const PatternTriple& t : parsed->where.triples)
+      if (!t.o.is_var && IsKgnetIri(t.o.term.lexical))
+        return ExecuteDelete(*parsed);
+  }
+
+  gml::Stopwatch opt_timer;
+  SparqlMlAnalysis analysis;
+  KGNET_ASSIGN_OR_RETURN(Query plain,
+                         Optimize(std::move(*parsed), forced, &analysis));
+  const double opt_seconds = opt_timer.Seconds();
   gml::Stopwatch exec_timer;
   const uint64_t calls_before = inference_->http_calls();
-  KGNET_ASSIGN_OR_RETURN(
-      QueryResult result,
-      engine_->Execute(current, kg_->OpenSnapshot(), nullptr,
-                       std::move(cancel)));
-  if (stats != nullptr) {
-    stats->plan = chosen;
-    stats->http_calls = inference_->http_calls() - calls_before;
-    stats->chosen_model_uri = model_uri;
-    stats->optimizer_seconds = opt_seconds;
-    stats->execution_seconds = exec_timer.Seconds();
-    stats->dictionary_entries = 0;
-    if (chosen == RewritePlan::kDictionary && !dicts_.empty())
-      stats->dictionary_entries = dicts_.rbegin()->second.size();
+  Result<QueryResult> result = engine_->Execute(
+      plain, kg_->OpenSnapshot(), nullptr, std::move(cancel));
+  // A dictionary lives only as long as the query that built it.
+  size_t dictionary_entries = 0;
+  for (const auto& [handle, dict] : dicts_) dictionary_entries += dict.size();
+  dicts_.clear();
+  if (result.ok() && stats != nullptr) {
+    const UserDefinedPredicate last = analysis.is_sparql_ml()
+                                          ? analysis.udps.back()
+                                          : UserDefinedPredicate{};
+    *stats = {last.plan,         inference_->http_calls() - calls_before,
+              dictionary_entries, last.model.uri,
+              opt_seconds,        exec_timer.Seconds()};
   }
   return result;
 }
@@ -391,50 +390,29 @@ Result<QueryResult> SparqlMlService::ExecuteSelectMl(
 Result<QueryResult> SparqlMlService::Execute(std::string_view text,
                                              ExecutionStats* stats,
                                              common::CancelToken cancel) {
-  if (text.find("TrainGML") != std::string_view::npos)
-    return ExecuteTrainGml(text, std::move(cancel));
-  KGNET_ASSIGN_OR_RETURN(Query query, sparql::ParseQuery(text));
-  if (query.kind == QueryKind::kDeleteWhere) {
-    // kgnet: metadata deletes manage models; anything else runs on the KG.
-    bool targets_kgmeta = false;
-    for (const PatternTriple& t : query.where.triples)
-      if (!t.o.is_var && IsKgnetIri(t.o.term.lexical)) targets_kgmeta = true;
-    if (targets_kgmeta) return ExecuteDelete(query);
-  }
-  KGNET_ASSIGN_OR_RETURN(SparqlMlAnalysis analysis, Analyze(query));
-  if (!analysis.is_sparql_ml())
-    return engine_->Execute(query, kg_->OpenSnapshot(), nullptr,
-                            std::move(cancel));
-  return ExecuteSelectMl(analysis, RewritePlan::kPerInstance, false, stats,
-                         std::move(cancel));
-}
-
-Result<SparqlMlService::ExplainResult> SparqlMlService::Explain(
-    std::string_view text) const {
-  KGNET_ASSIGN_OR_RETURN(Query query, sparql::ParseQuery(text));
-  ExplainResult out;
-  Query current = query;
-  while (true) {
-    KGNET_ASSIGN_OR_RETURN(SparqlMlAnalysis a, Analyze(current));
-    if (!a.is_sparql_ml()) break;
-    out.is_sparql_ml = true;
-    const UserDefinedPredicate& udp = a.udps.front();
-    KGNET_ASSIGN_OR_RETURN(ModelInfo model, SelectModel(udp));
-    out.plan = ChoosePlan(a, udp, model);
-    out.model_uris.push_back(model.uri);
-    KGNET_ASSIGN_OR_RETURN(current, Rewrite(a, udp, model, out.plan));
-  }
-  out.rewritten_sparql = sparql::SerializeQuery(current);
-  return out;
+  return Run(text, std::nullopt, stats, std::move(cancel));
 }
 
 Result<QueryResult> SparqlMlService::ExecuteWithPlan(std::string_view text,
                                                      RewritePlan plan,
                                                      ExecutionStats* stats) {
+  return Run(text, plan, stats, {});
+}
+
+Result<SparqlMlService::ExplainResult> SparqlMlService::Explain(
+    std::string_view text) const {
   KGNET_ASSIGN_OR_RETURN(Query query, sparql::ParseQuery(text));
-  KGNET_ASSIGN_OR_RETURN(SparqlMlAnalysis analysis, Analyze(query));
-  if (!analysis.is_sparql_ml()) return engine_->Execute(query);
-  return ExecuteSelectMl(analysis, plan, true, stats, {});
+  SparqlMlAnalysis analysis;
+  KGNET_ASSIGN_OR_RETURN(Query plain,
+                         Optimize(std::move(query), std::nullopt, &analysis));
+  ExplainResult out;
+  out.is_sparql_ml = analysis.is_sparql_ml();
+  for (const UserDefinedPredicate& udp : analysis.udps) {
+    out.model_uris.push_back(udp.model.uri);
+    out.plan = udp.plan;
+  }
+  out.rewritten_sparql = sparql::SerializeQuery(plain);
+  return out;
 }
 
 Result<TrainTaskSpec> SparqlMlService::ParseTrainSpec(
@@ -566,27 +544,20 @@ Result<QueryResult> SparqlMlService::ExecuteTrainGml(
   // Extract prefixes from the prologue (the full query may not parse as
   // standard SPARQL, so scan for PREFIX declarations directly).
   std::map<std::string, std::string> prefixes;
-  {
-    std::string lower;
-    for (char c : text)
-      lower += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-    size_t pos = 0;
-    while ((pos = lower.find("prefix", pos)) != std::string::npos) {
-      size_t name_start = pos + 6;
-      while (name_start < text.size() &&
-             std::isspace(static_cast<unsigned char>(text[name_start])))
-        ++name_start;
-      size_t colon = text.find(':', name_start);
-      size_t lt = text.find('<', colon);
-      size_t gt = text.find('>', lt);
-      if (colon == std::string::npos || lt == std::string::npos ||
-          gt == std::string::npos)
-        break;
-      std::string prefix(
-          StripWhitespace(text.substr(name_start, colon - name_start)));
-      prefixes[prefix] = std::string(text.substr(lt + 1, gt - lt - 1));
-      pos = gt;
-    }
+  const std::string lower = AsciiToLower(text);
+  size_t pos = 0;
+  while ((pos = lower.find("prefix", pos)) != std::string::npos) {
+    const size_t name_start = pos + 6;
+    const size_t colon = text.find(':', name_start);
+    const size_t lt = text.find('<', colon);
+    const size_t gt = text.find('>', lt);
+    if (colon == std::string::npos || lt == std::string::npos ||
+        gt == std::string::npos)
+      break;
+    const std::string prefix(
+        StripWhitespace(text.substr(name_start, colon - name_start)));
+    prefixes[prefix] = std::string(text.substr(lt + 1, gt - lt - 1));
+    pos = gt;
   }
 
   // Extract the balanced-parenthesis argument of TrainGML(...).

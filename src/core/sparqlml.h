@@ -10,23 +10,25 @@
 //     ?NodeClassifier kgnet:TargetNode dblp:Publication .
 //     ?NodeClassifier kgnet:NodeLabel dblp:venue .
 //
-// Execution:
-//  1. Analyze: find user-defined predicates and their constraint triples.
-//  2. Optimize: select the near-optimal model from KGMeta (the paper's
-//     integer program; solved exactly by enumeration over the candidate
-//     set) and pick an execution plan — per-instance UDF calls (Figure 11)
-//     or a single dictionary-building call (Figure 12) — by comparing the
+// Execution (Execute, ExecuteWithPlan and Explain share steps 1-3):
+//  1. Analyze (once): find user-defined predicates and constraint triples.
+//  2. Per predicate, select the near-optimal model from KGMeta (the paper's
+//     integer program; solved exactly by enumeration over the candidates)
+//     and pick an execution plan — per-instance UDF calls (Figure 11) or a
+//     single dictionary-building call (Figure 12) — by comparing the
 //     estimated number of HTTP calls with the dictionary size.
-//  3. Rewrite into plain SPARQL with sql:UDFS.* calls.
+//  3. Rewrite all predicates at once into plain SPARQL with sql:UDFS.* calls.
 //  4. Execute on the RDF engine; UDFs hit the GML inference manager.
 //
-// INSERT queries containing kgnet.TrainGML({...}) trigger the automated
-// training pipeline; DELETE queries over kgnet: metadata drop models.
+// kgnet.TrainGML({...}) in text that does not parse (the paper's form) or
+// in an INSERT triggers the automated training pipeline; a SELECT or ASK
+// never trains. DELETE queries over kgnet: metadata drop models.
 #ifndef KGNET_CORE_SPARQLML_H_
 #define KGNET_CORE_SPARQLML_H_
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -58,16 +60,19 @@ struct UserDefinedPredicate {
   size_t topk = 1;  // kgnet:TopK-Links for link predictors
   /// Indexes of all metadata triples to strip during rewriting.
   std::vector<size_t> meta_triples;
+  /// The optimizer's choice: SelectModel, then ChoosePlan or a forced plan.
+  ModelInfo model;
+  RewritePlan plan = RewritePlan::kPerInstance;
 };
 
-/// The analysis of a SPARQL-ML query.
+/// The analysis of a SPARQL-ML query (indexes into its where.triples).
 struct SparqlMlAnalysis {
-  sparql::Query query;
   std::vector<UserDefinedPredicate> udps;
   bool is_sparql_ml() const { return !udps.empty(); }
 };
 
-/// Statistics of one executed SPARQL-ML query (for benchmarks).
+/// Statistics of one executed query (for benchmarks): plan and model of
+/// its last user-defined predicate, entries of the dictionaries it built.
 struct ExecutionStats {
   RewritePlan plan = RewritePlan::kPerInstance;
   uint64_t http_calls = 0;
@@ -95,7 +100,7 @@ class SparqlMlService {
                                       ExecutionStats* stats = nullptr,
                                       common::CancelToken cancel = {});
 
-  /// Forces a specific plan (benchmarks); kAuto = optimizer decides.
+  /// Execute with `plan` forced on every user-defined predicate (benches).
   Result<sparql::QueryResult> ExecuteWithPlan(std::string_view text,
                                               RewritePlan plan,
                                               ExecutionStats* stats);
@@ -110,18 +115,17 @@ class SparqlMlService {
   /// paper's integer program over KGMeta statistics).
   Result<ModelInfo> SelectModel(const UserDefinedPredicate& udp) const;
 
-  /// Chooses the plan by cost: per-instance costs |instances| calls;
-  /// dictionary costs 1 call plus a dictionary of `model.cardinality`
-  /// entries.
-  RewritePlan ChoosePlan(const SparqlMlAnalysis& analysis,
-                         const UserDefinedPredicate& udp,
-                         const ModelInfo& model) const;
+  /// Chooses the plan by cost: per-instance costs |instances| calls (the
+  /// most selective data triple on the udp's subject); dictionary costs 1
+  /// call plus a dictionary of `udp.model.cardinality` entries.
+  RewritePlan ChoosePlan(const sparql::Query& query,
+                         const SparqlMlAnalysis& analysis,
+                         const UserDefinedPredicate& udp) const;
 
-  /// Rewrites the SPARQL-ML query into plain SPARQL for (udp, model, plan).
-  Result<sparql::Query> Rewrite(const SparqlMlAnalysis& analysis,
-                                const UserDefinedPredicate& udp,
-                                const ModelInfo& model,
-                                RewritePlan plan) const;
+  /// Rewrites `query` into plain SPARQL in one pass: strips every udp's
+  /// usage and metadata triples and calls its model with its plan.
+  Result<sparql::Query> Rewrite(sparql::Query query,
+                                const SparqlMlAnalysis& analysis) const;
 
   // --- service components ---
   GmlTrainingManager& training_manager() { return *training_; }
@@ -154,11 +158,16 @@ class SparqlMlService {
   Result<sparql::QueryResult> ExecuteTrainGml(std::string_view text,
                                               common::CancelToken cancel);
   Result<sparql::QueryResult> ExecuteDelete(const sparql::Query& query);
-  Result<sparql::QueryResult> ExecuteSelectMl(const SparqlMlAnalysis& analysis,
-                                              RewritePlan forced_plan,
-                                              bool use_forced,
-                                              ExecutionStats* stats,
-                                              common::CancelToken cancel);
+  /// The one optimizer step: Analyze into `analysis`, SelectModel and
+  /// ChoosePlan (or `forced`) per udp, Rewrite. Plain SPARQL passes.
+  Result<sparql::Query> Optimize(sparql::Query query,
+                                 std::optional<RewritePlan> forced,
+                                 SparqlMlAnalysis* analysis) const;
+  /// Execute and ExecuteWithPlan.
+  Result<sparql::QueryResult> Run(std::string_view text,
+                                  std::optional<RewritePlan> forced,
+                                  ExecutionStats* stats,
+                                  common::CancelToken cancel);
   void RegisterUdfs();
 
   rdf::TripleStore* kg_;
@@ -167,9 +176,9 @@ class SparqlMlService {
   ModelStore models_;
   std::unique_ptr<InferenceManager> inference_;
   std::unique_ptr<GmlTrainingManager> training_;
-  /// Handles for dictionary-plan lookup tables.
-  mutable std::map<std::string, std::map<std::string, std::string>> dicts_;
-  mutable size_t next_dict_id_ = 1;
+  /// Dictionary-plan lookup tables by handle, dropped as each query ends.
+  std::map<std::string, std::map<std::string, std::string>> dicts_;
+  size_t next_dict_id_ = 1;
 };
 
 }  // namespace kgnet::core

@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/env.h"
@@ -49,17 +50,30 @@ bool PeerGone(int fd) {
   return false;
 }
 
-/// Any variable in predicate position, anywhere in the pattern tree?
-bool HasVariablePredicate(const sparql::GraphPattern& pattern) {
+/// Any function call in `e`?
+bool HasCall(const sparql::ExprPtr& e) {
+  return e != nullptr &&
+         (e->op == sparql::ExprOp::kCall ||
+          std::any_of(e->args.begin(), e->args.end(), HasCall));
+}
+
+/// Any variable in predicate position or function call, anywhere in the
+/// pattern tree or in `select` (a sub-select's projections included)?
+bool NeedsService(const sparql::GraphPattern& pattern,
+                  const std::vector<sparql::SelectItem>& select) {
+  for (const sparql::SelectItem& item : select)
+    if (HasCall(item.expr)) return true;
   for (const sparql::PatternTriple& t : pattern.triples)
     if (t.p.is_var) return true;
+  for (const sparql::ExprPtr& filter : pattern.filters)
+    if (HasCall(filter)) return true;
   for (const auto& chain : pattern.unions)
     for (const sparql::GraphPattern& alt : chain)
-      if (HasVariablePredicate(alt)) return true;
+      if (NeedsService(alt, {})) return true;
   for (const sparql::GraphPattern& opt : pattern.optionals)
-    if (HasVariablePredicate(opt)) return true;
+    if (NeedsService(opt, {})) return true;
   for (const auto& sub : pattern.subselects)
-    if (sub != nullptr && HasVariablePredicate(sub->where)) return true;
+    if (sub != nullptr && NeedsService(sub->where, sub->select)) return true;
   return false;
 }
 
@@ -126,8 +140,7 @@ bool KgServer::RoutesToService(const sparql::Query& query,
       query.kind != sparql::QueryKind::kAsk)
     return true;  // updates: single-writer contract
   if (text.find("TrainGML") != std::string_view::npos) return true;
-  if (text.find("sql:UDFS") != std::string_view::npos) return true;
-  return HasVariablePredicate(query.where);
+  return NeedsService(query.where, query.select);
 }
 
 KgServer::KgServer(core::SparqlMlService* service, ServerOptions options)

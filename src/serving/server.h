@@ -177,9 +177,9 @@ class KgServer {
   const ServerOptions& options() const { return options_; }
 
   /// True when a query must run on the serialized SPARQL-ML service
-  /// path: updates (single-writer contract), TrainGML, queries with a
-  /// variable in predicate position anywhere in the pattern (potential
-  /// SPARQL-ML), and rewritten queries calling sql:UDFS.* (they touch
+  /// path: updates (single-writer contract), text mentioning TrainGML, and
+  /// queries whose parse has a variable in predicate position (potential
+  /// SPARQL-ML) or a function call (every call is a UDF, and UDFs touch
   /// per-service dictionary state). Everything else is a plain read and
   /// executes concurrently against its own snapshot. Exposed so the
   /// differential test harness routes exactly like the server.

@@ -5,6 +5,7 @@
 //
 // Mentions that must NOT fire: new delete rand() thread_local
 // for (auto& kv : some_unordered_map) {}
+// text.find("sql:UDFS")
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -15,7 +16,8 @@ thread_local int t_scratch = 0;
 int Lookup(const std::string& key) {
   std::unordered_map<std::string, int> table;  // lookups only, no iteration
   table[key] = 42;
-  const char* msg = "never call rand() or new int[] in here";
+  const char* msg =
+      "never call rand() or new int[] or text.find(\"sql:UDFS\") in here";
   auto owned = std::make_unique<std::string>(msg);
   auto it = table.find(*owned);
   return it == table.end() ? t_scratch : it->second;

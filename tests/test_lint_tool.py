@@ -39,7 +39,7 @@ class ViolatingFixtures(unittest.TestCase):
         self.assertNotEqual(code, 0, f"{fixture} should fail the gate:\n{out}")
         self.assertEqual(rule_hits(out, rule), expected_hits, out)
         for other in ("KL001", "KL002", "KL003", "KL004", "KL005",
-                      "KL006"):
+                      "KL006", "KL007"):
             if other != rule:
                 self.assertEqual(
                     rule_hits(out, other), 0,
@@ -97,6 +97,19 @@ class ViolatingFixtures(unittest.TestCase):
 
     def test_kl006_exempts_the_env_reader(self):
         code, out = run_lint("kl006_raw_getenv.cc", "src/common/env.cc")
+        self.assertEqual(code, 0, out)
+
+    def test_kl007_udfs_text_search(self):
+        # A literal and a constant holding it; the comment, the string
+        # and the TrainGML search do not count.
+        self.check("kl007_udfs_text_search.cc",
+                   "src/serving/fixture.cc", "KL007", 2)
+        self.check("kl007_udfs_text_search.cc",
+                   "src/core/fixture.cc", "KL007", 2)
+
+    def test_kl007_is_scoped_to_src(self):
+        code, out = run_lint("kl007_udfs_text_search.cc",
+                             "tests/fixture.cc")
         self.assertEqual(code, 0, out)
 
 

@@ -132,6 +132,78 @@ TEST(ServingDifferentialTest, ParseErrorsByteIdentical) {
   EXPECT_TRUE(client.Ping().ok());
 }
 
+// A read whose literal says TrainGML is a read: it returns its row in
+// process and over loopback, byte-identical to local execution.
+TEST(ServingDifferentialTest, ReadMentioningTrainGmlReturnsItsRow) {
+  KgNet kg;
+  kg.store().Insert(rdf::Term::Iri("n1"), rdf::Term::Iri("p1"),
+                    rdf::Term::Literal("TrainGML"));
+  const char* q =
+      "SELECT ?s WHERE { ?s ?p ?o . FILTER(?o = \"TrainGML\") } LIMIT 1";
+  auto local = kg.service().Execute(q);
+  ASSERT_TRUE(local.ok()) << local.status();
+  ASSERT_EQ(local->NumRows(), 1u);
+  EXPECT_EQ(local->rows[0][0], rdf::Term::Iri("n1"));
+
+  ScopedServer scope(&kg.service());
+  ASSERT_TRUE(scope.start_status().ok()) << scope.start_status();
+  KgClient client;
+  ASSERT_TRUE(scope.Connect(&client).ok());
+  const std::string expected = LocalExpectedResponse(&kg.service(), 3, q);
+  auto raw = client.Call(BuildQueryRequest(3, q));
+  ASSERT_TRUE(raw.ok()) << raw.status();
+  EXPECT_EQ(*raw, expected);
+  EXPECT_NE(raw->find("\"ok\":true"), std::string::npos) << *raw;
+}
+
+// Routing reads the parse: a function call (every call in the grammar is a
+// UDF) in select items, FILTERs, sub-selects, UNION or OPTIONAL groups
+// takes the service path; a literal or IRI that only mentions sql:UDFS
+// is a plain read. Either way the server's bytes equal local execution.
+TEST(ServingDifferentialTest, UdfCallsRouteOnTheParse) {
+  KgNet kg;
+  kg.store().InsertIris("n1", "p1", "n2");
+  kg.store().Insert(rdf::Term::Iri("n1"), rdf::Term::Iri("p2"),
+                    rdf::Term::Literal("sql:UDFS.getNodeClass"));
+  struct Case {
+    const char* query;
+    bool service;
+  };
+  const Case cases[] = {
+      {"SELECT ?s WHERE { ?s <p2> \"sql:UDFS.getNodeClass\" . }", false},
+      {"SELECT ?s WHERE { ?s <sql:UDFS.getNodeClass> ?o . }", false},
+      {"SELECT ?s sql:UDFS.getNodeClass(<m>, ?s) AS ?c WHERE { ?s <p1> ?o . }",
+       true},
+      {"SELECT ?s WHERE { ?s <p1> ?o . "
+       "FILTER(sql:UDFS.getNodeClass(<m>, ?s) = <n2>) }",
+       true},
+      {"SELECT ?s WHERE { ?s <p1> ?o . "
+       "{ SELECT sql:UDFS.getNodeClassDict(<m>) AS ?d WHERE { } } }",
+       true},
+      {"SELECT ?s WHERE { { ?s <p1> ?o . } UNION { ?s <p2> ?o . "
+       "FILTER(sql:UDFS.getNodeClass(<m>, ?s) = <n2>) } }",
+       true},
+      {"SELECT ?s WHERE { ?s <p1> ?o . OPTIONAL { ?s <p2> ?l . "
+       "FILTER(sql:UDFS.getNodeClass(<m>, ?s) = <n2>) } }",
+       true},
+  };
+  ScopedServer scope(&kg.service());
+  ASSERT_TRUE(scope.start_status().ok()) << scope.start_status();
+  KgClient client;
+  ASSERT_TRUE(scope.Connect(&client).ok());
+  for (const Case& c : cases) {
+    auto parsed = sparql::ParseQuery(c.query);
+    ASSERT_TRUE(parsed.ok()) << parsed.status() << "\n" << c.query;
+    EXPECT_EQ(KgServer::RoutesToService(*parsed, c.query), c.service)
+        << c.query;
+    const std::string expected =
+        LocalExpectedResponse(&kg.service(), 4, c.query);
+    auto raw = client.Call(BuildQueryRequest(4, c.query));
+    ASSERT_TRUE(raw.ok()) << raw.status();
+    EXPECT_EQ(*raw, expected) << c.query;
+  }
+}
+
 TEST(ServingDifferentialTest, UpdatesRouteToServiceAndApply) {
   KgNet kg;
   kg.store().InsertIris("n1", "p1", "n2");

@@ -28,12 +28,33 @@ class SparqlMlAnalysisTest : public ::testing::Test {
     EXPECT_TRUE(workload::GenerateDblp(opts, &kg_.store()).ok());
   }
 
-  SparqlMlAnalysis Analyze(const std::string& query) {
-    auto parsed = sparql::ParseQuery(query);
-    EXPECT_TRUE(parsed.ok()) << parsed.status();
-    auto analysis = kg_.service().Analyze(*parsed);
+  /// Parses and analyzes `query`; the parse goes to `parsed` when given.
+  SparqlMlAnalysis Analyze(const std::string& query,
+                           sparql::Query* parsed = nullptr) {
+    auto q = sparql::ParseQuery(query);
+    EXPECT_TRUE(q.ok()) << q.status();
+    auto analysis = kg_.service().Analyze(*q);
     EXPECT_TRUE(analysis.ok()) << analysis.status();
+    if (parsed != nullptr) *parsed = std::move(*q);
     return std::move(*analysis);
+  }
+
+  /// Trains a small node classifier of `target` nodes by `label` through
+  /// the programmatic path; returns the model URI.
+  std::string TrainNodeClassifier(const std::string& name,
+                                  const std::string& target,
+                                  const std::string& label) {
+    TrainTaskSpec spec;
+    spec.task = gml::TaskType::kNodeClassification;
+    spec.target_type_iri = target;
+    spec.label_predicate_iri = label;
+    spec.config.epochs = 2;
+    spec.config.hidden_dim = 8;
+    spec.config.embed_dim = 8;
+    spec.model_name = name;
+    auto outcome = kg_.TrainTask(spec);
+    EXPECT_TRUE(outcome.ok()) << outcome.status();
+    return outcome.ok() ? outcome->model_uri : "";
   }
 
   KgNet kg_;
@@ -114,40 +135,49 @@ TEST_F(SparqlMlAnalysisTest, ChoosePlanScalesWithInstanceCount) {
   model.uri = "m";
   model.task = gml::TaskType::kNodeClassification;
   model.cardinality = 120;
+  auto choose = [&](const sparql::Query& q, SparqlMlAnalysis a) {
+    a.udps[0].model = model;
+    return kg_.service().ChoosePlan(q, a, a.udps[0]);
+  };
 
+  sparql::Query q;
   auto a = Analyze(std::string(kPrefixes) +
-                   "SELECT ?v WHERE { ?p a dblp:Publication . ?p ?clf ?v . "
-                   "?clf a kgnet:NodeClassifier . }");
+                       "SELECT ?v WHERE { ?p a dblp:Publication . ?p ?clf ?v . "
+                       "?clf a kgnet:NodeClassifier . }",
+                   &q);
   ASSERT_EQ(a.udps.size(), 1u);
   // 120 papers >> break-even: dictionary plan.
-  EXPECT_EQ(kg_.service().ChoosePlan(a, a.udps[0], model),
+  EXPECT_EQ(choose(q, a),
             RewritePlan::kDictionary);
 
   // A single bound instance: per-instance plan. Constrain ?p to one title.
   auto single =
       Analyze(std::string(kPrefixes) +
-              "SELECT ?v WHERE { ?p dblp:title \"Paper 5\" . ?p ?clf ?v . "
-              "?clf a kgnet:NodeClassifier . }");
+                  "SELECT ?v WHERE { ?p dblp:title \"Paper 5\" . ?p ?clf ?v . "
+                  "?clf a kgnet:NodeClassifier . }",
+              &q);
   ASSERT_EQ(single.udps.size(), 1u);
-  EXPECT_EQ(kg_.service().ChoosePlan(single, single.udps[0], model),
+  EXPECT_EQ(choose(q, single),
             RewritePlan::kPerInstance);
 }
 
 TEST_F(SparqlMlAnalysisTest, RewriteStripsMetaTriplesAndAddsUdf) {
+  sparql::Query q;
   auto a = Analyze(std::string(kPrefixes) +
-                   "SELECT ?title ?venue WHERE {\n"
-                   " ?paper a dblp:Publication .\n"
-                   " ?paper dblp:title ?title .\n"
-                   " ?paper ?clf ?venue .\n"
-                   " ?clf a kgnet:NodeClassifier .\n"
-                   " ?clf kgnet:TargetNode dblp:Publication . }");
+                       "SELECT ?title ?venue WHERE {\n"
+                       " ?paper a dblp:Publication .\n"
+                       " ?paper dblp:title ?title .\n"
+                       " ?paper ?clf ?venue .\n"
+                       " ?clf a kgnet:NodeClassifier .\n"
+                       " ?clf kgnet:TargetNode dblp:Publication . }",
+                   &q);
   ASSERT_EQ(a.udps.size(), 1u);
-  ModelInfo model;
+  ModelInfo& model = a.udps[0].model;
   model.uri = KgnetVocab::Name("model/test-1");
   model.task = gml::TaskType::kNodeClassification;
 
-  auto per = kg_.service().Rewrite(a, a.udps[0], model,
-                                   RewritePlan::kPerInstance);
+  a.udps[0].plan = RewritePlan::kPerInstance;
+  auto per = kg_.service().Rewrite(q, a);
   ASSERT_TRUE(per.ok()) << per.status();
   // Only the two data triples survive.
   EXPECT_EQ(per->where.triples.size(), 2u);
@@ -155,8 +185,8 @@ TEST_F(SparqlMlAnalysisTest, RewriteStripsMetaTriplesAndAddsUdf) {
   EXPECT_NE(per_text.find("sql:UDFS.getNodeClass"), std::string::npos);
   EXPECT_NE(per_text.find(model.uri), std::string::npos);
 
-  auto dict = kg_.service().Rewrite(a, a.udps[0], model,
-                                    RewritePlan::kDictionary);
+  a.udps[0].plan = RewritePlan::kDictionary;
+  auto dict = kg_.service().Rewrite(q, a);
   ASSERT_TRUE(dict.ok());
   EXPECT_EQ(dict->where.subselects.size(), 1u);
   const std::string dict_text = sparql::SerializeQuery(*dict);
@@ -332,6 +362,171 @@ TEST_F(SparqlMlAnalysisTest, TwoUdpsInOneQuery) {
     EXPECT_NE(row[1].lexical.find("venue"), std::string::npos);
     EXPECT_NE(row[3].lexical.find("affiliation"), std::string::npos);
   }
+}
+
+// Execute, Explain and ExecuteWithPlan reach one optimizer step: for the
+// per-instance query, the dictionary query and the two-predicate query
+// above, running the query, running Explain's rewritten text and running
+// the query with Explain's plan forced give the same rows.
+TEST_F(SparqlMlAnalysisTest, OneOptimizerPathBehindEveryEntryPoint) {
+  TrainNodeClassifier("nc", DblpSchema::Publication(),
+                      DblpSchema::PublishedIn());
+  TrainTaskSpec lp;
+  lp.task = gml::TaskType::kLinkPrediction;
+  lp.target_type_iri = DblpSchema::Person();
+  lp.destination_type_iri = DblpSchema::Affiliation();
+  lp.task_predicate_iri = DblpSchema::PrimaryAffiliation();
+  lp.config.epochs = 2;
+  lp.config.embed_dim = 8;
+  lp.model_name = "lp";
+  ASSERT_TRUE(kg_.TrainTask(lp).ok());
+
+  struct Case {
+    std::string query;
+    RewritePlan plan;
+    size_t models;
+    size_t rows;
+  };
+  const Case cases[] = {
+      {"SELECT ?v WHERE { ?p dblp:title \"Paper 5\" . ?p ?clf ?v . "
+       "?clf a kgnet:NodeClassifier . }",
+       RewritePlan::kPerInstance, 1, 1},
+      {"SELECT ?venue WHERE {\n"
+       " ?paper a dblp:Publication .\n"
+       " ?paper ?clf ?venue .\n"
+       " ?clf a kgnet:NodeClassifier . }",
+       RewritePlan::kDictionary, 1, 120},
+      {"SELECT ?paper ?venue ?author ?aff WHERE {\n"
+       " ?paper a dblp:Publication .\n"
+       " ?paper dblp:authoredBy ?author .\n"
+       " ?paper ?clf ?venue .\n"
+       " ?clf a kgnet:NodeClassifier .\n"
+       " ?clf kgnet:TargetNode dblp:Publication .\n"
+       " ?author ?lp ?aff .\n"
+       " ?lp a kgnet:LinkPredictor .\n"
+       " ?lp kgnet:SourceNode dblp:Person . } LIMIT 5",
+       RewritePlan::kDictionary, 2, 5},
+  };
+  for (const Case& c : cases) {
+    const std::string q = std::string(kPrefixes) + c.query;
+    ExecutionStats stats;
+    auto direct = kg_.service().Execute(q, &stats);
+    ASSERT_TRUE(direct.ok()) << direct.status() << "\n" << q;
+    EXPECT_EQ(direct->NumRows(), c.rows) << q;
+    EXPECT_EQ(stats.plan, c.plan) << q;
+
+    auto ex = kg_.service().Explain(q);
+    ASSERT_TRUE(ex.ok()) << ex.status();
+    EXPECT_EQ(ex->plan, c.plan) << q;
+    EXPECT_EQ(ex->model_uris.size(), c.models) << q;
+    EXPECT_EQ(ex->model_uris.back(), stats.chosen_model_uri) << q;
+
+    auto rewritten = kg_.service().Execute(ex->rewritten_sparql);
+    ASSERT_TRUE(rewritten.ok()) << rewritten.status() << "\n"
+                                << ex->rewritten_sparql;
+    auto forced = kg_.service().ExecuteWithPlan(q, ex->plan, nullptr);
+    ASSERT_TRUE(forced.ok()) << forced.status();
+    for (const sparql::QueryResult* r : {&*rewritten, &*forced}) {
+      EXPECT_EQ(r->columns, direct->columns) << q;
+      EXPECT_EQ(r->rows, direct->rows) << q;
+    }
+  }
+}
+
+// ExecuteWithPlan routes a kgnet: model DELETE exactly as Execute does.
+TEST_F(SparqlMlAnalysisTest, ExecuteWithPlanDeletesAModel) {
+  const std::string uri = TrainNodeClassifier(
+      "to-delete", DblpSchema::Publication(), DblpSchema::PublishedIn());
+  ASSERT_EQ(kg_.service().kgmeta().NumModels(), 1u);
+  auto del = kg_.service().ExecuteWithPlan(
+      std::string(kPrefixes) +
+          "DELETE {?m ?p ?o} WHERE { ?m a kgnet:NodeClassifier . "
+          "?m kgnet:TargetNode dblp:Publication . }",
+      RewritePlan::kDictionary, nullptr);
+  ASSERT_TRUE(del.ok()) << del.status();
+  EXPECT_EQ(del->num_deleted, 1u);
+  EXPECT_EQ(kg_.service().kgmeta().NumModels(), 0u);
+  EXPECT_FALSE(kg_.service().model_store().Get(uri).ok());
+}
+
+// A Figure 12 dictionary is dropped when the query that built it ends,
+// on success and on error: its handle no longer resolves afterwards.
+TEST_F(SparqlMlAnalysisTest, DictionaryLivesOnlyAsLongAsItsQuery) {
+  const std::string uri = TrainNodeClassifier(
+      "nc", DblpSchema::Publication(), DblpSchema::PublishedIn());
+  auto lookup = [&](const std::string& handle) {
+    return kg_.service().Execute(
+        std::string(kPrefixes) + "SELECT ?p sql:UDFS.getKeyValue(<" + handle +
+        ">, ?p) AS ?v WHERE { ?p dblp:title \"Paper 5\" . }");
+  };
+  auto built = kg_.service().ExecuteWithPlan(
+      std::string(kPrefixes) +
+          "SELECT ?paper ?venue WHERE { ?paper a dblp:Publication . "
+          "?paper ?clf ?venue . ?clf a kgnet:NodeClassifier . }",
+      RewritePlan::kDictionary, nullptr);
+  ASSERT_TRUE(built.ok()) << built.status();
+  ASSERT_EQ(built->NumRows(), 120u);
+  auto after = lookup(KgnetVocab::Name("dict/1"));
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kNotFound) << after.status();
+
+  // The second dictionary is built, then the query fails on a model that
+  // does not exist.
+  auto failed = kg_.service().Execute(
+      std::string(kPrefixes) + "SELECT ?p sql:UDFS.getKeyValue(?d, ?p) AS ?v "
+      "sql:UDFS.getNodeClass(<urn:no-model>, ?p) AS ?w WHERE { "
+      "?p dblp:title \"Paper 5\" . { SELECT sql:UDFS.getNodeClassDict(<" +
+          uri + ">) AS ?d WHERE { } } }");
+  ASSERT_FALSE(failed.ok());
+  EXPECT_NE(failed.status().message().find("urn:no-model"), std::string::npos)
+      << failed.status();
+  after = lookup(KgnetVocab::Name("dict/2"));
+  ASSERT_FALSE(after.ok());
+  EXPECT_EQ(after.status().code(), StatusCode::kNotFound) << after.status();
+}
+
+// ExecutionStats::dictionary_entries counts the query's own dictionary,
+// also once ten handles exist (dict/10 sorts before dict/9).
+TEST_F(SparqlMlAnalysisTest, DictionaryEntriesAreThisQuerysOwn) {
+  const std::string papers = TrainNodeClassifier(
+      "papers", DblpSchema::Publication(), DblpSchema::PublishedIn());
+  const std::string persons = TrainNodeClassifier(
+      "persons", DblpSchema::Person(), DblpSchema::PrimaryAffiliation());
+  auto run = [&](const std::string& target) {
+    ExecutionStats stats;
+    auto r = kg_.service().ExecuteWithPlan(
+        std::string(kPrefixes) + "SELECT ?n ?c WHERE { ?n a " + target +
+            " . ?n ?clf ?c . ?clf a kgnet:NodeClassifier . "
+            "?clf kgnet:TargetNode " + target + " . }",
+        RewritePlan::kDictionary, &stats);
+    EXPECT_TRUE(r.ok()) << r.status();
+    EXPECT_EQ(stats.plan, RewritePlan::kDictionary);
+    return stats;
+  };
+  for (int i = 0; i < 9; ++i) {
+    const ExecutionStats stats = run("dblp:Publication");
+    EXPECT_EQ(stats.chosen_model_uri, papers);
+    EXPECT_EQ(stats.dictionary_entries, 120u);
+  }
+  const ExecutionStats stats = run("dblp:Person");
+  EXPECT_EQ(stats.chosen_model_uri, persons);
+  EXPECT_EQ(stats.dictionary_entries, 60u);
+}
+
+// A read never trains, even when its literal holds a valid TrainGML call.
+TEST_F(SparqlMlAnalysisTest, AReadNeverTrains) {
+  const std::string payload =
+      "kgnet.TrainGML({Name: 'from-a-read', GML-Task: {TaskType: "
+      "kgnet:NodeClassifier, TargetNode: dblp:Publication, NodeLabel: "
+      "dblp:publishedIn}, Hyperparameters: {Epochs: 2}})";
+  for (const std::string& q :
+       {"SELECT ?p WHERE { ?p dblp:title \"" + payload + "\" . }",
+        "ASK { ?p dblp:title \"" + payload + "\" . }"}) {
+    auto r = kg_.service().Execute(std::string(kPrefixes) + q);
+    ASSERT_TRUE(r.ok()) << r.status() << "\n" << q;
+    EXPECT_EQ(r->NumRows(), 0u) << q;
+  }
+  EXPECT_EQ(kg_.service().kgmeta().NumModels(), 0u);
 }
 
 }  // namespace

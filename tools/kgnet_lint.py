@@ -50,6 +50,14 @@ KL006 raw-getenv
     (ParseInt / EnvInt), so one grammar and one warning contract cover
     all of them and docs/SERVING.md "Settings" can list every knob.
 
+KL007 udfs-text-search
+    No substring search of text for `sql:UDFS` in src/ (`find`,
+    `starts_with`, `strstr`, ... on a literal or a constant holding it).
+    Whether a query calls a UDF is a property of its parse (an
+    ExprOp::kCall): a text search also matches a literal or an IRI that
+    only mentions the name, which once sent such plain reads to the
+    serialized service path.
+
 Suppressions
 ------------
 - Inline: `// kgnet-lint: allow(KL00x) <reason>` on the flagged line or
@@ -107,6 +115,7 @@ RULES = {
     "KL004": "naked-new-delete",
     "KL005": "thread-local-justification",
     "KL006": "raw-getenv",
+    "KL007": "udfs-text-search",
 }
 
 # KL006: the one file allowed to read the environment.
@@ -373,6 +382,38 @@ def rule_kl006(vpath, orig_lines, stripped):
     return findings
 
 
+# KL007: calls that search text for a substring.
+KL007_SEARCH = re.compile(
+    r"\b(?:r?find|find_(?:first|last)_of|contains|starts_with|ends_with|"
+    r"StartsWith|EndsWith|strstr|search|regex_search)\s*\(")
+KL007_LITERAL = re.compile(r'"[^"\n]*sql:UDFS')
+KL007_CONSTANT = re.compile(
+    r'\b([A-Za-z_]\w*)\s*(?:\[\s*\])?\s*[={]\s*"[^"\n]*sql:UDFS')
+
+
+def rule_kl007(vpath, orig_lines, stripped, include_text):
+    """Calls are found in `stripped` (so a call written inside a string
+    does not count) and their arguments read in `include_text`, which
+    keeps string contents at the same offsets."""
+    if not vpath.startswith("src/"):
+        return []
+    constants = {m.group(1) for m in KL007_CONSTANT.finditer(include_text)}
+    findings = []
+    for m in KL007_SEARCH.finditer(stripped):
+        depth, end = 1, m.end()
+        while end < len(stripped) and depth > 0:
+            depth += {"(": 1, ")": -1}.get(stripped[end], 0)
+            end += 1
+        args = include_text[m.end():end]
+        names = set(re.findall(r"[A-Za-z_]\w*", stripped[m.end():end]))
+        if KL007_LITERAL.search(args) or names & constants:
+            findings.append(Finding(
+                vpath, line_of(stripped, m.start()), "KL007",
+                "substring search for sql:UDFS (route on the parse: an "
+                "ExprOp::kCall in the query)", "*"))
+    return findings
+
+
 RULE_FNS = {
     "KL001": rule_kl001,
     "KL002": rule_kl002,
@@ -424,9 +465,10 @@ def lint_file(vpath, real_path, allowlist):
         for finding in fn(vpath, orig_lines, stripped):
             if not is_suppressed(finding, orig_lines, allowlist):
                 findings.append(finding)
-    for finding in rule_kl003(vpath, orig_lines, stripped, include_text):
-        if not is_suppressed(finding, orig_lines, allowlist):
-            findings.append(finding)
+    for fn in (rule_kl003, rule_kl007):
+        for finding in fn(vpath, orig_lines, stripped, include_text):
+            if not is_suppressed(finding, orig_lines, allowlist):
+                findings.append(finding)
     return findings
 
 
