@@ -32,11 +32,12 @@ bool IsKgnetIri(const std::string& iri) {
   return StartsWith(iri, kKgnetNs);
 }
 
-/// The optional third UDF argument k (at least 1, default 1).
+/// The optional third UDF argument k, default 1. It comes from query text,
+/// so it is clamped to [1, 2^32] (rows are 32-bit ids) before the cast.
 size_t TopKArg(const std::vector<Term>& args) {
   double k = 1;
   if (args.size() < 3 || !args[2].AsDouble(&k) || !(k >= 1)) return 1;
-  return static_cast<size_t>(k);
+  return static_cast<size_t>(std::min(k, 4294967296.0));
 }
 
 /// The integer field `name` of the TrainGML object `obj`: a JSON number

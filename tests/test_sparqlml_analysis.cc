@@ -317,6 +317,15 @@ TEST_F(SparqlMlAnalysisTest, EntitySimilarityEndToEnd) {
     EXPECT_TRUE(row[1].is_iri());
     EXPECT_NE(row[0].lexical, row[1].lexical);  // self excluded
   }
+
+  // A k past every row count is clamped, not cast out of range.
+  auto far = kg_.Execute(
+      std::string(kPrefixes) +
+      "SELECT ?author sql:UDFS.getSimilarEntity(<" + info->uri +
+      ">, ?author, 100000000000000000000000.0) AS ?s WHERE { "
+      "?author a dblp:Person . } LIMIT 2");
+  ASSERT_TRUE(far.ok()) << far.status();
+  EXPECT_EQ(far->NumRows(), 2u);
 }
 
 TEST_F(SparqlMlAnalysisTest, TwoUdpsInOneQuery) {
