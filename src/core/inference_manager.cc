@@ -74,14 +74,14 @@ Links Nearest(const ServingBundle& b, uint32_t self, const float* query,
 
 Result<std::shared_ptr<const TrainedModel>> InferenceManager::Fetch(
     const std::string& model_uri, bool class_verb) const {
-  KGNET_ASSIGN_OR_RETURN(std::shared_ptr<TrainedModel> model,
-                         models_->Get(model_uri));
+  KGNET_ASSIGN_OR_RETURN(std::shared_ptr<const TrainedModel> model,
+                         kgmeta_->GetModel(model_uri));
   const gml::TaskType task = model->info.task;
   if ((task == gml::TaskType::kNodeClassification) != class_verb)
     return Status::FailedPrecondition(
         model_uri + " serves " + gml::TaskTypeName(task) + ", not " +
         (class_verb ? "NodeClassification" : "LinkPrediction"));
-  return std::shared_ptr<const TrainedModel>(std::move(model));
+  return model;
 }
 
 Result<std::string> InferenceManager::GetNodeClass(

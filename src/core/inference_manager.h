@@ -7,7 +7,7 @@
 // the query-optimizer benchmarks reproduce the Figure 11 vs Figure 12
 // trade-off faithfully.
 //
-// Every model answers from its serving bundle (core/model_store.h), the
+// Every model answers from its serving bundle (core/kgmeta.h), the
 // same one whether it was trained in this process or loaded from disk
 // (core/model_io.h), so each verb has one body. A model of the wrong task
 // is FailedPrecondition on every verb; an IRI the bundle does not hold is
@@ -23,7 +23,7 @@
 //
 // Thread safety: all methods may be called concurrently (the serving
 // front end does); the call counters are mutex-guarded and models are
-// fetched as shared_ptr copies from the (locked) ModelStore.
+// fetched as shared_ptr copies from KGMeta, the one model registry.
 #ifndef KGNET_CORE_INFERENCE_MANAGER_H_
 #define KGNET_CORE_INFERENCE_MANAGER_H_
 
@@ -34,14 +34,14 @@
 
 #include "common/result.h"
 #include "common/thread_annotations.h"
-#include "core/model_store.h"
+#include "core/kgmeta.h"
 
 namespace kgnet::core {
 
-/// Serves predictions from stored models; counts simulated HTTP calls.
+/// Serves predictions from registered models; counts simulated HTTP calls.
 class InferenceManager {
  public:
-  explicit InferenceManager(ModelStore* models) : models_(models) {}
+  explicit InferenceManager(const KgMeta* kgmeta) : kgmeta_(kgmeta) {}
 
   /// Predicted class IRI for one node (one API call).
   Result<std::string> GetNodeClass(const std::string& model_uri,
@@ -129,7 +129,7 @@ class InferenceManager {
     simulated_latency_us_ += per_call_latency_us_;
   }
 
-  ModelStore* models_;
+  const KgMeta* kgmeta_;
   mutable common::Mutex counters_mu_;
   uint64_t http_calls_ KGNET_GUARDED_BY(counters_mu_) = 0;
   double per_call_latency_us_ KGNET_GUARDED_BY(counters_mu_) = 0.0;

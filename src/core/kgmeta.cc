@@ -1,31 +1,32 @@
 #include "core/kgmeta.h"
 
-#include <cstdlib>
+#include <algorithm>
 
 namespace kgnet::core {
 
 using rdf::kNullTermId;
 using rdf::Term;
 using rdf::TermId;
-using rdf::Triple;
 using rdf::TriplePattern;
 
-Status KgMeta::RegisterModel(const ModelInfo& info) {
-  if (info.uri.empty())
-    return Status::InvalidArgument("model URI must not be empty");
-  {
-    TermId uri = store_.dict().FindIri(info.uri);
-    if (uri != kNullTermId &&
-        store_.Count(TriplePattern(uri, kNullTermId, kNullTermId)) > 0)
-      return Status::AlreadyExists("model already registered: " + info.uri);
-  }
+namespace {
+
+Status NotRegistered(const std::string& uri) {
+  return Status::NotFound("model not registered: " + uri);
+}
+
+/// Writes the Figure 7 triples of `info` into `store`; returns how many.
+size_t WriteTriples(const ModelInfo& info, rdf::TripleStore* store) {
   const Term subject = Term::Iri(info.uri);
+  size_t written = 0;
+  auto add = [&](const std::string& pred, const Term& value) {
+    written += store->Insert(subject, Term::Iri(pred), value) ? 1 : 0;
+  };
   auto add_iri = [&](const std::string& pred, const std::string& value) {
-    if (!value.empty())
-      store_.Insert(subject, Term::Iri(pred), Term::Iri(value));
+    if (!value.empty()) add(pred, Term::Iri(value));
   };
   auto add_num = [&](const std::string& pred, double value) {
-    store_.Insert(subject, Term::Iri(pred), Term::DoubleLiteral(value));
+    add(pred, Term::DoubleLiteral(value));
   };
 
   add_iri(std::string(rdf::kRdfType),
@@ -43,11 +44,9 @@ Status KgMeta::RegisterModel(const ModelInfo& info) {
     add_iri(KgnetVocab::TaskPredicate(), info.task_predicate_iri);
   }
   if (!info.method.empty())
-    store_.Insert(subject, Term::Iri(KgnetVocab::GmlMethod()),
-                  Term::Literal(info.method));
+    add(KgnetVocab::GmlMethod(), Term::Literal(info.method));
   if (!info.sampler_label.empty())
-    store_.Insert(subject, Term::Iri(KgnetVocab::Sampler()),
-                  Term::Literal(info.sampler_label));
+    add(KgnetVocab::Sampler(), Term::Literal(info.sampler_label));
   add_num(KgnetVocab::Accuracy(), info.accuracy);
   add_num(KgnetVocab::Mrr(), info.mrr);
   add_num(KgnetVocab::InferenceTime(), info.inference_us);
@@ -55,113 +54,103 @@ Status KgMeta::RegisterModel(const ModelInfo& info) {
   add_num(KgnetVocab::TrainTime(), info.train_seconds);
   add_num(KgnetVocab::MemoryUsed(),
           static_cast<double>(info.train_memory_bytes));
-  return Status::OK();
+  return written;
+}
+
+/// The model held under `uri` in `models`, or models.end().
+template <typename Models>
+auto FindUri(Models& models, const std::string& uri) {
+  return std::find_if(models.begin(), models.end(),
+                      [&](const auto& m) { return m->info.uri == uri; });
+}
+
+/// Erases every triple about `uri` from `store`.
+void EraseTriples(const std::string& uri, rdf::TripleStore* store) {
+  const TermId id = store->dict().FindIri(uri);
+  if (id != kNullTermId)
+    store->EraseMatching(TriplePattern(id, kNullTermId, kNullTermId));
+}
+
+}  // namespace
+
+Result<size_t> KgMeta::RegisterModel(std::shared_ptr<const TrainedModel> model,
+                                     bool replace) {
+  const std::string& uri = model->info.uri;
+  if (uri.empty())
+    return Status::InvalidArgument("model URI must not be empty");
+  common::MutexLock lock(&mu_);
+  auto it = FindUri(models_, uri);
+  if (it == models_.end()) {
+    models_.push_back(model);
+  } else if (replace) {
+    EraseTriples(uri, &store_);
+    *it = model;
+  } else {
+    return Status::AlreadyExists("model already registered: " + uri);
+  }
+  return WriteTriples(model->info, &store_);
 }
 
 Status KgMeta::DeleteModel(const std::string& uri) {
-  TermId id = store_.dict().FindIri(uri);
-  if (id == kNullTermId)
-    return Status::NotFound("model not registered: " + uri);
-  size_t removed =
-      store_.EraseMatching(TriplePattern(id, kNullTermId, kNullTermId));
-  if (removed == 0) return Status::NotFound("model not registered: " + uri);
+  common::MutexLock lock(&mu_);
+  auto it = FindUri(models_, uri);
+  if (it == models_.end()) return NotRegistered(uri);
+  EraseTriples(uri, &store_);
+  models_.erase(it);
   return Status::OK();
 }
 
+Result<std::shared_ptr<const TrainedModel>> KgMeta::GetModel(
+    const std::string& uri) const {
+  common::MutexLock lock(&mu_);
+  auto it = FindUri(models_, uri);
+  if (it == models_.end()) return NotRegistered(uri);
+  return *it;
+}
+
 Result<ModelInfo> KgMeta::Get(const std::string& uri) const {
-  TermId id = store_.dict().FindIri(uri);
-  if (id == kNullTermId)
-    return Status::NotFound("model not registered: " + uri);
-  ModelInfo info;
-  info.uri = uri;
-  bool found = false;
-  const rdf::Dictionary& dict = store_.dict();
-  store_.Scan(TriplePattern(id, kNullTermId, kNullTermId),
-              [&](const Triple& t) {
-                found = true;
-                const std::string& pred = dict.Lookup(t.p).lexical;
-                const Term& obj = dict.Lookup(t.o);
-                double num = 0.0;
-                obj.AsDouble(&num);
-                if (pred == rdf::kRdfType) {
-                  info.task = obj.lexical == KgnetVocab::NodeClassifier()
-                                  ? gml::TaskType::kNodeClassification
-                              : obj.lexical == KgnetVocab::SimilarEntities()
-                                  ? gml::TaskType::kEntitySimilarity
-                                  : gml::TaskType::kLinkPrediction;
-                } else if (pred == KgnetVocab::TargetNode()) {
-                  info.target_type_iri = obj.lexical;
-                } else if (pred == KgnetVocab::NodeLabel()) {
-                  info.label_predicate_iri = obj.lexical;
-                } else if (pred == KgnetVocab::SourceNode()) {
-                  info.source_type_iri = obj.lexical;
-                } else if (pred == KgnetVocab::DestinationNode()) {
-                  info.destination_type_iri = obj.lexical;
-                } else if (pred == KgnetVocab::TaskPredicate()) {
-                  info.task_predicate_iri = obj.lexical;
-                } else if (pred == KgnetVocab::GmlMethod()) {
-                  info.method = obj.lexical;
-                } else if (pred == KgnetVocab::Sampler()) {
-                  info.sampler_label = obj.lexical;
-                } else if (pred == KgnetVocab::Accuracy()) {
-                  info.accuracy = num;
-                } else if (pred == KgnetVocab::Mrr()) {
-                  info.mrr = num;
-                } else if (pred == KgnetVocab::InferenceTime()) {
-                  info.inference_us = num;
-                } else if (pred == KgnetVocab::Cardinality()) {
-                  info.cardinality = static_cast<size_t>(num);
-                } else if (pred == KgnetVocab::TrainTime()) {
-                  info.train_seconds = num;
-                } else if (pred == KgnetVocab::MemoryUsed()) {
-                  info.train_memory_bytes = static_cast<size_t>(num);
-                }
-                return true;
-              });
-  if (!found) return Status::NotFound("model not registered: " + uri);
-  return info;
+  KGNET_ASSIGN_OR_RETURN(std::shared_ptr<const TrainedModel> model,
+                         GetModel(uri));
+  return model->info;
 }
 
 std::vector<std::string> KgMeta::ListModelUris() const {
   std::vector<std::string> uris;
-  const rdf::Dictionary& dict = store_.dict();
-  TermId type_pred = dict.FindIri(rdf::kRdfType);
-  if (type_pred == kNullTermId) return uris;
-  store_.Scan(TriplePattern(kNullTermId, type_pred, kNullTermId),
-              [&](const Triple& t) {
-                const std::string& cls = dict.Lookup(t.o).lexical;
-                if (cls == KgnetVocab::NodeClassifier() ||
-                    cls == KgnetVocab::LinkPredictor() ||
-                    cls == KgnetVocab::SimilarEntities())
-                  uris.push_back(dict.Lookup(t.s).lexical);
-                return true;
-              });
+  {
+    common::MutexLock lock(&mu_);
+    uris.reserve(models_.size());
+    for (const auto& m : models_) uris.push_back(m->info.uri);
+  }
+  std::sort(uris.begin(), uris.end());
   return uris;
 }
 
-size_t KgMeta::NumModels() const { return ListModelUris().size(); }
+size_t KgMeta::NumModels() const {
+  common::MutexLock lock(&mu_);
+  return models_.size();
+}
 
 std::vector<ModelInfo> KgMeta::FindModels(const ModelInfo& pattern) const {
+  auto match = [](const std::string& want, const std::string& have) {
+    return want.empty() || want == have;
+  };
   std::vector<ModelInfo> out;
-  for (const std::string& uri : ListModelUris()) {
-    auto info = Get(uri);
-    if (!info.ok()) continue;
-    if (info->task != pattern.task) continue;
-    auto match = [](const std::string& want, const std::string& have) {
-      return want.empty() || want == have;
-    };
+  common::MutexLock lock(&mu_);
+  for (const auto& m : models_) {
+    const ModelInfo& info = m->info;
+    if (info.task != pattern.task) continue;
     if (pattern.task == gml::TaskType::kNodeClassification) {
-      if (!match(pattern.target_type_iri, info->target_type_iri)) continue;
-      if (!match(pattern.label_predicate_iri, info->label_predicate_iri))
+      if (!match(pattern.target_type_iri, info.target_type_iri)) continue;
+      if (!match(pattern.label_predicate_iri, info.label_predicate_iri))
         continue;
     } else {
-      if (!match(pattern.source_type_iri, info->source_type_iri)) continue;
-      if (!match(pattern.destination_type_iri, info->destination_type_iri))
+      if (!match(pattern.source_type_iri, info.source_type_iri)) continue;
+      if (!match(pattern.destination_type_iri, info.destination_type_iri))
         continue;
-      if (!match(pattern.task_predicate_iri, info->task_predicate_iri))
+      if (!match(pattern.task_predicate_iri, info.task_predicate_iri))
         continue;
     }
-    out.push_back(std::move(*info));
+    out.push_back(info);
   }
   return out;
 }

@@ -1,7 +1,7 @@
 // KgNet: the platform facade (paper Figure 3).
 //
 // Owns the data KG (an RDF triple store), the SPARQL-ML service with its
-// KGMeta / model store / training and inference managers, and exposes the
+// KGMeta model registry and training and inference managers, and exposes the
 // handful of entry points an application needs:
 //
 //   KgNet kg;

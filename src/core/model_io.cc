@@ -290,14 +290,13 @@ Result<std::shared_ptr<TrainedModel>> ParseTrainedModel(
   return model;
 }
 
-Result<size_t> SaveModelStore(const ModelStore& store,
-                              const std::string& dir) {
+Result<size_t> SaveModelStore(const KgMeta& kgmeta, const std::string& dir) {
   std::error_code ec;
   std::filesystem::create_directories(dir, ec);
   if (ec) return Status::Internal("cannot create directory: " + dir);
   size_t written = 0;
-  for (const std::string& uri : store.ListUris()) {
-    auto model = store.Get(uri);
+  for (const std::string& uri : kgmeta.ListModelUris()) {
+    auto model = kgmeta.GetModel(uri);
     if (!model.ok()) continue;
     // Derive a filesystem-safe name from the URI tail.
     std::string name = uri.substr(uri.rfind('/') + 1);
@@ -312,8 +311,7 @@ Result<size_t> SaveModelStore(const ModelStore& store,
   return written;
 }
 
-Result<size_t> LoadModelStore(const std::string& dir, ModelStore* store,
-                              KgMeta* kgmeta) {
+Result<size_t> LoadModelStore(const std::string& dir, KgMeta* kgmeta) {
   std::error_code ec;
   if (!std::filesystem::is_directory(dir, ec))
     return Status::NotFound("not a directory: " + dir);
@@ -326,14 +324,8 @@ Result<size_t> LoadModelStore(const std::string& dir, ModelStore* store,
   size_t loaded = 0;
   for (const auto& path : paths) {
     KGNET_ASSIGN_OR_RETURN(auto model, LoadTrainedModel(path.string()));
-    const std::string uri = model->info.uri;
-    store->Put(std::move(model));
-    // Re-register metadata unless already present.
-    if (!kgmeta->Get(uri).ok()) {
-      auto restored = store->Get(uri);
-      if (restored.ok())
-        KGNET_RETURN_IF_ERROR(kgmeta->RegisterModel((*restored)->info));
-    }
+    KGNET_RETURN_IF_ERROR(
+        kgmeta->RegisterModel(std::move(model), /*replace=*/true).status());
     ++loaded;
   }
   return loaded;

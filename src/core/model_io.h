@@ -2,7 +2,7 @@
 // Loader").
 //
 // Every registered model answers from its serving bundle
-// (core/model_store.h), built when training registers the model:
+// (core/kgmeta.h), built when training registers the model:
 //   * node classifiers: the predicted class of every target node,
 //   * link predictors / similarity models: the entity embedding rows, the
 //     model's own scoring function with its task-relation row, and the
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "core/model_store.h"
+#include "core/kgmeta.h"
 #include "gml/graph_data.h"
 
 namespace kgnet::core {
@@ -52,18 +52,17 @@ Result<std::shared_ptr<TrainedModel>> LoadTrainedModel(
 Result<std::shared_ptr<TrainedModel>> ParseTrainedModel(
     std::string_view bytes);
 
-/// Saves every model in `store` into `dir` as one <n>.kgm bundle each.
-/// A bundle carries the model's ModelInfo, which is all LoadModelStore
-/// needs to register it in KGMeta again. Returns the number of models
-/// written.
-Result<size_t> SaveModelStore(const ModelStore& store,
-                              const std::string& dir);
+/// Saves every model registered in `kgmeta` into `dir` as one <n>.kgm
+/// bundle each, in ascending URI order. A bundle carries the model's
+/// ModelInfo, which is all LoadModelStore needs to register it again.
+/// Returns the number of models written.
+Result<size_t> SaveModelStore(const KgMeta& kgmeta, const std::string& dir);
 
-/// Loads every *.kgm under `dir` into `store`, replacing a model stored
-/// under the same URI, and registers each model's ModelInfo in `kgmeta`
-/// unless it already holds one. Returns the number of models loaded.
-Result<size_t> LoadModelStore(const std::string& dir, ModelStore* store,
-                              KgMeta* kgmeta);
+/// Registers every *.kgm under `dir` in `kgmeta`, in file-name order. The
+/// loaded file wins: a model already registered under the same URI is
+/// replaced, record, bundle and triples together. Returns the number of
+/// models loaded.
+Result<size_t> LoadModelStore(const std::string& dir, KgMeta* kgmeta);
 
 }  // namespace kgnet::core
 

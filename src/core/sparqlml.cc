@@ -106,8 +106,8 @@ void BindUdp(const UserDefinedPredicate& udp, Query* out) {
 
 SparqlMlService::SparqlMlService(rdf::TripleStore* kg) : kg_(kg) {
   engine_ = std::make_unique<sparql::QueryEngine>(kg_);
-  inference_ = std::make_unique<InferenceManager>(&models_);
-  training_ = std::make_unique<GmlTrainingManager>(kg_, &kgmeta_, &models_);
+  inference_ = std::make_unique<InferenceManager>(&kgmeta_);
+  training_ = std::make_unique<GmlTrainingManager>(kg_, &kgmeta_);
   RegisterUdfs();
 }
 
@@ -596,13 +596,13 @@ Result<QueryResult> SparqlMlService::ExecuteTrainGml(
   result.rows.push_back({Term::Iri(outcome.model_uri),
                          Term::DoubleLiteral(outcome.report.metric),
                          Term::Literal(outcome.report.method)});
-  result.num_inserted = kgmeta_.store().size();
+  result.num_inserted = outcome.meta_triples;
   return result;
 }
 
 Result<QueryResult> SparqlMlService::ExecuteDelete(const Query& query) {
   // Evaluate the WHERE clause against the KGMeta graph to find the model
-  // URIs, then delete their metadata and artifacts.
+  // URIs, then delete each model: its record, bundle and triples.
   sparql::QueryEngine meta_engine(&kgmeta_.mutable_store());
   Query select;
   select.kind = QueryKind::kSelect;
@@ -629,12 +629,7 @@ Result<QueryResult> SparqlMlService::ExecuteDelete(const Query& query) {
   QueryResult result;
   for (const auto& row : found.rows) {
     if (row.empty() || !row[0].is_iri()) continue;
-    const std::string& uri = row[0].lexical;
-    Status st = kgmeta_.DeleteModel(uri);
-    if (st.ok()) {
-      (void)models_.Remove(uri);
-      ++result.num_deleted;
-    }
+    if (kgmeta_.DeleteModel(row[0].lexical).ok()) ++result.num_deleted;
   }
   return result;
 }

@@ -36,7 +36,6 @@
 #include "common/result.h"
 #include "core/inference_manager.h"
 #include "core/kgmeta.h"
-#include "core/model_store.h"
 #include "core/training_manager.h"
 #include "sparql/engine.h"
 
@@ -86,7 +85,7 @@ struct ExecutionStats {
 class SparqlMlService {
  public:
   /// `kg` must outlive the service. The service owns the SPARQL engine,
-  /// KGMeta, model store, inference and training managers.
+  /// KGMeta (the model registry), inference and training managers.
   explicit SparqlMlService(rdf::TripleStore* kg);
 
   /// Parses and executes any SPARQL or SPARQL-ML query. `cancel`, when
@@ -131,7 +130,6 @@ class SparqlMlService {
   GmlTrainingManager& training_manager() { return *training_; }
   InferenceManager& inference_manager() { return *inference_; }
   KgMeta& kgmeta() { return kgmeta_; }
-  ModelStore& model_store() { return models_; }
   sparql::QueryEngine& engine() { return *engine_; }
 
   /// Parses a TrainGML JSON payload into a TrainTaskSpec (public for
@@ -173,7 +171,6 @@ class SparqlMlService {
   rdf::TripleStore* kg_;
   std::unique_ptr<sparql::QueryEngine> engine_;
   KgMeta kgmeta_;
-  ModelStore models_;
   std::unique_ptr<InferenceManager> inference_;
   std::unique_ptr<GmlTrainingManager> training_;
   /// Dictionary-plan lookup tables by handle, dropped as each query ends.

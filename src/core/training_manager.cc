@@ -91,12 +91,15 @@ Result<TrainOutcome> GmlTrainingManager::TrainTask(const TrainTaskSpec& spec) {
                            BuildServingBundle(*predictor, graph, kg_->dict()));
   }
 
-  // ---- 5. Metadata collection into KGMeta. ----
+  // ---- 5. Metadata collection into KGMeta, under the first free URI (a
+  // model loaded from disk may already hold the next one). ----
   std::string name = spec.model_name.empty()
                          ? std::string(gml::TaskTypeName(spec.task))
                          : spec.model_name;
-  outcome.model_uri = KgnetVocab::Name("model/" + name + "-" +
-                                       std::to_string(next_model_id_++));
+  do {
+    outcome.model_uri = KgnetVocab::Name("model/" + name + "-" +
+                                         std::to_string(next_model_id_++));
+  } while (kgmeta_->Get(outcome.model_uri).ok());
   ModelInfo& info = outcome.info;
   info.uri = outcome.model_uri;
   info.task = spec.task;
@@ -120,8 +123,8 @@ Result<TrainOutcome> GmlTrainingManager::TrainTask(const TrainTaskSpec& spec) {
                        graph.test_edges.size();
   }
   model->info = info;
-  KGNET_RETURN_IF_ERROR(kgmeta_->RegisterModel(info));
-  models_->Put(std::move(model));
+  KGNET_ASSIGN_OR_RETURN(outcome.meta_triples,
+                         kgmeta_->RegisterModel(std::move(model)));
   return outcome;
 }
 

@@ -3,8 +3,8 @@
 // One TrainTask() call performs: meta-sampling (task-specific subgraph
 // extraction), data transformation (GraphData encoding, splits, Xavier
 // features), budget-aware method selection, training with the time budget
-// enforced, metadata collection into KGMeta, and registration of the
-// model's serving bundle in the ModelStore.
+// enforced, metadata collection, and registration in KGMeta of the
+// model's record and serving bundle under the first free model URI.
 #ifndef KGNET_CORE_TRAINING_MANAGER_H_
 #define KGNET_CORE_TRAINING_MANAGER_H_
 
@@ -15,7 +15,6 @@
 #include "core/kgmeta.h"
 #include "core/meta_sampler.h"
 #include "core/method_selector.h"
-#include "core/model_store.h"
 #include "gml/model.h"
 
 namespace kgnet::core {
@@ -55,14 +54,15 @@ struct TrainOutcome {
   MetaSampleStats sample_stats;
   /// Sampler label used ("d1h1" / "full").
   std::string sampler_label;
+  /// KGMeta triples the registration wrote.
+  size_t meta_triples = 0;
 };
 
 /// Drives the automated training pipeline against one data KG.
 class GmlTrainingManager {
  public:
-  GmlTrainingManager(const rdf::TripleStore* kg, KgMeta* kgmeta,
-                     ModelStore* models)
-      : kg_(kg), kgmeta_(kgmeta), models_(models) {}
+  GmlTrainingManager(const rdf::TripleStore* kg, KgMeta* kgmeta)
+      : kg_(kg), kgmeta_(kgmeta) {}
 
   /// Runs the full pipeline; registers the model and returns its outcome.
   Result<TrainOutcome> TrainTask(const TrainTaskSpec& spec);
@@ -70,7 +70,7 @@ class GmlTrainingManager {
  private:
   const rdf::TripleStore* kg_;
   KgMeta* kgmeta_;
-  ModelStore* models_;
+  /// Where the search for a free model URI starts.
   size_t next_model_id_ = 1;
 };
 

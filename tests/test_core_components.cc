@@ -1,6 +1,9 @@
 // Unit tests for KGMeta, the method selector and the JSON parser.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+
 #include "core/json.h"
 #include "core/kgmeta.h"
 #include "core/method_selector.h"
@@ -28,10 +31,33 @@ ModelInfo NcModel(const std::string& uri, double acc, double infer_us) {
   return m;
 }
 
+ModelInfo LpModel(const std::string& uri) {
+  ModelInfo m;
+  m.uri = uri;
+  m.task = gml::TaskType::kLinkPrediction;
+  m.method = "TransE";
+  m.source_type_iri = "http://x/Author";
+  m.destination_type_iri = "http://x/Affil";
+  m.task_predicate_iri = "http://x/affiliatedWith";
+  m.accuracy = 0.25;
+  m.mrr = 0.125;
+  m.inference_us = 7.5;
+  m.cardinality = 42;
+  m.sampler_label = "d2h1";
+  m.train_seconds = 0.75;
+  m.train_memory_bytes = 4096;
+  return m;
+}
+
+/// `info` as a registrable model with an empty serving bundle.
+std::shared_ptr<const TrainedModel> Record(ModelInfo info) {
+  return std::make_shared<TrainedModel>(TrainedModel{std::move(info), {}});
+}
+
 TEST(KgMetaTest, RegisterGetRoundTrip) {
   KgMeta meta;
   ModelInfo in = NcModel(KgnetVocab::Name("model/m1"), 0.9, 10.0);
-  ASSERT_TRUE(meta.RegisterModel(in).ok());
+  ASSERT_TRUE(meta.RegisterModel(Record(in)).ok());
   auto out = meta.Get(in.uri);
   ASSERT_TRUE(out.ok()) << out.status();
   EXPECT_EQ(out->task, in.task);
@@ -47,14 +73,15 @@ TEST(KgMetaTest, RegisterGetRoundTrip) {
 TEST(KgMetaTest, DuplicateRegistrationRejected) {
   KgMeta meta;
   ModelInfo m = NcModel("u", 0.5, 1);
-  ASSERT_TRUE(meta.RegisterModel(m).ok());
-  EXPECT_EQ(meta.RegisterModel(m).code(), StatusCode::kAlreadyExists);
+  ASSERT_TRUE(meta.RegisterModel(Record(m)).ok());
+  EXPECT_EQ(meta.RegisterModel(Record(m)).status().code(),
+            StatusCode::kAlreadyExists);
 }
 
 TEST(KgMetaTest, DeleteRemovesAllTriples) {
   KgMeta meta;
-  ASSERT_TRUE(meta.RegisterModel(NcModel("u1", 0.5, 1)).ok());
-  ASSERT_TRUE(meta.RegisterModel(NcModel("u2", 0.6, 1)).ok());
+  ASSERT_TRUE(meta.RegisterModel(Record(NcModel("u1", 0.5, 1))).ok());
+  ASSERT_TRUE(meta.RegisterModel(Record(NcModel("u2", 0.6, 1))).ok());
   EXPECT_EQ(meta.NumModels(), 2u);
   ASSERT_TRUE(meta.DeleteModel("u1").ok());
   EXPECT_EQ(meta.NumModels(), 1u);
@@ -64,17 +91,11 @@ TEST(KgMetaTest, DeleteRemovesAllTriples) {
 
 TEST(KgMetaTest, FindModelsFiltersByConstraints) {
   KgMeta meta;
-  ASSERT_TRUE(meta.RegisterModel(NcModel("u1", 0.5, 1)).ok());
+  ASSERT_TRUE(meta.RegisterModel(Record(NcModel("u1", 0.5, 1))).ok());
   ModelInfo other = NcModel("u2", 0.6, 1);
   other.target_type_iri = "http://x/Author";
-  ASSERT_TRUE(meta.RegisterModel(other).ok());
-  ModelInfo lp;
-  lp.uri = "u3";
-  lp.task = gml::TaskType::kLinkPrediction;
-  lp.source_type_iri = "http://x/Author";
-  lp.destination_type_iri = "http://x/Affil";
-  lp.task_predicate_iri = "http://x/affiliatedWith";
-  ASSERT_TRUE(meta.RegisterModel(lp).ok());
+  ASSERT_TRUE(meta.RegisterModel(Record(other)).ok());
+  ASSERT_TRUE(meta.RegisterModel(Record(LpModel("u3"))).ok());
 
   ModelInfo pattern;
   pattern.task = gml::TaskType::kNodeClassification;
@@ -94,11 +115,68 @@ TEST(KgMetaTest, FindModelsFiltersByConstraints) {
   EXPECT_EQ(meta.FindModels(all_nc).size(), 2u);
 }
 
+/// The triples about `uri`, by predicate, read by a SPARQL SELECT over the
+/// KGMeta graph.
+std::map<std::string, rdf::Term> TriplesAbout(KgMeta* meta,
+                                              const std::string& uri) {
+  sparql::QueryEngine engine(&meta->mutable_store());
+  auto r = engine.ExecuteString("SELECT ?p ?o WHERE { <" + uri + "> ?p ?o . }");
+  EXPECT_TRUE(r.ok()) << r.status();
+  std::map<std::string, rdf::Term> out;
+  if (r.ok())
+    for (const auto& row : r->rows) out.emplace(row[0].lexical, row[1]);
+  return out;
+}
+
+/// Every field of `m` appears as its Figure 7 triple, and no other triple
+/// is about `m.uri`.
+void ExpectFigure7Triples(KgMeta* meta, const ModelInfo& m) {
+  const std::map<std::string, rdf::Term> triples = TriplesAbout(meta, m.uri);
+  size_t expected = 0;
+  auto object = [&](const std::string& pred) {
+    ++expected;
+    auto it = triples.find(pred);
+    EXPECT_TRUE(it != triples.end()) << m.uri << " lacks " << pred;
+    return it == triples.end() ? rdf::Term::Undef() : it->second;
+  };
+  auto iri = [&](const std::string& pred, const std::string& want) {
+    EXPECT_EQ(object(pred), rdf::Term::Iri(want)) << pred;
+  };
+  auto literal = [&](const std::string& pred, const std::string& want) {
+    EXPECT_EQ(object(pred), rdf::Term::Literal(want)) << pred;
+  };
+  auto number = [&](const std::string& pred, double want) {
+    double have = -1;
+    EXPECT_TRUE(object(pred).AsDouble(&have)) << pred;
+    EXPECT_EQ(have, want) << pred;
+  };
+  if (m.task == gml::TaskType::kNodeClassification) {
+    iri(std::string(rdf::kRdfType), KgnetVocab::NodeClassifier());
+    iri(KgnetVocab::TargetNode(), m.target_type_iri);
+    iri(KgnetVocab::NodeLabel(), m.label_predicate_iri);
+  } else {
+    iri(std::string(rdf::kRdfType), KgnetVocab::LinkPredictor());
+    iri(KgnetVocab::SourceNode(), m.source_type_iri);
+    iri(KgnetVocab::DestinationNode(), m.destination_type_iri);
+    iri(KgnetVocab::TaskPredicate(), m.task_predicate_iri);
+  }
+  literal(KgnetVocab::GmlMethod(), m.method);
+  literal(KgnetVocab::Sampler(), m.sampler_label);
+  number(KgnetVocab::Accuracy(), m.accuracy);
+  number(KgnetVocab::Mrr(), m.mrr);
+  number(KgnetVocab::InferenceTime(), m.inference_us);
+  number(KgnetVocab::Cardinality(), static_cast<double>(m.cardinality));
+  number(KgnetVocab::TrainTime(), m.train_seconds);
+  number(KgnetVocab::MemoryUsed(), static_cast<double>(m.train_memory_bytes));
+  EXPECT_EQ(triples.size(), expected) << m.uri;
+}
+
 TEST(KgMetaTest, KgMetaIsQueryableViaSparql) {
   KgMeta meta;
-  ASSERT_TRUE(
-      meta.RegisterModel(NcModel(KgnetVocab::Name("model/m9"), 0.77, 3))
-          .ok());
+  const ModelInfo nc = NcModel(KgnetVocab::Name("model/m9"), 0.77, 3);
+  const ModelInfo lp = LpModel(KgnetVocab::Name("model/m10"));
+  ASSERT_TRUE(meta.RegisterModel(Record(nc)).ok());
+  ASSERT_TRUE(meta.RegisterModel(Record(lp)).ok());
   sparql::QueryEngine engine(&meta.mutable_store());
   auto r = engine.ExecuteString(
       "PREFIX kgnet: <https://www.kgnet.com/>\n"
@@ -110,6 +188,42 @@ TEST(KgMetaTest, KgMetaIsQueryableViaSparql) {
   double acc;
   EXPECT_TRUE(r->rows[0][1].AsDouble(&acc));
   EXPECT_NEAR(acc, 0.77, 1e-9);
+  ExpectFigure7Triples(&meta, nc);
+  ExpectFigure7Triples(&meta, lp);
+}
+
+// Register and delete change the held record and the graph together; a
+// replacing registration swaps both and keeps the model's place.
+TEST(KgMetaTest, RegisterAndDeleteChangeRecordAndTriplesTogether) {
+  KgMeta meta;
+  ModelInfo a = NcModel("urn:a", 0.5, 1);
+  auto added = meta.RegisterModel(Record(a));
+  ASSERT_TRUE(added.ok()) << added.status();
+  EXPECT_EQ(*added, 11u);
+  EXPECT_EQ(meta.store().size(), 11u);
+  ASSERT_TRUE(meta.RegisterModel(Record(NcModel("urn:b", 0.5, 1))).ok());
+
+  a.accuracy = 0.625;
+  a.method = "GCN";
+  auto replaced = meta.RegisterModel(Record(a), /*replace=*/true);
+  ASSERT_TRUE(replaced.ok()) << replaced.status();
+  EXPECT_EQ(*replaced, 11u);
+  EXPECT_EQ(meta.store().size(), 22u);
+  EXPECT_EQ(meta.Get("urn:a")->accuracy, 0.625);
+  ExpectFigure7Triples(&meta, a);
+  ModelInfo all_nc;
+  all_nc.task = gml::TaskType::kNodeClassification;
+  const std::vector<ModelInfo> found = meta.FindModels(all_nc);
+  ASSERT_EQ(found.size(), 2u);
+  EXPECT_EQ(found[0].uri, "urn:a");
+
+  EXPECT_EQ(meta.RegisterModel(Record(ModelInfo{})).status().code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(meta.DeleteModel("urn:a").ok());
+  EXPECT_EQ(meta.store().size(), 11u);
+  EXPECT_TRUE(TriplesAbout(&meta, "urn:a").empty());
+  EXPECT_EQ(meta.GetModel("urn:a").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(meta.ListModelUris(), std::vector<std::string>{"urn:b"});
 }
 
 // -------------------------------------------------------- MethodSelector --

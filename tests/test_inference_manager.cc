@@ -179,9 +179,11 @@ std::shared_ptr<TrainedModel> RowsModel(
 }
 
 TEST(ServingBundleSimilarityTest, FlatScanIsExactAndBreaksTiesByRow) {
-  ModelStore store;
-  store.Put(RowsModel({{1, 0}, {0, 1}, {1, 0}, {0.9f, 0.1f}, {1, 0}, {-1, 0}}));
-  InferenceManager im(&store);
+  KgMeta meta;
+  ASSERT_TRUE(meta.RegisterModel(RowsModel({{1, 0}, {0, 1}, {1, 0},
+                                            {0.9f, 0.1f}, {1, 0}, {-1, 0}}))
+                  .ok());
+  InferenceManager im(&meta);
   auto sims = im.GetSimilarEntities("urn:rows", "urn:n2", 5);
   ASSERT_TRUE(sims.ok()) << sims.status();
   // n0 and n4 equal n2 (distance 0, ascending row), then n3, n1, n5.
@@ -190,18 +192,19 @@ TEST(ServingBundleSimilarityTest, FlatScanIsExactAndBreaksTiesByRow) {
 }
 
 TEST(ServingBundleSimilarityTest, CosineIgnoresMagnitude) {
-  ModelStore store;
-  store.Put(RowsModel({{1, 0.01f}, {10, 0}, {0, 0.1f}}));
-  InferenceManager im(&store);
+  KgMeta meta;
+  ASSERT_TRUE(
+      meta.RegisterModel(RowsModel({{1, 0.01f}, {10, 0}, {0, 0.1f}})).ok());
+  InferenceManager im(&meta);
   auto sims = im.GetSimilarEntities("urn:rows", "urn:n0", 1);
   ASSERT_TRUE(sims.ok()) << sims.status();
   EXPECT_EQ(*sims, std::vector<std::string>{"urn:n1"});
 }
 
 TEST(ServingBundleSimilarityTest, DimensionMismatchRejected) {
-  ModelStore store;
-  store.Put(RowsModel({{1, 0, 0}, {0, 1, 0}}));
-  InferenceManager im(&store);
+  KgMeta meta;
+  ASSERT_TRUE(meta.RegisterModel(RowsModel({{1, 0, 0}, {0, 1, 0}})).ok());
+  InferenceManager im(&meta);
   EXPECT_EQ(im.GetSimilarByRow("urn:rows", "urn:n0", {1, 2}, 1).status().code(),
             StatusCode::kInternal);
   auto row = im.GetEmbeddingRow("urn:rows", "urn:n0");

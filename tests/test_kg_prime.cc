@@ -273,7 +273,7 @@ TEST(KgPrimeGraphPinTest, TrainTaskTrainsOnThePinnedGraph) {
   for (const Job& job : Jobs()) {
     auto out = kg.TrainTask(job.spec);
     ASSERT_TRUE(out.ok()) << out.status();
-    auto model = kg.service().model_store().Get(out->model_uri);
+    auto model = kg.service().kgmeta().GetModel(out->model_uri);
     ASSERT_TRUE(model.ok());
     const ServingBundle& b = (*model)->bundle;
     EXPECT_EQ(b.node_iris.size(), job.pin.nodes) << job.label;
@@ -318,7 +318,7 @@ TEST(KgPrimeGraphPinTest, TrainedGraphsNameTermsInTheKgDictionary) {
   for (const Job& job : Jobs()) {
     auto out = kg.TrainTask(job.spec);
     ASSERT_TRUE(out.ok()) << out.status();
-    auto model = kg.service().model_store().Get(out->model_uri);
+    auto model = kg.service().kgmeta().GetModel(out->model_uri);
     ASSERT_TRUE(model.ok());
     const ServingBundle& b = (*model)->bundle;
     Fnv nodes, classes;
@@ -520,15 +520,15 @@ TEST_F(KgPrimeInferencePinTest, SavedAndLoadedModelsAnswerThePinnedTable) {
       std::filesystem::temp_directory_path() /
       ("kgnet_kg_prime_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
-  ModelStore loaded;
+  KgMeta loaded;
   for (const std::string& uri : {nc_uri_, lp_uri_}) {
-    auto model = kg_.service().model_store().Get(uri);
+    auto model = kg_.service().kgmeta().GetModel(uri);
     ASSERT_TRUE(model.ok());
     const std::string path = (dir / "m.kgm").string();
     ASSERT_TRUE(SaveTrainedModel(**model, path).ok());
     auto back = LoadTrainedModel(path);
     ASSERT_TRUE(back.ok()) << back.status();
-    loaded.Put(*back);
+    ASSERT_TRUE(loaded.RegisterModel(*back).ok());
   }
   std::filesystem::remove_all(dir);
   InferenceManager im(&loaded);
@@ -633,14 +633,14 @@ TEST(KgPrimeLinkRankingTest, EveryMethodRanksLikeItsPredictorLiveAndLoaded) {
     spec.forced_method = method;
     auto out = kg.TrainTask(spec);
     ASSERT_TRUE(out.ok()) << name << ": " << out.status();
-    auto model = kg.service().model_store().Get(out->model_uri);
+    auto model = kg.service().kgmeta().GetModel(out->model_uri);
     ASSERT_TRUE(model.ok());
     const std::string path = (dir / "lp.kgm").string();
     ASSERT_TRUE(SaveTrainedModel(**model, path).ok());
     auto back = LoadTrainedModel(path);
     ASSERT_TRUE(back.ok()) << back.status();
-    ModelStore loaded;
-    loaded.Put(*back);
+    KgMeta loaded;
+    ASSERT_TRUE(loaded.RegisterModel(*back).ok());
     InferenceManager loaded_im(&loaded);
 
     // The reference: the same method trained on the same graph with the

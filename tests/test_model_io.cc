@@ -23,6 +23,30 @@ namespace {
 
 using workload::DblpSchema;
 
+/// The KG every model here trains on.
+void GenerateKg(KgNet* kg) {
+  workload::DblpOptions opts;
+  opts.num_papers = 80;
+  opts.num_authors = 40;
+  opts.num_venues = 4;
+  opts.num_affiliations = 8;
+  opts.include_periphery = false;
+  EXPECT_TRUE(workload::GenerateDblp(opts, &kg->store()).ok());
+}
+
+/// The venue classifier, registered as model/nc-<n>.
+TrainTaskSpec NcSpec() {
+  TrainTaskSpec nc;
+  nc.task = gml::TaskType::kNodeClassification;
+  nc.target_type_iri = DblpSchema::Publication();
+  nc.label_predicate_iri = DblpSchema::PublishedIn();
+  nc.config.epochs = 3;
+  nc.config.hidden_dim = 8;
+  nc.config.embed_dim = 8;
+  nc.model_name = "nc";
+  return nc;
+}
+
 class ModelIoTest : public ::testing::Test {
  protected:
   ModelIoTest() {
@@ -30,23 +54,8 @@ class ModelIoTest : public ::testing::Test {
            ("kgnet_model_io_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
 
-    workload::DblpOptions opts;
-    opts.num_papers = 80;
-    opts.num_authors = 40;
-    opts.num_venues = 4;
-    opts.num_affiliations = 8;
-    opts.include_periphery = false;
-    EXPECT_TRUE(workload::GenerateDblp(opts, &kg_.store()).ok());
-
-    TrainTaskSpec nc;
-    nc.task = gml::TaskType::kNodeClassification;
-    nc.target_type_iri = DblpSchema::Publication();
-    nc.label_predicate_iri = DblpSchema::PublishedIn();
-    nc.config.epochs = 3;
-    nc.config.hidden_dim = 8;
-    nc.config.embed_dim = 8;
-    nc.model_name = "nc";
-    auto nc_out = kg_.TrainTask(nc);
+    GenerateKg(&kg_);
+    auto nc_out = kg_.TrainTask(NcSpec());
     EXPECT_TRUE(nc_out.ok());
     nc_uri_ = nc_out->model_uri;
 
@@ -75,7 +84,7 @@ class ModelIoTest : public ::testing::Test {
 };
 
 TEST_F(ModelIoTest, NcBundleCoversAllTargets) {
-  auto model = kg_.service().model_store().Get(nc_uri_);
+  auto model = kg_.service().kgmeta().GetModel(nc_uri_);
   ASSERT_TRUE(model.ok());
   const ServingBundle& bundle = (*model)->bundle;
   ASSERT_EQ(bundle.row_class.size(), bundle.node_iris.size());
@@ -94,7 +103,7 @@ std::vector<uint32_t> Bits(const std::vector<float>& v) {
 
 TEST_F(ModelIoTest, LoadedBundlesEqualTheRegisteredOnes) {
   for (const std::string& uri : {nc_uri_, lp_uri_}) {
-    auto model = kg_.service().model_store().Get(uri);
+    auto model = kg_.service().kgmeta().GetModel(uri);
     ASSERT_TRUE(model.ok());
     const std::string path = (dir_ / "m.kgm").string();
     ASSERT_TRUE(SaveTrainedModel(**model, path).ok());
@@ -114,7 +123,7 @@ TEST_F(ModelIoTest, LoadedBundlesEqualTheRegisteredOnes) {
 }
 
 TEST_F(ModelIoTest, SaveLoadRoundTripPreservesInfo) {
-  auto model = kg_.service().model_store().Get(nc_uri_);
+  auto model = kg_.service().kgmeta().GetModel(nc_uri_);
   ASSERT_TRUE(model.ok());
   const std::string path = (dir_ / "nc.kgm").string();
   ASSERT_TRUE(SaveTrainedModel(**model, path).ok());
@@ -139,13 +148,14 @@ TEST_F(ModelIoTest, LoadedNcModelServesIdenticalPredictions) {
   ASSERT_TRUE(live.ok());
 
   const std::string path = (dir_ / "nc.kgm").string();
-  auto model = kg_.service().model_store().Get(nc_uri_);
+  auto model = kg_.service().kgmeta().GetModel(nc_uri_);
   ASSERT_TRUE(SaveTrainedModel(**model, path).ok());
 
   // Replace the live model with the loaded bundle under the same URI.
   auto loaded = LoadTrainedModel(path);
   ASSERT_TRUE(loaded.ok());
-  kg_.service().model_store().Put(*loaded);
+  ASSERT_TRUE(
+      kg_.service().kgmeta().RegisterModel(*loaded, /*replace=*/true).ok());
 
   auto served = manager.GetNodeClassDictionary(nc_uri_);
   ASSERT_TRUE(served.ok()) << served.status();
@@ -159,12 +169,13 @@ TEST_F(ModelIoTest, LoadedNcModelServesIdenticalPredictions) {
 
 TEST_F(ModelIoTest, LoadedLpModelServesLinksAndSimilarity) {
   const std::string path = (dir_ / "lp.kgm").string();
-  auto model = kg_.service().model_store().Get(lp_uri_);
+  auto model = kg_.service().kgmeta().GetModel(lp_uri_);
   ASSERT_TRUE(model.ok());
   ASSERT_TRUE(SaveTrainedModel(**model, path).ok());
   auto loaded = LoadTrainedModel(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  kg_.service().model_store().Put(*loaded);
+  ASSERT_TRUE(
+      kg_.service().kgmeta().RegisterModel(*loaded, /*replace=*/true).ok());
 
   auto& manager = kg_.service().inference_manager();
   auto links =
@@ -182,7 +193,7 @@ TEST_F(ModelIoTest, LoadedLpModelServesLinksAndSimilarity) {
 
 TEST_F(ModelIoTest, SaveLoadWholeStore) {
   const std::string store_dir = (dir_ / "models").string();
-  auto n = SaveModelStore(kg_.service().model_store(), store_dir);
+  auto n = SaveModelStore(kg_.service().kgmeta(), store_dir);
   ASSERT_TRUE(n.ok()) << n.status();
   EXPECT_EQ(*n, 2u);
   // The directory holds exactly the .kgm bundles: each carries the
@@ -194,18 +205,85 @@ TEST_F(ModelIoTest, SaveLoadWholeStore) {
   }
   EXPECT_EQ(files, 2u);
 
-  ModelStore fresh_store;
   KgMeta fresh_meta;
-  auto loaded = LoadModelStore(store_dir, &fresh_store, &fresh_meta);
+  auto loaded = LoadModelStore(store_dir, &fresh_meta);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_EQ(*loaded, 2u);
-  EXPECT_EQ(fresh_store.size(), 2u);
   EXPECT_EQ(fresh_meta.NumModels(), 2u);
-  EXPECT_TRUE(fresh_store.Get(nc_uri_).ok());
-  EXPECT_TRUE(fresh_store.Get(lp_uri_).ok());
+  EXPECT_TRUE(fresh_meta.GetModel(nc_uri_).ok());
+  EXPECT_TRUE(fresh_meta.GetModel(lp_uri_).ok());
   auto info = fresh_meta.Get(nc_uri_);
   ASSERT_TRUE(info.ok());
   EXPECT_EQ(info->target_type_iri, DblpSchema::Publication());
+}
+
+// A service that loaded saved models trains under the first free model
+// URI, so it never collides with a loaded one.
+TEST_F(ModelIoTest, TrainingAfterALoadTakesAFreeUri) {
+  const std::string store_dir = (dir_ / "models").string();
+  ASSERT_TRUE(SaveModelStore(kg_.service().kgmeta(), store_dir).ok());
+  KgNet fresh;
+  GenerateKg(&fresh);
+  ASSERT_TRUE(LoadModelStore(store_dir, &fresh.service().kgmeta()).ok());
+  auto trained = fresh.TrainTask(NcSpec());
+  ASSERT_TRUE(trained.ok()) << trained.status();
+  EXPECT_NE(trained->model_uri, nc_uri_);
+  EXPECT_NE(trained->model_uri, lp_uri_);
+  EXPECT_EQ(fresh.service().kgmeta().NumModels(), 3u);
+
+  const std::string paper = "https://dblp.org/rdf/publication/3";
+  auto want = kg_.service().inference_manager().GetNodeClass(nc_uri_, paper);
+  ASSERT_TRUE(want.ok()) << want.status();
+  InferenceManager& im = fresh.service().inference_manager();
+  auto loaded = im.GetNodeClass(nc_uri_, paper);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_EQ(*loaded, *want);
+  auto own = im.GetNodeClass(trained->model_uri, paper);
+  EXPECT_TRUE(own.ok()) << own.status();
+}
+
+// A load over a registered URI replaces the record and the bundle
+// together: the file wins for what KGMeta reports, for the triples SPARQL
+// reads and for the answers the verbs serve.
+TEST_F(ModelIoTest, LoadOverARegisteredUriReplacesRecordAndBundle) {
+  auto model = kg_.service().kgmeta().GetModel(nc_uri_);
+  ASSERT_TRUE(model.ok());
+  // The file: this model with an accuracy no run on 80 papers reaches, and
+  // every target predicted as the first class.
+  TrainedModel file = **model;
+  file.info.accuracy = 0.123456789;
+  for (int32_t& c : file.bundle.row_class)
+    if (c > 0) c = 0;
+  const std::string store_dir = (dir_ / "models").string();
+  std::filesystem::create_directories(store_dir);
+  ASSERT_TRUE(SaveTrainedModel(file, store_dir + "/nc.kgm").ok());
+
+  KgNet other;
+  GenerateKg(&other);
+  auto trained = other.TrainTask(NcSpec());
+  ASSERT_TRUE(trained.ok()) << trained.status();
+  ASSERT_EQ(trained->model_uri, nc_uri_);
+  ASSERT_NE(trained->info.accuracy, file.info.accuracy);
+  ASSERT_TRUE(LoadModelStore(store_dir, &other.service().kgmeta()).ok());
+
+  KgMeta& meta = other.service().kgmeta();
+  EXPECT_EQ(meta.NumModels(), 1u);
+  EXPECT_EQ(meta.Get(nc_uri_)->accuracy, file.info.accuracy);
+  sparql::QueryEngine engine(&meta.mutable_store());
+  auto r = engine.ExecuteString("SELECT ?acc WHERE { <" + nc_uri_ + "> <" +
+                                KgnetVocab::Accuracy() + "> ?acc . }");
+  ASSERT_TRUE(r.ok()) << r.status();
+  ASSERT_EQ(r->NumRows(), 1u);
+  double acc = -1;
+  EXPECT_TRUE(r->rows[0][0].AsDouble(&acc));
+  EXPECT_EQ(acc, file.info.accuracy);
+
+  auto served =
+      other.service().inference_manager().GetNodeClassDictionary(nc_uri_);
+  ASSERT_TRUE(served.ok()) << served.status();
+  EXPECT_EQ(served->size(), 80u);
+  for (const auto& [paper, cls] : *served)
+    EXPECT_EQ(cls, file.bundle.class_iris[0]) << paper;
 }
 
 TEST_F(ModelIoTest, LoadRejectsGarbage) {
@@ -236,12 +314,14 @@ TEST_F(ModelIoTest, LoadRejectsTheRetiredFormat) {
       << loaded.status();
 }
 
-/// Calls every verb on `model` for a few IRIs it holds and one it does
-/// not; each call must return (its answer is not checked).
-void CallEveryVerb(const std::shared_ptr<TrainedModel>& model) {
-  ModelStore store;
-  store.Put(model);
-  InferenceManager im(&store);
+/// Registers `model` in `meta`, calls every verb on it for a few IRIs it
+/// holds and one it does not, then deletes it; each call must return (its
+/// answer is not checked).
+::testing::AssertionResult CallEveryVerb(
+    const std::shared_ptr<TrainedModel>& model, KgMeta* meta) {
+  const Status registered = meta->RegisterModel(model).status();
+  if (!registered.ok()) return ::testing::AssertionFailure() << registered;
+  InferenceManager im(meta);
   const std::string& uri = model->info.uri;
   std::vector<std::string> iris = {"https://dblp.org/rdf/no-such-node"};
   for (size_t i = 0; i < model->bundle.node_iris.size() && i < 3; ++i)
@@ -256,23 +336,27 @@ void CallEveryVerb(const std::shared_ptr<TrainedModel>& model) {
     auto row = im.GetEmbeddingRow(uri, iri);
     if (row.ok()) (void)im.GetSimilarByRow(uri, iri, *row, 3);
   }
+  const Status deleted = meta->DeleteModel(uri);
+  if (!deleted.ok()) return ::testing::AssertionFailure() << deleted;
+  return ::testing::AssertionSuccess();
 }
 
 /// Loads `bytes`: a ParseError, or a model whose every call returns.
-::testing::AssertionResult LoadsCleanly(const std::string& bytes) {
+::testing::AssertionResult LoadsCleanly(const std::string& bytes,
+                                        KgMeta* meta) {
   auto model = ParseTrainedModel(bytes);
   if (!model.ok()) {
     if (model.status().code() == StatusCode::kParseError)
       return ::testing::AssertionSuccess();
     return ::testing::AssertionFailure() << model.status();
   }
-  CallEveryVerb(*model);
-  return ::testing::AssertionSuccess();
+  return CallEveryVerb(*model, meta);
 }
 
 TEST_F(ModelIoTest, CorruptBundlesFailWithParseErrorOrServe) {
+  KgMeta meta;  // serves each model that loads, one at a time
   for (const std::string& uri : {nc_uri_, lp_uri_}) {
-    auto model = kg_.service().model_store().Get(uri);
+    auto model = kg_.service().kgmeta().GetModel(uri);
     ASSERT_TRUE(model.ok());
     const std::string path = (dir_ / "m.kgm").string();
     ASSERT_TRUE(SaveTrainedModel(**model, path).ok());
@@ -293,7 +377,7 @@ TEST_F(ModelIoTest, CorruptBundlesFailWithParseErrorOrServe) {
       std::string flipped = saved;
       const size_t at = rng.NextUint(flipped.size());
       flipped[at] = static_cast<char>(flipped[at] ^ (1 << rng.NextUint(8)));
-      ASSERT_TRUE(LoadsCleanly(flipped)) << uri << " flip at " << at;
+      ASSERT_TRUE(LoadsCleanly(flipped, &meta)) << uri << " flip at " << at;
     }
     // Lying counts and lengths: a huge u64 written at every offset, once
     // with the rest of the file behind it and once as the file's end.
@@ -301,8 +385,8 @@ TEST_F(ModelIoTest, CorruptBundlesFailWithParseErrorOrServe) {
       for (size_t at = 0; at + sizeof(lie) <= saved.size(); ++at) {
         std::string lying = saved;
         std::memcpy(lying.data() + at, &lie, sizeof(lie));
-        ASSERT_TRUE(LoadsCleanly(lying)) << uri << " lie at " << at;
-        ASSERT_TRUE(LoadsCleanly(lying.substr(0, at + sizeof(lie))))
+        ASSERT_TRUE(LoadsCleanly(lying, &meta)) << uri << " lie at " << at;
+        ASSERT_TRUE(LoadsCleanly(lying.substr(0, at + sizeof(lie)), &meta))
             << uri << " lie ending the file at " << at;
       }
     }
@@ -312,13 +396,13 @@ TEST_F(ModelIoTest, CorruptBundlesFailWithParseErrorOrServe) {
 TEST_F(ModelIoTest, SparqlMlWorksAgainstLoadedModels) {
   // Persist, wipe, reload — then answer a Figure-2-style query from the
   // restored bundle.
+  KgMeta& meta = kg_.service().kgmeta();
   const std::string store_dir = (dir_ / "models").string();
-  ASSERT_TRUE(SaveModelStore(kg_.service().model_store(), store_dir).ok());
-  for (const auto& uri : kg_.service().model_store().ListUris())
-    (void)kg_.service().model_store().Remove(uri);
-  ASSERT_EQ(kg_.service().model_store().size(), 0u);
-  auto loaded = LoadModelStore(store_dir, &kg_.service().model_store(),
-                               &kg_.service().kgmeta());
+  ASSERT_TRUE(SaveModelStore(meta, store_dir).ok());
+  for (const auto& uri : meta.ListModelUris())
+    ASSERT_TRUE(meta.DeleteModel(uri).ok());
+  ASSERT_EQ(meta.NumModels(), 0u);
+  auto loaded = LoadModelStore(store_dir, &meta);
   ASSERT_TRUE(loaded.ok());
 
   auto r = kg_.Execute(

@@ -7,7 +7,9 @@
 //     mutation batch (the batch-marker invariant below);
 //   - per-connection snapshot epochs are monotonically non-decreasing;
 //   - concurrent batched SPARQL-ML inference against a frozen model
-//     returns bitwise-stable answers while the store churns;
+//     returns bitwise-stable answers while the store churns, and while
+//     other models are trained and deleted over the wire (a deleted
+//     model's verbs answer NotFound);
 //   - overloaded and disconnecting clients never wedge the server.
 #include <gtest/gtest.h>
 
@@ -68,6 +70,37 @@ void WriterRounds(KgNet* kg, const std::atomic<bool>* stop, int* rounds) {
     ++r;
   }
   *rounds = r;
+}
+
+/// The small DBLP KG the inference cases train on.
+void GenerateSmallDblp(KgNet* kg) {
+  workload::DblpOptions opts;
+  opts.num_papers = 80;
+  opts.num_authors = 40;
+  opts.num_venues = 4;
+  opts.num_affiliations = 8;
+  opts.include_periphery = false;
+  ASSERT_TRUE(workload::GenerateDblp(opts, &kg->store()).ok());
+}
+
+/// A cheap paper-venue classifier named `name`.
+core::TrainTaskSpec SmallNcSpec(const std::string& name) {
+  core::TrainTaskSpec nc;
+  nc.task = gml::TaskType::kNodeClassification;
+  nc.target_type_iri = DblpSchema::Publication();
+  nc.label_predicate_iri = DblpSchema::PublishedIn();
+  nc.config.epochs = 3;
+  nc.config.hidden_dim = 8;
+  nc.config.embed_dim = 8;
+  nc.model_name = name;
+  return nc;
+}
+
+std::vector<std::string> Papers(int n) {
+  std::vector<std::string> nodes;
+  for (int i = 0; i < n; ++i)
+    nodes.push_back("https://dblp.org/rdf/publication/" + std::to_string(i));
+  return nodes;
 }
 
 TEST(ServingStressTest, SnapshotIsolationUnderConcurrentMutation) {
@@ -140,29 +173,12 @@ TEST(ServingStressTest, SnapshotIsolationUnderConcurrentMutation) {
 
 TEST(ServingStressTest, InferenceStableWhileStoreChurns) {
   KgNet kg;
-  workload::DblpOptions opts;
-  opts.num_papers = 80;
-  opts.num_authors = 40;
-  opts.num_venues = 4;
-  opts.num_affiliations = 8;
-  opts.include_periphery = false;
-  ASSERT_TRUE(workload::GenerateDblp(opts, &kg.store()).ok());
-
-  core::TrainTaskSpec nc;
-  nc.task = gml::TaskType::kNodeClassification;
-  nc.target_type_iri = DblpSchema::Publication();
-  nc.label_predicate_iri = DblpSchema::PublishedIn();
-  nc.config.epochs = 3;
-  nc.config.hidden_dim = 8;
-  nc.config.embed_dim = 8;
-  nc.model_name = "stress-nc";
-  auto trained = kg.TrainTask(nc);
+  GenerateSmallDblp(&kg);
+  auto trained = kg.TrainTask(SmallNcSpec("stress-nc"));
   ASSERT_TRUE(trained.ok()) << trained.status();
   const std::string model_uri = trained->model_uri;
 
-  std::vector<std::string> nodes;
-  for (int i = 0; i < 12; ++i)
-    nodes.push_back("https://dblp.org/rdf/publication/" + std::to_string(i));
+  const std::vector<std::string> nodes = Papers(12);
   // Ground truth from the frozen model, before any churn.
   std::vector<std::string> want;
   for (const std::string& n : nodes) {
@@ -217,6 +233,101 @@ TEST(ServingStressTest, InferenceStableWhileStoreChurns) {
   EXPECT_EQ(mismatches.load(), 0)
       << "batched inference answers drifted under store churn";
   EXPECT_GT(writer_rounds, 0);
+}
+
+// Inference verbs race model registration: four clients ask a fixed model
+// while a fifth trains other models with TrainGML and drops each with a
+// kgnet: DELETE, all over the wire.
+TEST(ServingStressTest, InferenceStableWhileModelsRegisterAndDelete) {
+  KgNet kg;
+  GenerateSmallDblp(&kg);
+  auto trained = kg.TrainTask(SmallNcSpec("fixed"));
+  ASSERT_TRUE(trained.ok()) << trained.status();
+  const std::string fixed_uri = trained->model_uri;
+  core::InferenceManager& local = kg.service().inference_manager();
+  const std::vector<std::string> nodes = Papers(12);
+  std::vector<std::string> want;
+  for (const std::string& n : nodes) {
+    auto r = local.GetNodeClass(fixed_uri, n);
+    ASSERT_TRUE(r.ok()) << r.status();
+    want.push_back(*r);
+  }
+
+  ServerOptions options;
+  options.num_workers = 6;
+  ScopedServer scope(&kg.service(), options);
+  ASSERT_TRUE(scope.start_status().ok());
+
+  std::atomic<bool> churned{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.emplace_back([&, c] {
+      KgClient client;
+      if (!scope.Connect(&client).ok()) {
+        ++failures;
+        return;
+      }
+      for (int q = 0; q < 20 || !churned.load(); ++q) {
+        const size_t i = (c + q) % nodes.size();
+        auto r = client.NodeClass(fixed_uri, nodes[i]);
+        if (!r.ok())
+          ++failures;
+        else if (*r != want[i])
+          ++mismatches;
+      }
+    });
+  }
+
+  // The churn client; a failed check still lets the clients finish.
+  const std::string prefixes =
+      "PREFIX dblp: <https://dblp.org/rdf/> "
+      "PREFIX kgnet: <https://www.kgnet.com/> ";
+  KgClient churn;
+  EXPECT_TRUE(scope.Connect(&churn).ok());
+  for (int round = 0; round < 4; ++round) {
+    auto train = churn.Query(
+        prefixes +
+        "INSERT DATA { kgnet:job kgnet:request \"kgnet.TrainGML({Name: "
+        "'churn', GML-Task: {TaskType: kgnet:NodeClassifier, TargetNode: "
+        "dblp:Publication, NodeLabel: dblp:publishedIn}, Hyperparameters: "
+        "{Epochs: 2, HiddenDim: 8, EmbedDim: 8}})\" . }");
+    if (!train.ok() || train->result.rows.empty()) {
+      ADD_FAILURE() << "TrainGML: " << train.status();
+      break;
+    }
+    const std::string uri = train->result.rows[0][0].lexical;
+    EXPECT_NE(uri, fixed_uri);
+    for (const std::string& n : nodes) {
+      auto wire = churn.NodeClass(uri, n);
+      auto in_process = local.GetNodeClass(uri, n);
+      EXPECT_TRUE(wire.ok() && in_process.ok()) << uri << " " << n;
+      if (wire.ok() && in_process.ok()) {
+        EXPECT_EQ(*wire, *in_process) << n;
+      }
+    }
+    auto del = churn.Query(prefixes +
+                           "DELETE {?m ?p ?o} WHERE { ?m a "
+                           "kgnet:NodeClassifier . FILTER(?m = <" +
+                           uri + ">) }");
+    EXPECT_TRUE(del.ok()) << del.status();
+    if (del.ok()) {
+      EXPECT_EQ(del->result.num_deleted, 1u);
+    }
+    EXPECT_EQ(churn.NodeClass(uri, nodes[0]).status().code(),
+              StatusCode::kNotFound);
+    EXPECT_EQ(local.GetNodeClass(uri, nodes[0]).status().code(),
+              StatusCode::kNotFound);
+  }
+  churned.store(true);
+  for (auto& t : clients) t.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0)
+      << "a fixed model's answers drifted while others came and went";
+  EXPECT_EQ(kg.service().kgmeta().ListModelUris(),
+            std::vector<std::string>{fixed_uri});
 }
 
 TEST(ServingStressTest, ChaoticClientsNeverWedgeTheServer) {

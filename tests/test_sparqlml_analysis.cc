@@ -455,7 +455,7 @@ TEST_F(SparqlMlAnalysisTest, ExecuteWithPlanDeletesAModel) {
   ASSERT_TRUE(del.ok()) << del.status();
   EXPECT_EQ(del->num_deleted, 1u);
   EXPECT_EQ(kg_.service().kgmeta().NumModels(), 0u);
-  EXPECT_FALSE(kg_.service().model_store().Get(uri).ok());
+  EXPECT_FALSE(kg_.service().kgmeta().GetModel(uri).ok());
 }
 
 // A Figure 12 dictionary is dropped when the query that built it ends,

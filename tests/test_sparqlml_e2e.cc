@@ -5,6 +5,8 @@
 // similarity.
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "common/cancel.h"
 #include "core/kgnet.h"
 #include "workload/dblp_gen.h"
@@ -17,6 +19,11 @@ using workload::DblpSchema;
 constexpr char kPrefixes[] =
     "PREFIX dblp: <https://dblp.org/rdf/>\n"
     "PREFIX kgnet: <https://www.kgnet.com/>\n";
+
+/// `info` as a registrable model with an empty serving bundle.
+std::shared_ptr<const TrainedModel> Record(ModelInfo info) {
+  return std::make_shared<TrainedModel>(TrainedModel{std::move(info), {}});
+}
 
 class SparqlMlE2eTest : public ::testing::Test {
  protected:
@@ -76,7 +83,7 @@ TEST_F(SparqlMlE2eTest, TrainGmlInsertRegistersModel) {
   EXPECT_EQ(info->sampler_label, "d1h1");
   EXPECT_GT(info->cardinality, 0u);
   // The trained artifact is servable.
-  EXPECT_TRUE(kg_.service().model_store().Get(uri).ok());
+  EXPECT_TRUE(kg_.service().kgmeta().GetModel(uri).ok());
 }
 
 TEST_F(SparqlMlE2eTest, CancelledTrainGmlRegistersNothing) {
@@ -196,7 +203,7 @@ TEST_F(SparqlMlE2eTest, Figure9DeleteRemovesModel) {
   ASSERT_TRUE(del.ok()) << del.status();
   EXPECT_EQ(del->num_deleted, 1u);
   EXPECT_EQ(kg_.service().kgmeta().NumModels(), 0u);
-  EXPECT_FALSE(kg_.service().model_store().Get(uri).ok());
+  EXPECT_FALSE(kg_.service().kgmeta().GetModel(uri).ok());
   // Queries now fail with a clear error: no model matches.
   auto r = kg_.Execute(std::string(kPrefixes) +
                        "SELECT ?venue WHERE {\n"
@@ -251,7 +258,7 @@ TEST_F(SparqlMlE2eTest, EntitySimilaritySearch) {
   auto outcome = kg_.TrainTask(spec);
   ASSERT_TRUE(outcome.ok()) << outcome.status();
 
-  auto model = kg_.service().model_store().Get(outcome->model_uri);
+  auto model = kg_.service().kgmeta().GetModel(outcome->model_uri);
   ASSERT_TRUE(model.ok());
   EXPECT_EQ((*model)->bundle.embed_dim, 16u);
   EXPECT_EQ((*model)->bundle.entity_rows.size(),
@@ -317,9 +324,9 @@ TEST_F(SparqlMlE2eTest, SelectModelPrefersAccurateThenFast) {
   fast_bad.uri = "m/bad";
   fast_bad.accuracy = 0.50;
   fast_bad.inference_us = 1;
-  ASSERT_TRUE(meta.RegisterModel(slow_accurate).ok());
-  ASSERT_TRUE(meta.RegisterModel(fast_similar).ok());
-  ASSERT_TRUE(meta.RegisterModel(fast_bad).ok());
+  ASSERT_TRUE(meta.RegisterModel(Record(slow_accurate)).ok());
+  ASSERT_TRUE(meta.RegisterModel(Record(fast_similar)).ok());
+  ASSERT_TRUE(meta.RegisterModel(Record(fast_bad)).ok());
 
   UserDefinedPredicate udp;
   udp.var = "clf";
@@ -329,6 +336,52 @@ TEST_F(SparqlMlE2eTest, SelectModelPrefersAccurateThenFast) {
   auto chosen = kg_.service().SelectModel(udp);
   ASSERT_TRUE(chosen.ok()) << chosen.status();
   EXPECT_EQ(chosen->uri, "m/fast");
+}
+
+TEST_F(SparqlMlE2eTest, SelectModelBreaksFullTiesByRegistrationOrder) {
+  KgMeta& meta = kg_.service().kgmeta();
+  ModelInfo first;
+  first.uri = "m/b";  // registered first, though later in URI order
+  first.task = gml::TaskType::kNodeClassification;
+  first.target_type_iri = DblpSchema::Publication();
+  first.label_predicate_iri = DblpSchema::PublishedIn();
+  first.accuracy = 0.8;
+  first.inference_us = 5;
+  ModelInfo second = first;
+  second.uri = "m/a";
+  ASSERT_TRUE(meta.RegisterModel(Record(first)).ok());
+  ASSERT_TRUE(meta.RegisterModel(Record(second)).ok());
+
+  UserDefinedPredicate udp;
+  udp.var = "clf";
+  udp.task = gml::TaskType::kNodeClassification;
+  udp.constraints.task = gml::TaskType::kNodeClassification;
+  auto chosen = kg_.service().SelectModel(udp);
+  ASSERT_TRUE(chosen.ok()) << chosen.status();
+  EXPECT_EQ(chosen->uri, "m/b");
+}
+
+// A TrainGML INSERT reports the KGMeta triples its own model added, call
+// after call, not the size of the whole KGMeta graph.
+TEST_F(SparqlMlE2eTest, TrainGmlReportsTheTriplesItAdded) {
+  for (int call = 0; call < 2; ++call) {
+    auto r = kg_.Execute(std::string(kPrefixes) +
+                         "INSERT INTO <kgnet> { ?s ?p ?o } WHERE { "
+                         "SELECT * FROM kgnet.TrainGML(\n"
+                         "{Name: 'venue',\n"
+                         " GML-Task: {TaskType: kgnet:NodeClassifier,\n"
+                         "  TargetNode: dblp:Publication,\n"
+                         "  NodeLabel: dblp:publishedIn},\n"
+                         " Hyperparameters: {Epochs: 3}})}");
+    ASSERT_TRUE(r.ok()) << r.status();
+    const std::string uri = r->rows[0][0].lexical;
+    sparql::QueryEngine meta(&kg_.service().kgmeta().mutable_store());
+    auto triples =
+        meta.ExecuteString("SELECT ?p ?o WHERE { <" + uri + "> ?p ?o . }");
+    ASSERT_TRUE(triples.ok()) << triples.status();
+    EXPECT_GT(triples->NumRows(), 0u);
+    EXPECT_EQ(r->num_inserted, triples->NumRows()) << "call " << call;
+  }
 }
 
 }  // namespace
